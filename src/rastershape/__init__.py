@@ -8,22 +8,7 @@ protocol over those vectors, including parameter sweeps and an occlusion
 robustness experiment.
 """
 
-from .descriptor import (
-    CENTER_TOLERANCE,
-    CIRC_ANGULAR,
-    CIRC_RADIAL,
-    SPIRAL_FIXED,
-    SPIRAL_FULL,
-    VARIANT_KIND,
-    VARIANTS,
-    ShapeVector,
-    angular_vector,
-    circular_radial_vector,
-    extract,
-    extract_normalized,
-    spiral_fixed_angle_vector,
-    spiral_full_cycle_vector,
-)
+from .descriptor import extract, extract_normalized, vector
 from .errors import (
     DatabaseFormatError,
     DatasetError,
@@ -34,58 +19,9 @@ from .errors import (
     PnmFormatError,
     RasterShapeError,
 )
-from .evaluation import (
-    DEFAULT_K,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEPARATIONS,
-    STANDARD_OCCLUSION_CONFIGS,
-    OcclusionCell,
-    OcclusionReport,
-    SweepCell,
-    SweepReport,
-    occlusion_experiment,
-    read_sweep_csv,
-    retrieval_efficiency,
-    select_occlusion_queries,
-    sweep,
-    timed_retrieval,
-    write_occlusion_csv,
-    write_sweep_csv,
-)
-from .matcher import (
-    DescriptorDatabase,
-    DescriptorRecord,
-    Match,
-    distance,
-    load_database,
-    query,
-    save_database,
-)
-from .raster import (
-    KIND_CIRCULAR,
-    KIND_SPIRAL,
-    KINDS,
-    RasterGrid,
-    RasterSpec,
-    SamplePoint,
-    circular_grid,
-    cycle_count,
-    spiral_grid,
-    unit_circle_samples,
-)
-from .shape_io import (
-    BinaryShape,
-    Centroid,
-    category_of,
-    centroid,
-    contains,
-    contains_points,
-    load_directory,
-    load_image,
-    max_radius,
-    occlude,
-    round_half_away,
-    save_image,
-)
+from .evaluation import sweep
+from .matcher import DescriptorDatabase, DescriptorRecord, query
+from .raster import RasterSpec
+from .shape_io import load_image
 
 __version__ = "0.1.0"

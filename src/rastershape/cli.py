@@ -17,6 +17,7 @@ from .evaluation import (
     DEFAULT_SAMPLES,
     DEFAULT_SEPARATIONS,
     STANDARD_OCCLUSION_CONFIGS,
+    extract_records,
     occlusion_experiment,
     read_sweep_csv,
     select_occlusion_queries,
@@ -54,9 +55,7 @@ def _load_dataset(args) -> list:
 def cmd_index(args) -> int:
     shapes = _load_dataset(args)
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
-    from .evaluation import _extract_records
-
-    records = _extract_records(shapes, spec, args.variant, _thread_count())
+    records = extract_records(shapes, spec, args.variant, _thread_count())
     db = DescriptorDatabase(spec, args.variant, tuple(records))
     save_database(db, args.out)
     print(f"indexed {len(records)} images -> {args.out}")

@@ -66,17 +66,10 @@ class ShapeVector:
         return int(self.values.size)
 
 
-def _checked_inside(shape: BinaryShape, grid: RasterGrid, kind: str, variant: str) -> np.ndarray:
-    if grid.spec.kind != kind:
-        raise ValueError(f"{variant} requires a {kind} grid, got {grid.spec.kind!r}")
-    c = centroid(shape)  # raises EmptyShapeError on empty masks
-    if (abs(grid.center.cx - c.cx) > CENTER_TOLERANCE
-            or abs(grid.center.cy - c.cy) > CENTER_TOLERANCE):
-        raise MisalignmentError(
-            f"grid center ({grid.center.cx:.8f}, {grid.center.cy:.8f}) is not the "
-            f"centroid of shape {shape.id!r} ({c.cx:.8f}, {c.cy:.8f})"
-        )
-    return contains_points(shape, grid.xs, grid.ys)
+def _kind(variant: str) -> str:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return VARIANT_KIND[variant]
 
 
 def _grouped(variant: str, inside: np.ndarray, k: np.ndarray, j: np.ndarray,
@@ -90,56 +83,42 @@ def _grouped(variant: str, inside: np.ndarray, k: np.ndarray, j: np.ndarray,
     return inside.astype(float)
 
 
-def circular_radial_vector(shape: BinaryShape, grid: RasterGrid) -> ShapeVector:
-    """Per-circle fraction of samples on the shape, innermost circle first."""
-    inside = _checked_inside(shape, grid, KIND_CIRCULAR, CIRC_RADIAL)
-    values = _grouped(CIRC_RADIAL, inside, grid.cycle_indices, grid.angle_indices,
+def _sampled(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
+    inside = contains_points(shape, grid.xs, grid.ys)
+    values = _grouped(variant, inside, grid.cycle_indices, grid.angle_indices,
                       grid.n_cycles, grid.spec.samples_per_cycle)
-    return ShapeVector(CIRC_RADIAL, grid.spec, values)
+    return ShapeVector(variant, grid.spec, values)
 
 
-def angular_vector(shape: BinaryShape, grid: RasterGrid) -> ShapeVector:
-    """Per-radial-line fraction of samples on the shape, angle zero first."""
-    inside = _checked_inside(shape, grid, KIND_CIRCULAR, CIRC_ANGULAR)
-    values = _grouped(CIRC_ANGULAR, inside, grid.cycle_indices, grid.angle_indices,
-                      grid.n_cycles, grid.spec.samples_per_cycle)
-    return ShapeVector(CIRC_ANGULAR, grid.spec, values)
+def vector(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
+    """The ``variant`` descriptor of ``shape`` sampled on a prebuilt ``grid``.
 
-
-def spiral_full_cycle_vector(shape: BinaryShape, grid: RasterGrid) -> ShapeVector:
-    """Per-turn fraction of spiral samples on the shape."""
-    inside = _checked_inside(shape, grid, KIND_SPIRAL, SPIRAL_FULL)
-    values = _grouped(SPIRAL_FULL, inside, grid.cycle_indices, grid.angle_indices,
-                      grid.n_cycles, grid.spec.samples_per_cycle)
-    return ShapeVector(SPIRAL_FULL, grid.spec, values)
-
-
-def spiral_fixed_angle_vector(shape: BinaryShape, grid: RasterGrid) -> ShapeVector:
-    """Per-arc-segment membership along the spiral, one sample per segment."""
-    inside = _checked_inside(shape, grid, KIND_SPIRAL, SPIRAL_FIXED)
-    return ShapeVector(SPIRAL_FIXED, grid.spec, inside.astype(float))
-
-
-_VECTOR_OPS = {
-    CIRC_RADIAL: circular_radial_vector,
-    CIRC_ANGULAR: angular_vector,
-    SPIRAL_FULL: spiral_full_cycle_vector,
-    SPIRAL_FIXED: spiral_fixed_angle_vector,
-}
+    The grid must be of the variant's lattice kind (ValueError otherwise)
+    and centered on the shape's centroid (MisalignmentError otherwise).
+    """
+    kind = _kind(variant)
+    if grid.spec.kind != kind:
+        raise ValueError(f"{variant} requires a {kind} grid, got {grid.spec.kind!r}")
+    c = centroid(shape)  # raises EmptyShapeError on empty masks
+    if (abs(grid.center.cx - c.cx) > CENTER_TOLERANCE
+            or abs(grid.center.cy - c.cy) > CENTER_TOLERANCE):
+        raise MisalignmentError(
+            f"grid center ({grid.center.cx:.8f}, {grid.center.cy:.8f}) is not the "
+            f"centroid of shape {shape.id!r} ({c.cx:.8f}, {c.cy:.8f})"
+        )
+    return _sampled(shape, grid, variant)
 
 
 def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
-    """Full pipeline: centroid, extent, cycle count, grid, then the vector op."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if spec.kind != VARIANT_KIND[variant]:
-        raise ValueError(
-            f"variant {variant} needs a {VARIANT_KIND[variant]} raster, spec is {spec.kind}"
-        )
+    """Full pipeline: centroid, extent, cycle count, grid, then grouping."""
+    kind = _kind(variant)
+    if spec.kind != kind:
+        raise ValueError(f"variant {variant} needs a {kind} raster, spec is {spec.kind}")
     c = centroid(shape)
     n = cycle_count(spec, max_radius(shape, c))
     build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
-    return _VECTOR_OPS[variant](shape, build(c, spec, n))
+    # the grid is built on the centroid just computed, so it needs no alignment check
+    return _sampled(shape, build(c, spec, n), variant)
 
 
 def extract_normalized(shape: BinaryShape, variant: str, n_cycles: int,
@@ -152,13 +131,11 @@ def extract_normalized(shape: BinaryShape, variant: str, n_cycles: int,
     has no integer-pixel RasterSpec and cannot go into a descriptor
     database.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    kind = _kind(variant)
     if n_cycles < 1 or samples_per_cycle < 1:
         raise ValueError("n_cycles and samples_per_cycle must be positive")
     c = centroid(shape)
     separation = max_radius(shape, c) / n_cycles
-    radii, cos, sin, k, j = lattice(VARIANT_KIND[variant], separation,
-                                    samples_per_cycle, n_cycles)
+    radii, cos, sin, k, j = lattice(kind, separation, samples_per_cycle, n_cycles)
     inside = contains_points(shape, c.cx + radii * cos, c.cy - radii * sin)
     return _grouped(variant, inside, k, j, n_cycles, samples_per_cycle)

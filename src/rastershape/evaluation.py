@@ -70,8 +70,9 @@ class OcclusionReport:
     cells: tuple[OcclusionCell, ...]
 
 
-def _extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: str,
-                     threads: int = 1) -> list[DescriptorRecord]:
+def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: str,
+                    threads: int = 1) -> list[DescriptorRecord]:
+    """Descriptor records for ``shapes`` in input order; a failed shape raises DatasetError."""
     def one(shape: BinaryShape) -> DescriptorRecord:
         try:
             return DescriptorRecord(shape.id, shape.category, extract(shape, spec, variant))
@@ -84,43 +85,20 @@ def _extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: s
     return [one(s) for s in shapes]
 
 
-def retrieval_efficiency(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
-                         k: int = DEFAULT_K, mode: str = "any") -> float:
-    """Percentage of queries with a same-category record in their top k.
+def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
+           mode: str, warm_up: bool = False) -> tuple[float, float]:
+    """(seconds of the matching loop, efficiency_pct) for one query pass.
 
-    Each query runs with its own id excluded, so database members can be
-    used as their own test set. mode="any" counts a query as recognized
-    when at least one same-category match appears; mode="precision" instead
-    averages the same-category fraction of all k returned matches.
+    Arguments are checked before any query runs. With ``warm_up``, one
+    untimed pass runs first.
     """
     if mode not in ("any", "precision"):
         raise ValueError(f"mode must be 'any' or 'precision', got {mode!r}")
     if not queries:
         raise ValueError("no queries given")
-    recognized = 0
-    hits = 0
-    for q in queries:
-        matches = query(db, q.vector, k, exclude_id=q.id)
-        same = sum(1 for m in matches if m.category == q.category)
-        if same:
-            recognized += 1
-        hits += same
-    if mode == "any":
-        return 100.0 * recognized / len(queries)
-    return 100.0 * hits / (k * len(queries))
-
-
-def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
-                    k: int = DEFAULT_K, mode: str = "any") -> tuple[float, float, float]:
-    """(total_time_s, avg_time_s, efficiency_pct) for the full query loop.
-
-    Runs one untimed warm-up pass, then times the query loop alone,
-    single-threaded. Efficiency is scored from the timed results afterward.
-    """
-    if not queries:
-        raise ValueError("no queries given")
-    for q in queries:
-        query(db, q.vector, k, exclude_id=q.id)
+    if warm_up:
+        for q in queries:
+            query(db, q.vector, k, exclude_id=q.id)
     start = time.perf_counter()
     results = [query(db, q.vector, k, exclude_id=q.id) for q in queries]
     total = time.perf_counter() - start
@@ -133,9 +111,30 @@ def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
             recognized += 1
         hits += same
     if mode == "any":
-        efficiency = 100.0 * recognized / len(queries)
-    else:
-        efficiency = 100.0 * hits / (k * len(queries))
+        return total, 100.0 * recognized / len(queries)
+    return total, 100.0 * hits / (k * len(queries))
+
+
+def retrieval_efficiency(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
+                         k: int = DEFAULT_K, mode: str = "any") -> float:
+    """Percentage of queries with a same-category record in their top k.
+
+    Each query runs with its own id excluded, so database members can be
+    used as their own test set. mode="any" counts a query as recognized
+    when at least one same-category match appears; mode="precision" instead
+    averages the same-category fraction of all k returned matches.
+    """
+    return _score(db, queries, k, mode)[1]
+
+
+def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
+                    k: int = DEFAULT_K, mode: str = "any") -> tuple[float, float, float]:
+    """(total_time_s, avg_time_s, efficiency_pct) for the full query loop.
+
+    Runs one untimed warm-up pass, then times the query loop alone,
+    single-threaded. Efficiency is scored from the timed results afterward.
+    """
+    total, efficiency = _score(db, queries, k, mode, warm_up=True)
     return total, total / len(queries), efficiency
 
 
@@ -158,7 +157,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     cells = []
     for d, s in pairs:
         spec = RasterSpec(kind, d, s)
-        records = _extract_records(shapes, spec, variant, threads)
+        records = extract_records(shapes, spec, variant, threads)
         db = DescriptorDatabase(spec, variant, tuple(records))
         total, avg, efficiency = timed_retrieval(db, records, k, mode=mode)
         cell = SweepCell(d, s, efficiency, total, avg)
@@ -205,9 +204,9 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     cells = []
     for variant, d, s in variant_specs:
         spec = RasterSpec(VARIANT_KIND[variant], int(d), int(s))
-        records = _extract_records(shapes, spec, variant, threads)
+        records = extract_records(shapes, spec, variant, threads)
         db = DescriptorDatabase(spec, variant, tuple(records))
-        query_records = _extract_records(queries, spec, variant, threads)
+        query_records = extract_records(queries, spec, variant, threads)
         efficiency = retrieval_efficiency(db, query_records, k)
         cell = OcclusionCell(variant, int(d), int(s), efficiency)
         cells.append(cell)
@@ -251,18 +250,24 @@ def read_sweep_csv(source) -> SweepReport:
             f.close()
     if not rows or tuple(rows[0]) != SWEEP_CSV_COLUMNS:
         raise ValueError("not a sweep report CSV (bad or missing header)")
-    body = [row for row in rows[1:] if row]
+    body = [(n, row) for n, row in enumerate(rows[1:], start=2) if row]
     if not body:
         raise ValueError("sweep report CSV has no data rows")
-    variants = {row[0] for row in body}
-    datasets = {row[1] for row in body}
+    cells = []
+    for n, row in body:
+        if len(row) != len(SWEEP_CSV_COLUMNS):
+            raise ValueError(f"sweep report CSV row {n}: expected "
+                             f"{len(SWEEP_CSV_COLUMNS)} columns, got {len(row)}")
+        try:
+            cells.append(SweepCell(int(row[2]), int(row[3]), float(row[4]),
+                                   float(row[5]), float(row[6])))
+        except ValueError as exc:
+            raise ValueError(f"sweep report CSV row {n}: {exc}") from None
+    variants = {row[0] for _, row in body}
+    datasets = {row[1] for _, row in body}
     if len(variants) != 1 or len(datasets) != 1:
         raise ValueError("sweep report CSV mixes variants or datasets")
-    cells = tuple(
-        SweepCell(int(row[2]), int(row[3]), float(row[4]), float(row[5]), float(row[6]))
-        for row in body
-    )
-    return SweepReport(body[0][0], body[0][1], cells)
+    return SweepReport(body[0][1][0], body[0][1][1], tuple(cells))
 
 
 def write_occlusion_csv(report: OcclusionReport, dest) -> None:

@@ -20,6 +20,7 @@ from .raster import RasterSpec
 
 FORMAT_NAME = "RASTERDB"
 FORMAT_VERSION = "v1"
+HEADER_FIELDS = ("kind", "variant", "sep", "samples")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,19 +134,21 @@ def load_database(path) -> DescriptorDatabase:
     fields = {}
     for part in head[2:]:
         key, sep, value = part.partition("=")
-        if not sep:
-            raise DatabaseFormatError(f"{path.name}: bad header field {part!r}")
+        if not sep or key not in HEADER_FIELDS or key in fields:
+            raise DatabaseFormatError(f"{path.name}:1: bad header field {part!r}")
         fields[key] = value
     try:
         kind = fields["kind"]
         variant = fields["variant"]
         spec = RasterSpec(kind, int(fields["sep"]), int(fields["samples"]))
     except (KeyError, ValueError) as exc:
-        raise DatabaseFormatError(f"{path.name}: bad header: {exc}") from exc
+        raise DatabaseFormatError(f"{path.name}:1: bad header: {exc}") from exc
     if variant not in VARIANTS or VARIANT_KIND[variant] != kind:
-        raise DatabaseFormatError(f"{path.name}: variant {variant!r} does not match kind {kind!r}")
+        raise DatabaseFormatError(f"{path.name}:1: variant {variant!r} does not match kind {kind!r}")
 
-    records = []
+    first_line: dict[str, int] = {}
+    rows = []  # (lineno, id, category, offset into flat, length)
+    flat: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -153,6 +156,12 @@ def load_database(path) -> DescriptorDatabase:
         if len(parts) != 4:
             raise DatabaseFormatError(f"{path.name}:{lineno}: expected 4 fields, got {len(parts)}")
         rec_id, rec_category, length_text, values_text = parts
+        if rec_id in first_line:
+            raise DatabaseFormatError(
+                f"{path.name}:{lineno}: duplicate record id {rec_id!r} "
+                f"(first on line {first_line[rec_id]})"
+            )
+        first_line[rec_id] = lineno
         try:
             length = int(length_text)
             values = [float(v) for v in values_text.split(",")] if values_text else []
@@ -162,6 +171,21 @@ def load_database(path) -> DescriptorDatabase:
             raise DatabaseFormatError(
                 f"{path.name}:{lineno}: declared {length} values, found {len(values)}"
             )
-        vector = ShapeVector(variant, spec, np.array(values, dtype=float))
-        records.append(DescriptorRecord(rec_id, rec_category, vector))
-    return DescriptorDatabase(spec, variant, tuple(records))
+        rows.append((lineno, rec_id, rec_category, len(flat), length))
+        flat.extend(values)
+
+    # one range check over every value in the file; NaN fails both comparisons
+    every = np.array(flat, dtype=float)
+    bad = ~((every >= 0.0) & (every <= 1.0))
+    if bad.any():
+        at = int(np.argmax(bad))
+        lineno = next(row[0] for row in reversed(rows) if row[3] <= at)
+        raise DatabaseFormatError(
+            f"{path.name}:{lineno}: value {every[at]!r} outside [0, 1]"
+        )
+    records = tuple(
+        DescriptorRecord(rec_id, rec_category,
+                         ShapeVector(variant, spec, every[start:start + length]))
+        for _, rec_id, rec_category, start, length in rows
+    )
+    return DescriptorDatabase(spec, variant, records)

@@ -37,14 +37,6 @@ class RasterSpec:
             object.__setattr__(self, name, int(value))
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    x: float
-    y: float
-    cycle_index: int
-    angle_index: int
-
-
 @dataclass(frozen=True, eq=False)
 class RasterGrid:
     """Materialized lattice: parallel point arrays in (cycle, angle) order."""
@@ -60,13 +52,6 @@ class RasterGrid:
 
     def __len__(self) -> int:
         return int(self.xs.size)
-
-    @property
-    def points(self) -> list[SamplePoint]:
-        return [
-            SamplePoint(float(x), float(y), int(k), int(j))
-            for x, y, k, j in zip(self.xs, self.ys, self.cycle_indices, self.angle_indices)
-        ]
 
 
 def unit_circle_samples(samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +108,11 @@ def cycle_count(spec: RasterSpec, r_max: float) -> int:
     return max(1, n)
 
 
-def _build(spec: RasterSpec, center: Centroid, n_cycles: int) -> RasterGrid:
+def _grid(kind: str, center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:
+    if spec.kind != kind:
+        raise ValueError(f"{kind}_grid needs a {kind} spec, got {spec.kind!r}")
+    if n_cycles < 0:
+        raise ValueError("n_cycles must be non-negative")
     radii, cos, sin, k, j = lattice(spec.kind, spec.separation_px,
                                     spec.samples_per_cycle, n_cycles)
     xs = center.cx + radii * cos
@@ -135,17 +124,9 @@ def _build(spec: RasterSpec, center: Centroid, n_cycles: int) -> RasterGrid:
 
 def circular_grid(center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:
     """Concentric circles at radii (k+1)*d with s samples per circle."""
-    if spec.kind != KIND_CIRCULAR:
-        raise ValueError(f"circular_grid needs a circular spec, got {spec.kind!r}")
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be non-negative")
-    return _build(spec, center, n_cycles)
+    return _grid(KIND_CIRCULAR, center, spec, n_cycles)
 
 
 def spiral_grid(center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:
     """Archimedean spiral: radius d*(k + j/s) at angle 2*pi*j/s."""
-    if spec.kind != KIND_SPIRAL:
-        raise ValueError(f"spiral_grid needs a spiral spec, got {spec.kind!r}")
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be non-negative")
-    return _build(spec, center, n_cycles)
+    return _grid(KIND_SPIRAL, center, spec, n_cycles)

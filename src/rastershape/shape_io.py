@@ -202,6 +202,12 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     height = reader.int_token("height")
     if width < 1 or height < 1:
         raise PnmFormatError(f"{path.name}: bad dimensions {width}x{height}")
+    # each plain-format pixel takes at least one byte; check before allocating
+    if magic in (b"P1", b"P2") and width * height > len(data) - reader.pos:
+        raise PnmFormatError(
+            f"{path.name}: header declares {width}x{height} pixels but only "
+            f"{len(data) - reader.pos} bytes follow"
+        )
 
     if magic == b"P1":
         foreground = _read_plain_bits(reader, width * height)
@@ -272,22 +278,11 @@ def max_radius(shape: BinaryShape, c: Centroid) -> float:
     return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
-def round_half_away(v: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-
-
-def contains(shape: BinaryShape, x: float, y: float) -> bool:
-    """Mask value at the pixel nearest to (x, y); False outside the frame."""
-    ix = round_half_away(x)
-    iy = round_half_away(y)
-    if ix < 0 or iy < 0 or ix >= shape.width or iy >= shape.height:
-        return False
-    return bool(shape.mask[iy, ix])
-
-
 def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
-    """Vectorized contains(); applies the same rounding rule as the scalar form."""
+    """Mask value at the pixel nearest to each (x, y); False outside the frame.
+
+    Coordinates round to the nearest integer with halves away from zero.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ix = np.where(xs >= 0, np.floor(xs + 0.5), np.ceil(xs - 0.5)).astype(np.int64)

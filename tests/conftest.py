@@ -56,6 +56,12 @@ def blob_shape(seed: int, size: int = 96, coprime6: bool = False,
     return BinaryShape.from_mask(mask, id=id, category="blob")
 
 
+def grid_points(grid) -> list[tuple[float, float, int, int]]:
+    """(x, y, cycle_index, angle_index) per sample, as plain Python numbers."""
+    return list(zip(grid.xs.tolist(), grid.ys.tolist(),
+                    grid.cycle_indices.tolist(), grid.angle_indices.tolist()))
+
+
 @pytest.fixture(scope="session")
 def synthetic_corpus():
     from synthcorpus import make_corpus

@@ -44,7 +44,7 @@ from rastershape.shape_io import (
     max_radius,
 )
 
-from conftest import blob_shape, coprime6_blob_mask, random_blob_mask
+from conftest import blob_shape, coprime6_blob_mask, grid_points, random_blob_mask
 from oracles import ref_count_vector, ref_topk
 from test_descriptor import annulus_shape, disk_shape, rot90ccw
 
@@ -74,10 +74,8 @@ def test_criterion_1_oracle_equivalence():
                     n = cycle_count(spec, r)
                     build = circular_grid if spec.kind == "circular" else spiral_grid
                     grid = build(c, spec, n)
-                    points = [(p.x, p.y, p.cycle_index, p.angle_index)
-                              for p in grid.points]
                     expected = ref_count_vector(rows, shape.width, shape.height,
-                                                variant, s, n, points)
+                                                variant, s, n, grid_points(grid))
                     got = extract(shape, spec, variant)
                     checks += 1
                     if got.values.tolist() != expected:

@@ -190,6 +190,13 @@ def test_report_rejects_bad_csv(tmp_path, capsys):
     bad.write_text("hello\n")
     code = main(["report", str(bad)])
     assert code == 2
+    header = "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
+    good = "circ_radial,toy,8,4,50.0,0.010,0.001\n"
+    for row in ("circ_radial,toy,8\n", "circ_radial,toy,8,four,50.0,0.010,0.001\n"):
+        bad.write_text(header + good + row)
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 2
+        assert "row 3" in capsys.readouterr().err
 
 
 def test_missing_database_exits_2(tmp_path, toy_dir, capsys):

@@ -7,18 +7,15 @@ from rastershape.descriptor import (
     SPIRAL_FIXED,
     SPIRAL_FULL,
     VARIANTS,
-    angular_vector,
-    circular_radial_vector,
     extract,
     extract_normalized,
-    spiral_fixed_angle_vector,
-    spiral_full_cycle_vector,
+    vector,
 )
 from rastershape.errors import EmptyShapeError, MisalignmentError
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
 from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius
 
-from conftest import blob_shape, coprime6_blob_mask
+from conftest import blob_shape, coprime6_blob_mask, grid_points
 from oracles import ref_count_vector, ref_extract
 
 
@@ -63,7 +60,7 @@ def test_full_coverage_angular_is_all_ones():
     mask = np.ones((101, 101), dtype=bool)
     shape = BinaryShape.from_mask(mask, id="sq-1")
     grid = circular_grid(centroid(shape), RasterSpec("circular", 8, 6), 3)
-    vec = angular_vector(shape, grid)
+    vec = vector(shape, grid, CIRC_ANGULAR)
     assert vec.values.tolist() == [1.0] * 6
 
 
@@ -129,13 +126,13 @@ def test_misaligned_grid_rejected():
     spec = RasterSpec("circular", 8, 4)
     off = circular_grid(Centroid(c.cx + 0.001, c.cy), spec, 3)
     with pytest.raises(MisalignmentError):
-        circular_radial_vector(shape, off)
+        vector(shape, off, CIRC_RADIAL)
     near = circular_grid(Centroid(c.cx + 1e-8, c.cy), spec, 3)
-    circular_radial_vector(shape, near)  # within tolerance
+    vector(shape, near, CIRC_RADIAL)  # within tolerance
 
     sgrid = spiral_grid(Centroid(c.cx + 0.001, c.cy), RasterSpec("spiral", 8, 4), 3)
     with pytest.raises(MisalignmentError):
-        spiral_full_cycle_vector(shape, sgrid)
+        vector(shape, sgrid, SPIRAL_FULL)
 
 
 def test_wrong_grid_kind_for_vector_op():
@@ -144,13 +141,15 @@ def test_wrong_grid_kind_for_vector_op():
     circ = circular_grid(c, RasterSpec("circular", 8, 4), 3)
     spir = spiral_grid(c, RasterSpec("spiral", 8, 4), 3)
     with pytest.raises(ValueError):
-        spiral_full_cycle_vector(shape, circ)
+        vector(shape, circ, SPIRAL_FULL)
     with pytest.raises(ValueError):
-        angular_vector(shape, spir)
+        vector(shape, spir, CIRC_ANGULAR)
     with pytest.raises(ValueError):
-        spiral_fixed_angle_vector(shape, circ)
+        vector(shape, circ, SPIRAL_FIXED)
     with pytest.raises(ValueError):
-        circular_radial_vector(shape, spir)
+        vector(shape, spir, CIRC_RADIAL)
+    with pytest.raises(ValueError):
+        vector(shape, circ, "fourier")
 
 
 def test_extract_deterministic():
@@ -248,11 +247,11 @@ def test_vectors_match_grid_point_oracle():
             spec = RasterSpec(kind, d, s)
             n = cycle_count(spec, max_radius(shape, c))
             grid = (circular_grid if kind == "circular" else spiral_grid)(c, spec, n)
-            points = [(p.x, p.y, p.cycle_index, p.angle_index) for p in grid.points]
             expected = ref_count_vector(rows, shape.width, shape.height,
-                                        variant, s, n, points)
+                                        variant, s, n, grid_points(grid))
             got = extract(shape, spec, variant)
             assert got.values.tolist() == expected
+            assert vector(shape, grid, variant).values.tolist() == expected
 
 
 def test_extract_matches_straight_line_reimplementation():

@@ -67,10 +67,14 @@ def test_efficiency_modes_and_validation():
     any_mode = retrieval_efficiency(db, recs, k=3, mode="any")
     precision = retrieval_efficiency(db, recs, k=3, mode="precision")
     assert 0.0 <= precision <= any_mode <= 100.0
-    with pytest.raises(ValueError):
-        retrieval_efficiency(db, recs, k=3, mode="recall")
-    with pytest.raises(ValueError):
-        retrieval_efficiency(db, [], k=3)
+    for score in (retrieval_efficiency, timed_retrieval):
+        with pytest.raises(ValueError, match="mode"):
+            score(db, recs, k=3, mode="recall")
+        with pytest.raises(ValueError):
+            score(db, [], k=3)
+    shapes = [blob_shape(i, id=f"b-{i}") for i in range(3)]
+    with pytest.raises(ValueError, match="mode"):
+        sweep(shapes, CIRC_RADIAL, separations=(8,), samples=(4,), mode="bogus")
     other = DescriptorRecord("x-1", "x",
                              ShapeVector(CIRC_RADIAL, RasterSpec("circular", 16, 24),
                                          np.array([0.5])))

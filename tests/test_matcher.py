@@ -199,7 +199,18 @@ def test_load_rejects_malformed(tmp_path):
          "a-1\ta\t2\t0.100000\n", "declared 2"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\n", "4 fields"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 bogus=1\n",
+         r"\.rdb:1: bad header field 'bogus=1'"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 sep=16\n",
+         r"\.rdb:1: bad header field 'sep=16'"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\t0.500000\nb-1\tb\t1\t0.250000\na-1\tc\t1\t0.100000\n",
+         r"\.rdb:4: duplicate record id 'a-1' \(first on line 2\)"),
     ]
+    for value in ("nan", "inf", "-inf", "-5", "1.000001"):
+        cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+                      "a-1\ta\t2\t0.100000,0.200000\n\n"
+                      f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: value"))
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad-{i}.rdb"
         path.write_text(text)

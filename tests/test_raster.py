@@ -3,7 +3,6 @@ import pytest
 
 from rastershape.raster import (
     RasterSpec,
-    SamplePoint,
     circular_grid,
     cycle_count,
     spiral_grid,
@@ -11,6 +10,7 @@ from rastershape.raster import (
 )
 from rastershape.shape_io import Centroid
 
+from conftest import grid_points
 from oracles import ref_grid_points
 
 
@@ -39,32 +39,32 @@ def test_cycle_count_examples():
 
 def test_circular_grid_right_angles_exact():
     grid = circular_grid(Centroid(0.0, 0.0), RasterSpec("circular", 10, 4), 2)
-    got = [(p.x, p.y) for p in grid.points]
+    got = list(zip(grid.xs.tolist(), grid.ys.tolist()))
     assert got == [(10.0, 0.0), (0.0, -10.0), (-10.0, 0.0), (0.0, 10.0),
                    (20.0, 0.0), (0.0, -20.0), (-20.0, 0.0), (0.0, 20.0)]
-    assert [p.cycle_index for p in grid.points] == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert [p.angle_index for p in grid.points] == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert grid.cycle_indices.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert grid.angle_indices.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_empty_grid():
     grid = circular_grid(Centroid(3.0, 4.0), RasterSpec("circular", 8, 6), 0)
     assert len(grid) == 0
-    assert grid.points == []
+    assert grid.xs.tolist() == [] and grid.ys.tolist() == []
 
 
 def test_circular_grid_trigonometry():
     grid = circular_grid(Centroid(0.0, 0.0), RasterSpec("circular", 8, 6), 1)
-    p = grid.points[1]
-    assert p.x == pytest.approx(4.0, abs=1e-9)
-    assert p.y == pytest.approx(-8.0 * np.sin(np.pi / 3), abs=1e-9)
-    assert p.y == pytest.approx(-6.92820, abs=1e-5)
+    x, y = grid.xs[1], grid.ys[1]
+    assert x == pytest.approx(4.0, abs=1e-9)
+    assert y == pytest.approx(-8.0 * np.sin(np.pi / 3), abs=1e-9)
+    assert y == pytest.approx(-6.92820, abs=1e-5)
 
 
 def test_spiral_grid_first_turn_exact():
     grid = spiral_grid(Centroid(0.0, 0.0), RasterSpec("spiral", 10, 4), 2)
-    got = [(p.x, p.y) for p in grid.points[:4]]
-    assert got == [(0.0, 0.0), (0.0, -2.5), (-5.0, 0.0), (0.0, 7.5)]
-    assert (grid.points[4].x, grid.points[4].y) == (10.0, 0.0)
+    got = list(zip(grid.xs.tolist(), grid.ys.tolist()))
+    assert got[:4] == [(0.0, 0.0), (0.0, -2.5), (-5.0, 0.0), (0.0, 7.5)]
+    assert got[4] == (10.0, 0.0)
 
 
 def test_spiral_same_angle_radial_steps():
@@ -138,11 +138,12 @@ def test_points_match_plain_trig_reference():
         spec = RasterSpec(kind, 16, 7)
         grid = build(Centroid(31.5, 27.25), spec, 3)
         ref = ref_grid_points(kind, 31.5, 27.25, 16, 7, 3)
-        assert len(grid.points) == len(ref)
-        for p, (x, y, k, j) in zip(grid.points, ref):
-            assert p.x == pytest.approx(x, abs=1e-9)
-            assert p.y == pytest.approx(y, abs=1e-9)
-            assert (p.cycle_index, p.angle_index) == (k, j)
+        got = grid_points(grid)
+        assert len(got) == len(ref)
+        for (gx, gy, gk, gj), (x, y, k, j) in zip(got, ref):
+            assert gx == pytest.approx(x, abs=1e-9)
+            assert gy == pytest.approx(y, abs=1e-9)
+            assert (gk, gj) == (k, j)
 
 
 def test_kind_mismatch_rejected():
@@ -156,4 +157,4 @@ def test_kind_mismatch_rejected():
 
 def test_sample_point_values():
     grid = circular_grid(Centroid(1.0, 2.0), RasterSpec("circular", 8, 4), 1)
-    assert grid.points[0] == SamplePoint(9.0, 2.0, 0, 0)
+    assert grid_points(grid)[0] == (9.0, 2.0, 0, 0)

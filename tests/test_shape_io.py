@@ -10,13 +10,11 @@ from rastershape.shape_io import (
     Centroid,
     category_of,
     centroid,
-    contains,
     contains_points,
     load_directory,
     load_image,
     max_radius,
     occlude,
-    round_half_away,
     save_image,
 )
 
@@ -128,6 +126,11 @@ def test_malformed_inputs(tmp_path):
         load_image(write(tmp_path / "m-5.pgm", "P2\nnope\n"))
     with pytest.raises(PnmFormatError):
         load_image(write(tmp_path / "m-6.pbm", "P1\n2 2\n01x1\n"))
+    # a 40 GB (P1) or 160 GB (P2) raster declared in a 20-byte file
+    for name, text in (("m-8.pbm", "P1\n200000 200000\n0\n"),
+                       ("m-9.pgm", "P2\n200000 200000\n255\n")):
+        with pytest.raises(PnmFormatError, match=f"{name}: header declares 200000x200000"):
+            load_image(write(tmp_path / name, text))
     with pytest.raises(FileNotFoundError):
         load_image(tmp_path / "missing.pgm")
     with pytest.raises(ValueError):
@@ -256,23 +259,24 @@ def test_contains_examples():
     mask = np.zeros((10, 10), dtype=bool)
     mask[7, 5] = True
     shape = BinaryShape.from_mask(mask)
-    assert contains(shape, 5.4, 6.6)
-    assert not contains(shape, -3.0, 0.0)
-    assert not contains(shape, 5.0, 100.0)
+    got = contains_points(shape, [5.4, -3.0, 5.0], [6.6, 0.0, 100.0])
+    assert got.tolist() == [True, False, False]
 
 
 def test_rounding_half_away_from_zero():
-    assert round_half_away(0.5) == 1
-    assert round_half_away(1.5) == 2
-    assert round_half_away(-0.5) == -1
-    assert round_half_away(-0.4) == 0
-    assert round_half_away(2.4) == 2
+    # one foreground pixel per row, where only the half-away rounding lands:
+    # x 0.5 -> 1, 1.5 -> 2, -0.4 -> 0, 2.4 -> 2, and y 0.5 -> 1
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 1] = mask[1, 2] = mask[2, 0] = mask[3, 2] = True
+    shape = BinaryShape.from_mask(mask)
+    got = contains_points(shape, [0.5, 1.5, -0.4, 2.4, 2.0], [0.0, 1.0, 2.0, 3.0, 0.5])
+    assert got.tolist() == [True] * 5
 
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 0] = True
     shape = BinaryShape.from_mask(mask)
-    assert contains(shape, -0.4, -0.4)      # rounds to pixel (0, 0)
-    assert not contains(shape, -0.5, 0.0)   # rounds to -1: out of frame
+    assert contains_points(shape, [-0.4], [-0.4]).tolist() == [True]   # rounds to pixel (0, 0)
+    assert contains_points(shape, [-0.5], [0.0]).tolist() == [False]   # rounds to -1: out of frame
 
 
 def test_contains_random_queries_match_oracle():
@@ -284,9 +288,7 @@ def test_contains_random_queries_match_oracle():
     ys = rng.uniform(-10, 74, size=10_000)
     got = contains_points(shape, xs, ys)
     for x, y, g in zip(xs, ys, got):
-        expected = ref_contains(rows, 64, 64, x, y)
-        assert contains(shape, x, y) == expected
-        assert bool(g) == expected
+        assert bool(g) == ref_contains(rows, 64, 64, x, y)
 
 
 def test_translation_equivariance_exact():
@@ -369,4 +371,4 @@ def test_centroid_pixel_inside_convex_shapes():
     rectangle = BinaryShape.from_mask(rect)
     for shape in (disk, rectangle):
         c = centroid(shape)
-        assert contains(shape, c.cx, c.cy)
+        assert contains_points(shape, [c.cx], [c.cy]).tolist() == [True]
