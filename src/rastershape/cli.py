@@ -38,11 +38,15 @@ def _thread_count() -> int:
         return 1
     try:
         n = int(raw)
+        if n < 0:
+            raise ValueError
     except ValueError:
+        print(f"warning: ignoring {THREADS_ENV}={raw!r} (expected an integer >= 0); "
+              "using 1 thread", file=sys.stderr)
         return 1
     if n == 0:
         return os.cpu_count() or 1
-    return max(1, n)
+    return n
 
 
 def _load_dataset(args) -> list:

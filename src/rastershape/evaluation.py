@@ -10,6 +10,7 @@ measures the matching loop only (extraction and I/O excluded).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -263,6 +264,9 @@ def read_sweep_csv(source) -> SweepReport:
                                    float(row[5]), float(row[6])))
         except ValueError as exc:
             raise ValueError(f"sweep report CSV row {n}: {exc}") from None
+        for text in row[4:]:
+            if not math.isfinite(float(text)):
+                raise ValueError(f"sweep report CSV row {n}: non-finite value {text!r}")
     variants = {row[0] for _, row in body}
     datasets = {row[1] for _, row in body}
     if len(variants) != 1 or len(datasets) != 1:

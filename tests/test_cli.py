@@ -192,11 +192,14 @@ def test_report_rejects_bad_csv(tmp_path, capsys):
     assert code == 2
     header = "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
     good = "circ_radial,toy,8,4,50.0,0.010,0.001\n"
-    for row in ("circ_radial,toy,8\n", "circ_radial,toy,8,four,50.0,0.010,0.001\n"):
+    for row in ("circ_radial,toy,8\n", "circ_radial,toy,8,four,50.0,0.010,0.001\n",
+                "circ_radial,toy,8,4,nan,inf,0.001\n"):
         bad.write_text(header + good + row)
         capsys.readouterr()
         assert main(["report", str(bad)]) == 2
-        assert "row 3" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "row 3" in captured.err
+        assert "nan" not in captured.out
 
 
 def test_missing_database_exits_2(tmp_path, toy_dir, capsys):
@@ -221,3 +224,19 @@ def test_threads_env_is_tolerated(toy_dir, tmp_path, capsys, monkeypatch):
     code = main(["sweep", str(toy_dir), "--variant", "circ_radial",
                  "--seps", "8", "--samples", "4", "--out", str(tmp_path / "s.csv")])
     assert code == 0
+
+
+def test_threads_env_bad_value_warns(toy_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.rdb"
+    for raw in ("two", "-3", "1.5"):
+        monkeypatch.setenv("RASTERSHAPE_THREADS", raw)
+        capsys.readouterr()
+        assert main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert f"RASTERSHAPE_THREADS='{raw}'" in err and "using 1 thread" in err
+    for raw in ("2", "0", " "):
+        monkeypatch.setenv("RASTERSHAPE_THREADS", raw)
+        capsys.readouterr()
+        assert main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err

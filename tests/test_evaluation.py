@@ -188,6 +188,16 @@ def test_read_sweep_csv_rejects_garbage():
             "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"))
 
 
+def test_read_sweep_csv_rejects_non_finite_cells():
+    header = "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
+    good = "circ_radial,toy,8,4,50.0,0.010,0.001\n"
+    for row in ("circ_radial,toy,8,24,nan,inf,0.001\n",
+                "circ_radial,toy,8,24,50.0,0.010,-inf\n",
+                "circ_radial,toy,8,24,50.0,NaN,0.001\n"):
+        with pytest.raises(ValueError, match="row 3: non-finite value"):
+            read_sweep_csv(io.StringIO(header + good + row))
+
+
 def test_occlusion_query_selection(toy_corpus):
     queries = select_occlusion_queries(toy_corpus, 2, 0.2, 0)
     assert len(queries) == 6

@@ -144,6 +144,117 @@ def test_query_result_distances_non_decreasing():
         assert dists == sorted(dists)
 
 
+def db_of(*vectors):
+    records = tuple(DescriptorRecord(f"r-{i}", f"c{i % 3}", vec(v)) for i, v in enumerate(vectors))
+    return DescriptorDatabase(SPEC, CIRC_RADIAL, records)
+
+
+def assert_matches_oracle(db, q, k, exclude_id=None):
+    """query() equals the full-sort oracle; each distance is distance() exactly."""
+    got = query(db, vec(q), k, exclude_id=exclude_id)
+    expected = ref_topk(db.records, list(q), k, exclude_id=exclude_id)
+    assert [m.id for m in got] == [rec_id for rec_id, _ in expected]
+    by_id = {rec.id: rec for rec in db.records}
+    for m, (_, dist) in zip(got, expected):
+        assert m.distance == pytest.approx(dist, abs=1e-12)
+        assert m.distance == distance(vec(q), by_id[m.id].vector)
+        assert m.category == by_id[m.id].category
+    return got
+
+
+def test_query_longer_than_every_record():
+    db = db_of([0.1, 0.9], [0.5], [0.3, 0.3, 0.3, 0.3])
+    q = [0.2, 0.4, 0.6, 0.8, 1.0, 0.7, 0.5, 0.3, 0.1, 0.9, 0.25, 0.75]
+    assert_matches_oracle(db, q, 3)
+    assert_matches_oracle(db, q, 2, exclude_id="r-1")
+
+
+def test_query_mixed_lengths_with_empty_vectors():
+    db = db_of([], [0.5, 0.5, 0.5], [0.2], [], [0.9, 0.1, 0.0, 0.6, 0.4], [0.5, 0.5])
+    for q in ([], [0.5], [0.5, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]):
+        for k in (1, 2, 4, 6, 10):
+            assert_matches_oracle(db, q, k)
+            assert_matches_oracle(db, q, k, exclude_id="r-0")
+    # the empty records tie exactly; insertion order decides
+    assert [m.id for m in query(db, vec([]), 2)] == ["r-0", "r-3"]
+
+
+def test_query_all_records_zero_length():
+    db = db_of([], [], [])
+    got = assert_matches_oracle(db, [0.6, 0.8], 3)
+    assert [(m.id, m.distance) for m in got] == [("r-0", 1.0), ("r-1", 1.0), ("r-2", 1.0)]
+    got = assert_matches_oracle(db, [], 2, exclude_id="r-0")
+    assert [(m.id, m.distance) for m in got] == [("r-1", 0.0), ("r-2", 0.0)]
+
+
+def test_query_empty_database():
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL, ())
+    assert ref_topk(db.records, [0.5], 3) == []
+    with pytest.raises(EmptyDatabaseError):
+        query(db, vec([0.5]), 3)
+    with pytest.raises(EmptyDatabaseError):
+        query(db, vec([]), 1, exclude_id="r-0")
+
+
+def test_query_exclude_id_not_in_database():
+    db = db_of([0.1], [0.2, 0.3], [0.4])
+    got = assert_matches_oracle(db, [0.25], 3, exclude_id="missing")
+    assert got == query(db, vec([0.25]), 3)
+    assert len(got) == 3
+
+
+def test_query_exclusion_leaves_fewer_than_k():
+    db = db_of([0.1], [0.2, 0.3], [0.4])
+    got = assert_matches_oracle(db, [0.25], 5, exclude_id="r-1")
+    assert [m.id for m in got] == ["r-0", "r-2"]
+
+
+def test_query_ties_straddling_kth_place():
+    # r-1, r-2, r-4 and r-5 lie at one exact distance from the query; the
+    # k-th place falls inside that group
+    tie = [0.5, 0.25]
+    db = db_of([0.9, 0.9], tie, tie, [0.0, 0.25], tie, tie, [1.0, 0.25])
+    q = [0.5, 0.25]
+    for k in (1, 2, 3, 4, 5):
+        got = assert_matches_oracle(db, q, k)
+        assert [m.id for m in got] == ["r-1", "r-2", "r-4", "r-5", "r-3"][:k]
+    for exclude in ("r-1", "r-4", "r-3"):
+        for k in (1, 2, 3, 4):
+            got = assert_matches_oracle(db, q, k, exclude_id=exclude)
+            assert exclude not in [m.id for m in got]
+    got = query(db, vec(q), 3, exclude_id="r-2")
+    assert [m.id for m in got] == ["r-1", "r-4", "r-5"]
+    # r-3 and r-6 tie at 0.5 (exact in binary); with k = 5 the cut falls between them
+    got = assert_matches_oracle(db, q, 5, exclude_id="r-1")
+    assert [m.id for m in got] == ["r-2", "r-4", "r-5", "r-3", "r-6"]
+
+
+def test_query_randomized_against_oracle():
+    rng = np.random.default_rng(96)
+    records = []
+    for i in range(60):
+        values = rng.random(int(rng.integers(0, 41)))
+        if i % 7 == 0:
+            values[rng.random(values.size) < 0.5] = 0.0
+        records.append(DescriptorRecord(f"rec-{i}", f"cat{i % 5}", vec(values)))
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(records))
+    for trial in range(1000):
+        q = rng.random(int(rng.integers(0, 41)))
+        exclude = f"rec-{int(rng.integers(70))}" if trial % 2 else None
+        assert_matches_oracle(db, q, int(rng.integers(1, 6)), exclude_id=exclude)
+
+
+def test_match_distance_equals_distance_exactly():
+    rng = np.random.default_rng(97)
+    db = random_db(rng, n_records=80, max_len=40)
+    for _ in range(30):
+        q = vec(rng.random(int(rng.integers(1, 50))))
+        by_id = {rec.id: rec for rec in db.records}
+        for m in query(db, q, len(db)):
+            assert m.distance == distance(q, by_id[m.id].vector)
+            assert m.distance == distance(by_id[m.id].vector, q)
+
+
 # ----------------------------------------------------------------- database
 
 def test_database_validation():
