@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .descriptor import VARIANT_KIND, extract
@@ -242,35 +243,42 @@ def write_sweep_csv(report: SweepReport, dest) -> None:
 
 
 def read_sweep_csv(source) -> SweepReport:
-    """Parse a CSV written by write_sweep_csv()."""
+    """Parse a CSV written by write_sweep_csv(); errors name the row and file."""
     f, owned = _open_for(source, "r")
+    where = f"{Path(source).name}: " if owned else ""
+    rows = []
     try:
-        rows = list(csv.reader(f))
+        for row in csv.reader(f):
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"{where}sweep report CSV row {len(rows) + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{where}not UTF-8 text") from None
     finally:
         if owned:
             f.close()
     if not rows or tuple(rows[0]) != SWEEP_CSV_COLUMNS:
-        raise ValueError("not a sweep report CSV (bad or missing header)")
+        raise ValueError(f"{where}not a sweep report CSV (bad or missing header)")
     body = [(n, row) for n, row in enumerate(rows[1:], start=2) if row]
     if not body:
-        raise ValueError("sweep report CSV has no data rows")
+        raise ValueError(f"{where}sweep report CSV has no data rows")
     cells = []
     for n, row in body:
         if len(row) != len(SWEEP_CSV_COLUMNS):
-            raise ValueError(f"sweep report CSV row {n}: expected "
+            raise ValueError(f"{where}sweep report CSV row {n}: expected "
                              f"{len(SWEEP_CSV_COLUMNS)} columns, got {len(row)}")
         try:
             cells.append(SweepCell(int(row[2]), int(row[3]), float(row[4]),
                                    float(row[5]), float(row[6])))
         except ValueError as exc:
-            raise ValueError(f"sweep report CSV row {n}: {exc}") from None
+            raise ValueError(f"{where}sweep report CSV row {n}: {exc}") from None
         for text in row[4:]:
             if not math.isfinite(float(text)):
-                raise ValueError(f"sweep report CSV row {n}: non-finite value {text!r}")
+                raise ValueError(f"{where}sweep report CSV row {n}: non-finite value {text!r}")
     variants = {row[0] for _, row in body}
     datasets = {row[1] for _, row in body}
     if len(variants) != 1 or len(datasets) != 1:
-        raise ValueError("sweep report CSV mixes variants or datasets")
+        raise ValueError(f"{where}sweep report CSV mixes variants or datasets")
     return SweepReport(body[0][1][0], body[0][1][1], tuple(cells))
 
 

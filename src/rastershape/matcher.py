@@ -141,7 +141,10 @@ def save_database(db: DescriptorDatabase, path) -> None:
 def load_database(path) -> DescriptorDatabase:
     """Read a RASTERDB v1 file written by save_database()."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise DatabaseFormatError(f"{path.name}: not UTF-8 text") from None
     if not lines:
         raise DatabaseFormatError(f"{path.name}: empty file")
     head = lines[0].split()

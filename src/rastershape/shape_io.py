@@ -4,11 +4,17 @@ Shapes are single-object binary masks (MPEG-7 CE-Shape-1 style). PBM
 (P1/P4) and PGM (P2/P5) files are supported; other formats must be
 converted first. All operations here are pure and masks are frozen after
 construction, so shapes can be shared freely between workers.
+
+``load_image`` decodes all four formats: one regex reads the header
+tokens, the size is checked against ``MAX_PIXELS`` before anything is
+allocated, and each raster is decoded as a whole (P1 as one byte array,
+P2 as one ``int()`` per token, P4/P5 from one ``np.frombuffer``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +23,15 @@ import numpy as np
 from .errors import EmptyShapeError, PnmFormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-_MAGICS = (b"P1", b"P2", b"P4", b"P5")
+# the header fields that follow each supported magic number
+_HEADER_FIELDS = {b"P1": ("width", "height"), b"P2": ("width", "height", "maxval"),
+                  b"P4": ("width", "height"), b"P5": ("width", "height", "maxval")}
+# one header token after any run of whitespace and '#' comments; the token
+# group is empty only at the end of the file
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# largest width x height accepted (8192 x 8192), checked before any raster is allocated
+MAX_PIXELS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -70,115 +84,6 @@ def category_of(stem: str) -> str:
     return stem.rsplit("-", 1)[0]
 
 
-class _PnmReader:
-    """Cursor over a netpbm byte stream, aware of whitespace and comments."""
-
-    def __init__(self, data: bytes, name: str):
-        self.data = data
-        self.name = name
-        self.pos = 0
-
-    def _skip_space(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in _WHITESPACE:
-                self.pos += 1
-            elif c == 0x23:  # '#' comment runs to end of line
-                while self.pos < n and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_space()
-        data, n = self.data, len(self.data)
-        start = self.pos
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != 0x23:
-            self.pos += 1
-        if self.pos == start:
-            raise PnmFormatError(f"{self.name}: truncated header")
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise PnmFormatError(f"{self.name}: bad {what} token {tok!r}") from None
-
-    def begin_raster(self) -> None:
-        # binary raster data starts after exactly one whitespace byte
-        if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
-            raise PnmFormatError(f"{self.name}: missing raster separator")
-        self.pos += 1
-
-    def remaining(self) -> bytes:
-        return self.data[self.pos :]
-
-
-def _read_maxval(reader: _PnmReader) -> int:
-    maxval = reader.int_token("maxval")
-    if not 1 <= maxval <= 255:
-        raise PnmFormatError(f"{reader.name}: maxval {maxval} out of supported range 1..255")
-    return maxval
-
-
-def _read_plain_bits(reader: _PnmReader, count: int) -> np.ndarray:
-    # P1 bits may appear with or without separating whitespace
-    bits = np.empty(count, dtype=bool)
-    got = 0
-    data, n = reader.data, len(reader.data)
-    pos = reader.pos
-    while pos < n and got < count:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        elif c == 0x30 or c == 0x31:  # '0' / '1'
-            bits[got] = c == 0x31
-            got += 1
-            pos += 1
-        else:
-            raise PnmFormatError(f"{reader.name}: unexpected byte {bytes([c])!r} in P1 raster")
-    if got < count:
-        raise PnmFormatError(f"{reader.name}: raster truncated ({got} of {count} bits)")
-    reader.pos = pos
-    return bits
-
-
-def _read_plain_values(reader: _PnmReader, count: int, maxval: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.int32)
-    for i in range(count):
-        try:
-            v = reader.int_token("pixel")
-        except PnmFormatError:
-            raise PnmFormatError(f"{reader.name}: raster truncated ({i} of {count} values)") from None
-        if not 0 <= v <= maxval:
-            raise PnmFormatError(f"{reader.name}: pixel value {v} exceeds maxval {maxval}")
-        values[i] = v
-    return values
-
-
-def _read_packed_bits(reader: _PnmReader, width: int, height: int) -> np.ndarray:
-    row_bytes = (width + 7) // 8
-    need = row_bytes * height
-    raw = reader.remaining()
-    if len(raw) < need:
-        raise PnmFormatError(f"{reader.name}: raster truncated ({len(raw)} of {need} bytes)")
-    rows = np.frombuffer(raw, dtype=np.uint8, count=need).reshape(height, row_bytes)
-    return np.unpackbits(rows, axis=1)[:, :width].astype(bool).ravel()
-
-
-def _read_raw_values(reader: _PnmReader, count: int) -> np.ndarray:
-    raw = reader.remaining()
-    if len(raw) < count:
-        raise PnmFormatError(f"{reader.name}: raster truncated ({len(raw)} of {count} bytes)")
-    return np.frombuffer(raw, dtype=np.uint8, count=count).astype(np.int32)
-
-
 def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     """Read a PBM/PGM file into a BinaryShape.
 
@@ -190,43 +95,75 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     if not 0 <= threshold <= 255:
         raise ValueError(f"threshold must be in [0, 255], got {threshold}")
     path = Path(path)
+    name = path.name
     data = path.read_bytes()
-    magic = bytes(data[:2])
-    if magic not in _MAGICS:
-        raise PnmFormatError(
-            f"{path.name}: unsupported netpbm magic {magic!r} (need one of P1/P2/P4/P5)"
-        )
-    reader = _PnmReader(data, path.name)
-    reader.pos = 2
-    width = reader.int_token("width")
-    height = reader.int_token("height")
+    magic = data[:2]
+    if magic not in _HEADER_FIELDS:
+        raise PnmFormatError(f"{name}: unsupported netpbm magic {magic!r} "
+                             "(need one of P1/P2/P4/P5)")
+    header, pos = [], 2
+    for what in _HEADER_FIELDS[magic]:
+        token = _HEADER_TOKEN.match(data, pos)
+        pos = token.end()
+        try:
+            header.append(int(token[1]))
+        except ValueError:
+            raise PnmFormatError(f"{name}: bad {what} token {token[1]!r}" if token[1]
+                                 else f"{name}: truncated header") from None
+    width, height, maxval = (*header, 1)[:3]  # PBM headers carry no maxval
+    count = width * height
     if width < 1 or height < 1:
-        raise PnmFormatError(f"{path.name}: bad dimensions {width}x{height}")
-    # each plain-format pixel takes at least one byte; check before allocating
-    if magic in (b"P1", b"P2") and width * height > len(data) - reader.pos:
-        raise PnmFormatError(
-            f"{path.name}: header declares {width}x{height} pixels but only "
-            f"{len(data) - reader.pos} bytes follow"
-        )
+        raise PnmFormatError(f"{name}: bad dimensions {width}x{height}")
+    if count > MAX_PIXELS:
+        raise PnmFormatError(f"{name}: header declares {width}x{height} pixels, "
+                             f"above the cap of {MAX_PIXELS}")
+    if not 1 <= maxval <= 255:
+        raise PnmFormatError(f"{name}: maxval {maxval} out of supported range 1..255")
 
+    if magic in (b"P1", b"P2"):
+        # each plain-format pixel takes at least one byte; check before allocating
+        if count > len(data) - pos:
+            raise PnmFormatError(f"{name}: header declares {width}x{height} pixels "
+                                 f"but only {len(data) - pos} bytes follow")
+        plain = _COMMENT.sub(b"", data[pos:])
     if magic == b"P1":
-        foreground = _read_plain_bits(reader, width * height)
+        # bits may appear with or without separating whitespace
+        bits = plain.translate(None, _WHITESPACE)[:count]
+        stray = bits.translate(None, b"01")
+        if stray:
+            raise PnmFormatError(f"{name}: unexpected byte {stray[:1]!r} in P1 raster")
+        if len(bits) < count:
+            raise PnmFormatError(f"{name}: raster truncated ({len(bits)} of {count} bits)")
+        foreground = np.frombuffer(bits, dtype=np.uint8) == ord("1")
     elif magic == b"P2":
-        maxval = _read_maxval(reader)
-        foreground = _read_plain_values(reader, width * height, maxval) > threshold
-    elif magic == b"P4":
-        reader.begin_raster()
-        foreground = _read_packed_bits(reader, width, height)
-    else:  # P5
-        _read_maxval(reader)
-        reader.begin_raster()
-        foreground = _read_raw_values(reader, width * height) > threshold
+        tokens = plain.split(None, count)[:count]
+        if len(tokens) < count:
+            raise PnmFormatError(f"{name}: raster truncated ({len(tokens)} of {count} values)")
+        try:
+            values = [int(token) for token in tokens]
+        except ValueError as exc:
+            raise PnmFormatError(f"{name}: bad pixel value ({exc})") from None
+        if min(values) < 0 or max(values) > maxval:
+            v = next(v for v in values if not 0 <= v <= maxval)
+            raise PnmFormatError(f"{name}: pixel value {v} exceeds maxval {maxval}")
+        foreground = np.array(values, dtype=np.uint8) > threshold
+    else:
+        # binary raster data starts after exactly one whitespace byte
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
+            raise PnmFormatError(f"{name}: missing raster separator")
+        pos += 1
+        row_bytes = (width + 7) // 8 if magic == b"P4" else width
+        need = row_bytes * height
+        if len(data) - pos < need:
+            raise PnmFormatError(f"{name}: raster truncated ({len(data) - pos} of {need} bytes)")
+        rows = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, row_bytes)
+        foreground = (np.unpackbits(rows, axis=1, count=width).view(bool) if magic == b"P4"
+                      else rows > threshold)
     if invert:
         foreground = ~foreground
 
-    stem = path.stem
     return BinaryShape(width, height, foreground.reshape(height, width),
-                       id=stem, category=category_of(stem))
+                       id=path.stem, category=category_of(path.stem))
 
 
 def save_image(shape: BinaryShape, path, format: str = "P5") -> None:

@@ -193,13 +193,18 @@ def test_report_rejects_bad_csv(tmp_path, capsys):
     header = "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
     good = "circ_radial,toy,8,4,50.0,0.010,0.001\n"
     for row in ("circ_radial,toy,8\n", "circ_radial,toy,8,four,50.0,0.010,0.001\n",
-                "circ_radial,toy,8,4,nan,inf,0.001\n"):
+                "circ_radial,toy,8,4,nan,inf,0.001\n",
+                "circ_radial,toy,8,4," + "5" * 200_000 + ",0.010,0.001\n"):
         bad.write_text(header + good + row)
         capsys.readouterr()
         assert main(["report", str(bad)]) == 2
         captured = capsys.readouterr()
         assert "row 3" in captured.err
         assert "nan" not in captured.out
+    bad.write_bytes((header + good).encode() + b"circ_radial,toy,8,4,\xff,0.010,0.001\n")
+    capsys.readouterr()
+    assert main(["report", str(bad)]) == 2
+    assert "bad.csv: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_missing_database_exits_2(tmp_path, toy_dir, capsys):

@@ -317,6 +317,8 @@ def test_load_rejects_malformed(tmp_path):
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\t1\t0.500000\nb-1\tb\t1\t0.250000\na-1\tc\t1\t0.100000\n",
          r"\.rdb:4: duplicate record id 'a-1' \(first on line 2\)"),
+        (b"RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         b"a-1\ta\t1\t0.5\xff\n", r"bad-\d+\.rdb: not UTF-8 text"),
     ]
     for value in ("nan", "inf", "-inf", "-5", "1.000001"):
         cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
@@ -324,7 +326,7 @@ def test_load_rejects_malformed(tmp_path):
                       f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: value"))
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad-{i}.rdb"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(DatabaseFormatError, match=match):
             load_database(path)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from rastershape.errors import EmptyShapeError, PnmFormatError
 from rastershape.shape_io import (
+    MAX_PIXELS,
     BinaryShape,
     Centroid,
     category_of,
@@ -135,6 +137,55 @@ def test_malformed_inputs(tmp_path):
         load_image(tmp_path / "missing.pgm")
     with pytest.raises(ValueError):
         load_image(write(tmp_path / "m-7.pgm", "P2\n1 1\n255\n0\n"), threshold=300)
+
+
+def test_pixel_cap(tmp_path):
+    # 10^10 pixels declared in a 20-byte P4 file: refused before decoding
+    p = write(tmp_path / "huge-1.pbm", b"P4\n100000 100000\n" + b"\x00" * 4)
+    with pytest.raises(PnmFormatError, match="huge-1.pbm: header declares 100000x100000 "
+                                             f"pixels, above the cap of {MAX_PIXELS}"):
+        load_image(p)
+    # below the cap, a plain raster still needs one byte per declared pixel
+    p = write(tmp_path / "huge-2.pgm", "P2\n8000 8000\n255\n0 0 0\n")
+    with pytest.raises(PnmFormatError, match="huge-2.pgm: header declares 8000x8000 "
+                                             "pixels but only 7 bytes follow"):
+        load_image(p)
+
+
+def test_mutated_files_decode_or_raise_format_error(tmp_path):
+    # truncations, insertions and replacements of valid files never escape
+    # as anything but a BinaryShape or a PnmFormatError
+    rng = random.Random(5)
+    valid = [
+        b"P1\n# bits\n5 3\n10110\n0 1 0 0 1\n11111\n",
+        b"P2\n4 2 # dims\n255\n0 17 255 128\n#row\n3 200 64 9\n",
+        b"P4\n10 2\n" + bytes([0x80, 0x40, 0x61, 0xC0]),
+        b"P5 3\n2 200\n" + bytes([0, 201, 7, 199, 255, 130]),
+    ]
+    alphabet = b"0123456789 \t\n\r#+-_\x00\xffP"
+    path = tmp_path / "mut-1.pgm"
+    outcomes = {"shape": 0, "error": 0}
+    for _ in range(3000):
+        data = bytearray(rng.choice(valid))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(data) + 1)
+            byte = rng.choice((rng.randrange(256), rng.choice(alphabet)))
+            op = rng.randrange(3)
+            if op == 0:
+                del data[i:]
+            elif op == 1:
+                data.insert(i, byte)
+            elif data:
+                data[min(i, len(data) - 1)] = byte
+        path.write_bytes(bytes(data))
+        try:
+            shape = load_image(path)
+        except PnmFormatError:
+            outcomes["error"] += 1
+        else:
+            assert isinstance(shape, BinaryShape)
+            outcomes["shape"] += 1
+    assert min(outcomes.values()) > 300
 
 
 def test_random_files_match_reference_reader(tmp_path):
