@@ -1,8 +1,8 @@
 """The four raster shape vectors.
 
-Each vector is a normalized count of lattice sample points that land on
-foreground pixels, grouped per cycle (radial / full-cycle), per radial line
-(angular), or per spiral arc segment (fixed-angle, one sample per segment).
+Each is a normalized count of lattice samples on foreground pixels: one sampler
+sums the (cycle, angle) hits per row (radial / full-cycle) or per column
+(angular), or keeps them all (fixed-angle, one per spiral arc segment).
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ class ShapeVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        variant_kind(self.variant)
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -66,28 +65,27 @@ class ShapeVector:
         return int(self.values.size)
 
 
-def _kind(variant: str) -> str:
+def variant_kind(variant: str, spec: RasterSpec | None = None) -> str:
+    """The lattice kind of ``variant``; ValueError if unknown or not ``spec``'s kind."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    return VARIANT_KIND[variant]
+    kind = VARIANT_KIND[variant]
+    if spec is not None and spec.kind != kind:
+        raise ValueError(f"variant {variant} needs a {kind} raster, got a {spec.kind} one")
+    return kind
 
 
-def _grouped(variant: str, inside: np.ndarray, k: np.ndarray, j: np.ndarray,
-             n_cycles: int, samples: int) -> np.ndarray:
+def _sample(shape: BinaryShape, variant: str, xs: np.ndarray, ys: np.ndarray,
+            samples: int) -> np.ndarray:
+    """Values of ``variant`` from lattice points given flat in (cycle, angle) order."""
+    inside = contains_points(shape, xs, ys).reshape(-1, samples)
     if variant in (CIRC_RADIAL, SPIRAL_FULL):
-        return np.bincount(k[inside], minlength=n_cycles) / samples
+        return inside.sum(axis=1) / samples
     if variant == CIRC_ANGULAR:
-        if n_cycles == 0:
+        if len(inside) == 0:
             raise ValueError("angular vector needs at least one cycle")
-        return np.bincount(j[inside], minlength=samples) / n_cycles
-    return inside.astype(float)
-
-
-def _sampled(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
-    inside = contains_points(shape, grid.xs, grid.ys)
-    values = _grouped(variant, inside, grid.cycle_indices, grid.angle_indices,
-                      grid.n_cycles, grid.spec.samples_per_cycle)
-    return ShapeVector(variant, grid.spec, values)
+        return inside.sum(axis=0) / len(inside)
+    return inside.ravel().astype(float)
 
 
 def vector(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
@@ -96,9 +94,7 @@ def vector(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
     The grid must be of the variant's lattice kind (ValueError otherwise)
     and centered on the shape's centroid (MisalignmentError otherwise).
     """
-    kind = _kind(variant)
-    if grid.spec.kind != kind:
-        raise ValueError(f"{variant} requires a {kind} grid, got {grid.spec.kind!r}")
+    variant_kind(variant, grid.spec)
     c = centroid(shape)  # raises EmptyShapeError on empty masks
     if (abs(grid.center.cx - c.cx) > CENTER_TOLERANCE
             or abs(grid.center.cy - c.cy) > CENTER_TOLERANCE):
@@ -106,19 +102,20 @@ def vector(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
             f"grid center ({grid.center.cx:.8f}, {grid.center.cy:.8f}) is not the "
             f"centroid of shape {shape.id!r} ({c.cx:.8f}, {c.cy:.8f})"
         )
-    return _sampled(shape, grid, variant)
+    values = _sample(shape, variant, grid.xs, grid.ys, grid.spec.samples_per_cycle)
+    return ShapeVector(variant, grid.spec, values)
 
 
 def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
     """Full pipeline: centroid, extent, cycle count, grid, then grouping."""
-    kind = _kind(variant)
-    if spec.kind != kind:
-        raise ValueError(f"variant {variant} needs a {kind} raster, spec is {spec.kind}")
+    variant_kind(variant, spec)
     c = centroid(shape)
     n = cycle_count(spec, max_radius(shape, c))
     build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
     # the grid is built on the centroid just computed, so it needs no alignment check
-    return _sampled(shape, build(c, spec, n), variant)
+    grid = build(c, spec, n)
+    return ShapeVector(variant, spec, _sample(shape, variant, grid.xs, grid.ys,
+                                              spec.samples_per_cycle))
 
 
 def extract_normalized(shape: BinaryShape, variant: str, n_cycles: int,
@@ -131,11 +128,10 @@ def extract_normalized(shape: BinaryShape, variant: str, n_cycles: int,
     has no integer-pixel RasterSpec and cannot go into a descriptor
     database.
     """
-    kind = _kind(variant)
+    kind = variant_kind(variant)
     if n_cycles < 1 or samples_per_cycle < 1:
         raise ValueError("n_cycles and samples_per_cycle must be positive")
     c = centroid(shape)
-    separation = max_radius(shape, c) / n_cycles
-    radii, cos, sin, k, j = lattice(kind, separation, samples_per_cycle, n_cycles)
-    inside = contains_points(shape, c.cx + radii * cos, c.cy - radii * sin)
-    return _grouped(variant, inside, k, j, n_cycles, samples_per_cycle)
+    _, dx, dy = lattice(kind, max_radius(shape, c) / n_cycles, samples_per_cycle, n_cycles)
+    return _sample(shape, variant, (c.cx + dx).ravel(), (c.cy + dy).ravel(),
+                   samples_per_cycle)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .descriptor import VARIANT_KIND, extract
+from .descriptor import extract, variant_kind
 from .errors import DatasetError
 from .matcher import DescriptorDatabase, DescriptorRecord, query
 from .raster import RasterSpec
@@ -151,10 +151,10 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     Cells run sequentially so the timing columns do not interfere;
     extraction inside a cell may fan out over ``threads`` workers.
     """
+    kind = variant_kind(variant)
     shapes = list(dataset)
     if not shapes:
         raise DatasetError("sweep needs a non-empty dataset")
-    kind = VARIANT_KIND[variant]
     pairs = list(dict.fromkeys((int(d), int(s)) for d in separations for s in samples))
     cells = []
     for d, s in pairs:
@@ -201,16 +201,17 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     The database holds every unoccluded shape; queries are the occluded
     copies (absent from the database, so nothing is excluded).
     """
+    specs = [(variant, RasterSpec(variant_kind(variant), int(d), int(s)))
+             for variant, d, s in variant_specs]
     shapes = list(dataset)
     queries = select_occlusion_queries(shapes, per_category, fraction, seed)
     cells = []
-    for variant, d, s in variant_specs:
-        spec = RasterSpec(VARIANT_KIND[variant], int(d), int(s))
+    for variant, spec in specs:
         records = extract_records(shapes, spec, variant, threads)
         db = DescriptorDatabase(spec, variant, tuple(records))
         query_records = extract_records(queries, spec, variant, threads)
         efficiency = retrieval_efficiency(db, query_records, k)
-        cell = OcclusionCell(variant, int(d), int(s), efficiency)
+        cell = OcclusionCell(variant, spec.separation_px, spec.samples_per_cycle, efficiency)
         cells.append(cell)
         if progress is not None:
             progress(cell)

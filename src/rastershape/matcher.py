@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor import VARIANT_KIND, VARIANTS, ShapeVector
+from .descriptor import ShapeVector, variant_kind
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
 
@@ -162,13 +162,11 @@ def load_database(path) -> DescriptorDatabase:
             raise DatabaseFormatError(f"{path.name}:1: bad header field {part!r}")
         fields[key] = value
     try:
-        kind = fields["kind"]
         variant = fields["variant"]
-        spec = RasterSpec(kind, int(fields["sep"]), int(fields["samples"]))
+        spec = RasterSpec(fields["kind"], int(fields["sep"]), int(fields["samples"]))
+        variant_kind(variant, spec)
     except (KeyError, ValueError) as exc:
         raise DatabaseFormatError(f"{path.name}:1: bad header: {exc}") from exc
-    if variant not in VARIANTS or VARIANT_KIND[variant] != kind:
-        raise DatabaseFormatError(f"{path.name}:1: variant {variant!r} does not match kind {kind!r}")
 
     first_line: dict[str, int] = {}
     rows = []  # (lineno, id, category, offset into flat, length)

@@ -1,8 +1,8 @@
 """Sample-point lattices: concentric circles and Archimedean spirals.
 
-Both lattices are anchored on a shape centroid and emit points in
-(cycle, angle) lexicographic order. Angle zero points along +x; the image
-y axis points down, so increasing angles run counter-clockwise on screen.
+A lattice is an (n_cycles, samples_per_cycle) array: row k is cycle k and
+column j the j-th angle; grids keep its points flat in that order. Angle zero
+points along +x; the image y axis points down, so angles run counter-clockwise.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class RasterSpec:
 
 @dataclass(frozen=True, eq=False)
 class RasterGrid:
-    """Materialized lattice: parallel point arrays in (cycle, angle) order."""
+    """Materialized lattice: flat, read-only point arrays in (cycle, angle) order."""
 
     spec: RasterSpec
     center: Centroid
@@ -47,8 +47,6 @@ class RasterGrid:
     xs: np.ndarray
     ys: np.ndarray
     radii: np.ndarray
-    cycle_indices: np.ndarray
-    angle_indices: np.ndarray
 
     def __len__(self) -> int:
         return int(self.xs.size)
@@ -72,24 +70,20 @@ def unit_circle_samples(samples: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lattice(kind: str, separation: float, samples: int, n_cycles: int):
-    """Low-level sampler: (radii, cos, sin, cycle_idx, angle_idx) arrays.
+    """Offsets from the center: (radii, dx, dy), each of shape (n_cycles, samples).
 
-    ``separation`` may be fractional here; the public grid builders pass the
-    integer separation from a RasterSpec, the scale-normalized descriptor
-    mode passes r_max / n_cycles.
+    ``separation`` may be fractional: the grid builders pass a RasterSpec's
+    integer separation, the scale-normalized descriptor mode r_max / n_cycles.
     """
     separation = float(separation)
     cos, sin = unit_circle_samples(samples)
-    k = np.repeat(np.arange(n_cycles), samples)
-    j = np.tile(np.arange(samples), n_cycles)
-    if kind == KIND_CIRCULAR:
-        radii = (k + 1) * separation
-    elif kind == KIND_SPIRAL:
+    k = np.arange(n_cycles)[:, None]
+    if kind == KIND_SPIRAL:
         # rho = d*(k + j/s), one division so dyadic sample counts stay exact
-        radii = separation * (k * samples + j) / samples
+        radii = separation * (k * samples + np.arange(samples)) / samples
     else:
-        raise ValueError(f"unknown raster kind {kind!r}")
-    return radii, cos[j], sin[j], k, j
+        radii = np.broadcast_to((k + 1) * separation, (n_cycles, samples))
+    return radii, radii * cos, -radii * sin
 
 
 def cycle_count(spec: RasterSpec, r_max: float) -> int:
@@ -113,13 +107,11 @@ def _grid(kind: str, center: Centroid, spec: RasterSpec, n_cycles: int) -> Raste
         raise ValueError(f"{kind}_grid needs a {kind} spec, got {spec.kind!r}")
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
-    radii, cos, sin, k, j = lattice(spec.kind, spec.separation_px,
-                                    spec.samples_per_cycle, n_cycles)
-    xs = center.cx + radii * cos
-    ys = center.cy - radii * sin
-    for arr in (xs, ys, radii, k, j):
+    radii, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
+    points = [a.ravel() for a in (center.cx + dx, center.cy + dy, radii)]
+    for arr in points:
         arr.flags.writeable = False
-    return RasterGrid(spec, center, int(n_cycles), xs, ys, radii, k, j)
+    return RasterGrid(spec, center, int(n_cycles), *points)
 
 
 def circular_grid(center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:

@@ -8,12 +8,16 @@ construction, so shapes can be shared freely between workers.
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
 allocated, and each raster is decoded as a whole (P1 as one byte array,
-P2 as one ``int()`` per token, P4/P5 from one ``np.frombuffer``).
+P2 by streaming one ``int()`` per token into an array, P4/P5 from one
+``np.frombuffer``). A PGM value is compared with the threshold scaled to
+the file's maxval.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +34,7 @@ _HEADER_FIELDS = {b"P1": ("width", "height"), b"P2": ("width", "height", "maxval
 # group is empty only at the end of the file
 _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
 _COMMENT = re.compile(rb"#[^\r\n]*")
+_TOKEN = re.compile(rb"\S+")
 # largest width x height accepted (8192 x 8192), checked before any raster is allocated
 MAX_PIXELS = 1 << 26
 
@@ -87,8 +92,9 @@ def category_of(stem: str) -> str:
 def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     """Read a PBM/PGM file into a BinaryShape.
 
-    PGM pixels brighter than ``threshold`` are foreground; PBM black bits
-    are foreground. ``invert`` flips either rule for datasets with the
+    PGM pixels brighter than ``threshold`` (on a 0..255 scale, scaled to
+    the file's maxval) are foreground; PBM black bits are foreground.
+    ``invert`` flips either rule for datasets with the
     opposite polarity. The file stem becomes the shape id and everything
     before its last dash the category.
     """
@@ -136,17 +142,14 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
             raise PnmFormatError(f"{name}: raster truncated ({len(bits)} of {count} bits)")
         foreground = np.frombuffer(bits, dtype=np.uint8) == ord("1")
     elif magic == b"P2":
-        tokens = plain.split(None, count)[:count]
-        if len(tokens) < count:
-            raise PnmFormatError(f"{name}: raster truncated ({len(tokens)} of {count} values)")
+        # one int() per token, streamed into an array: no Python object kept per pixel
+        tokens = itertools.islice(_TOKEN.finditer(plain), count)
         try:
-            values = [int(token) for token in tokens]
-        except ValueError as exc:
+            values = np.fromiter(map(int, map(operator.itemgetter(0), tokens)), np.int64)
+        except (ValueError, OverflowError) as exc:
             raise PnmFormatError(f"{name}: bad pixel value ({exc})") from None
-        if min(values) < 0 or max(values) > maxval:
-            v = next(v for v in values if not 0 <= v <= maxval)
-            raise PnmFormatError(f"{name}: pixel value {v} exceeds maxval {maxval}")
-        foreground = np.array(values, dtype=np.uint8) > threshold
+        if len(values) < count:
+            raise PnmFormatError(f"{name}: raster truncated ({len(values)} of {count} values)")
     else:
         # binary raster data starts after exactly one whitespace byte
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -157,8 +160,16 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
         if len(data) - pos < need:
             raise PnmFormatError(f"{name}: raster truncated ({len(data) - pos} of {need} bytes)")
         rows = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, row_bytes)
-        foreground = (np.unpackbits(rows, axis=1, count=width).view(bool) if magic == b"P4"
-                      else rows > threshold)
+        if magic == b"P4":
+            foreground = np.unpackbits(rows, axis=1, count=width).view(bool)
+        values = rows
+    if magic in (b"P2", b"P5"):
+        if values.min() < 0 or values.max() > maxval:
+            v = values[(values < 0) | (values > maxval)][0]
+            raise PnmFormatError(f"{name}: pixel value {v} exceeds maxval {maxval}")
+        # value * 255 > threshold * maxval compares with the threshold scaled to
+        # maxval; for integer values that is value > (threshold * maxval) // 255
+        foreground = values > threshold * maxval // 255
     if invert:
         foreground = ~foreground
 

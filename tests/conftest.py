@@ -57,9 +57,14 @@ def blob_shape(seed: int, size: int = 96, coprime6: bool = False,
 
 
 def grid_points(grid) -> list[tuple[float, float, int, int]]:
-    """(x, y, cycle_index, angle_index) per sample, as plain Python numbers."""
-    return list(zip(grid.xs.tolist(), grid.ys.tolist(),
-                    grid.cycle_indices.tolist(), grid.angle_indices.tolist()))
+    """(x, y, cycle_index, angle_index) per sample, as plain Python numbers.
+
+    Grids hold their points in (cycle, angle) order, so point i is angle
+    i % s of cycle i // s.
+    """
+    s = grid.spec.samples_per_cycle
+    return [(x, y, i // s, i % s)
+            for i, (x, y) in enumerate(zip(grid.xs.tolist(), grid.ys.tolist()))]
 
 
 @pytest.fixture(scope="session")

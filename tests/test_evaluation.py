@@ -75,6 +75,16 @@ def test_efficiency_modes_and_validation():
     shapes = [blob_shape(i, id=f"b-{i}") for i in range(3)]
     with pytest.raises(ValueError, match="mode"):
         sweep(shapes, CIRC_RADIAL, separations=(8,), samples=(4,), mode="bogus")
+    # an unknown variant is named before any shape is read, extracted or occluded
+    never = (pytest.fail("dataset read") for _ in range(1))
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        sweep(shapes, "bogus")
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        sweep(never, "bogus", separations=(), samples=())
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        occlusion_experiment(shapes, [("bogus", 8, 4)])
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        occlusion_experiment(never, [(CIRC_RADIAL, 8, 4), ("bogus", 8, 4)])
     other = DescriptorRecord("x-1", "x",
                              ShapeVector(CIRC_RADIAL, RasterSpec("circular", 16, 24),
                                          np.array([0.5])))

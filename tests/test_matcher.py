@@ -305,6 +305,10 @@ def test_load_rejects_malformed(tmp_path):
         ("not a database\n", "not a descriptor database"),
         ("", "empty"),
         ("RASTERDB v1 kind=circular variant=spiral_full sep=8 samples=24\n", "variant"),
+        ("RASTERDB v1 kind=spiral variant=circ_angular sep=8 samples=24\n",
+         r"\.rdb:1: bad header: variant circ_angular needs a circular raster"),
+        ("RASTERDB v1 kind=circular variant=bogus sep=8 samples=24\n",
+         r"\.rdb:1: bad header: unknown variant 'bogus'"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8\n", "header"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\t2\t0.100000\n", "declared 2"),

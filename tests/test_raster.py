@@ -5,6 +5,7 @@ from rastershape.raster import (
     RasterSpec,
     circular_grid,
     cycle_count,
+    lattice,
     spiral_grid,
     unit_circle_samples,
 )
@@ -42,8 +43,11 @@ def test_circular_grid_right_angles_exact():
     got = list(zip(grid.xs.tolist(), grid.ys.tolist()))
     assert got == [(10.0, 0.0), (0.0, -10.0), (-10.0, 0.0), (0.0, 10.0),
                    (20.0, 0.0), (0.0, -20.0), (-20.0, 0.0), (0.0, 20.0)]
-    assert grid.cycle_indices.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert grid.angle_indices.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+    # (cycle, angle) order: cycle 0 first, each cycle from angle 0 upward
+    assert grid.n_cycles == 2 and len(grid) == 8
+    assert grid.radii.tolist() == [10.0] * 4 + [20.0] * 4
+    assert [(k, j) for _, _, k, j in grid_points(grid)] == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
 
 
 def test_empty_grid():
@@ -101,9 +105,9 @@ def test_same_angle_collinearity():
         spec = RasterSpec(kind, 16, 10)
         grid = build(Centroid(50.0, 60.0), spec, 4)
         for j in range(10):
-            sel = grid.angle_indices == j
-            dx = grid.xs[sel] - 50.0
-            dy = grid.ys[sel] - 60.0
+            # column j of the (cycle, angle) layout is the j-th radial line
+            dx = grid.xs.reshape(4, 10)[:, j] - 50.0
+            dy = grid.ys.reshape(4, 10)[:, j] - 60.0
             cross = dx[:-1] * dy[1:] - dx[1:] * dy[:-1]
             assert np.all(np.abs(cross) <= 1e-9)
 
@@ -158,3 +162,25 @@ def test_kind_mismatch_rejected():
 def test_sample_point_values():
     grid = circular_grid(Centroid(1.0, 2.0), RasterSpec("circular", 8, 4), 1)
     assert grid_points(grid)[0] == (9.0, 2.0, 0, 0)
+
+
+def test_lattice_is_cycle_by_angle():
+    # row k is cycle k, column j the j-th angle; grids are the flat layout
+    cos, sin = unit_circle_samples(6)
+    for kind in ("circular", "spiral"):
+        radii, dx, dy = lattice(kind, 8, 6, 3)
+        assert radii.shape == dx.shape == dy.shape == (3, 6)
+        for k in range(3):
+            for j in range(6):
+                rho = 8.0 * (k + 1) if kind == "circular" else 8.0 * (6 * k + j) / 6
+                assert radii[k, j] == rho
+                assert dx[k, j] == rho * cos[j] and dy[k, j] == -rho * sin[j]
+        build = circular_grid if kind == "circular" else spiral_grid
+        grid = build(Centroid(20.5, 7.25), RasterSpec(kind, 8, 6), 3)
+        assert np.array_equal(grid.xs, (20.5 + dx).ravel())
+        assert np.array_equal(grid.ys, (7.25 + dy).ravel())
+        assert np.array_equal(grid.radii, radii.ravel())
+        assert not (grid.xs.flags.writeable or grid.ys.flags.writeable
+                    or grid.radii.flags.writeable)
+    radii, dx, dy = lattice("circular", 8, 6, 0)
+    assert radii.shape == dx.shape == dy.shape == (0, 6)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,58 @@ def test_threshold_is_strictly_greater(tmp_path):
     p = write(tmp_path / "t-1.pgm", "P2\n2 1\n255\n127 128\n")
     shape = load_image(p, threshold=127)
     assert not shape.mask[0, 0] and shape.mask[0, 1]
+
+
+def test_threshold_scales_with_maxval(tmp_path):
+    # value * 255 > threshold * maxval: at maxval 15 and threshold 127 the
+    # cut falls between 7 (1785 <= 1905) and 8 (2040 > 1905)
+    p = write(tmp_path / "m15-1.pgm", "P2 2 1 15\n15 0\n")
+    assert load_image(p).mask.tolist() == [[True, False]]
+    p = write(tmp_path / "m15-2.pgm", "P2 3 1 15\n7 8 15\n")
+    assert load_image(p).mask.tolist() == [[False, True, True]]
+    p = write(tmp_path / "m15-3.pgm", b"P5 3 1 15\n" + bytes([7, 8, 15]))
+    assert load_image(p).mask.tolist() == [[False, True, True]]
+    assert load_image(p, threshold=0).mask.tolist() == [[True, True, True]]
+    assert load_image(p, threshold=255).mask.tolist() == [[False, False, False]]
+    # maxval 255 keeps the plain rule, value > threshold
+    p = write(tmp_path / "m255-1.pgm", b"P5 3 1 255\n" + bytes([127, 128, 255]))
+    assert load_image(p).mask.tolist() == [[False, True, True]]
+
+
+def test_p2_tokens(tmp_path):
+    # each token is read as Python's int() reads it
+    p = write(tmp_path / "z-1.pgm", "P2 6 1 255\n0000 007 00000128 255 +200 -0\n")
+    assert load_image(p).mask.tolist() == [[False, False, True, True, True, False]]
+    p = write(tmp_path / "z-4.pgm", "P2 2 1 255\n1_28 2_00\n")
+    assert load_image(p).mask.tolist() == [[True, True]]
+    for body, message in (("0 1000", "pixel value 1000 exceeds maxval 255"),
+                          ("0 0012345", "pixel value 12345 exceeds maxval 255"),
+                          ("0 256", "pixel value 256 exceeds maxval 255"),
+                          ("-1 0", "pixel value -1 exceeds maxval 255"),
+                          ("0 " + "9" * 30, "bad pixel value"),
+                          ("0 5x", "bad pixel value"), ("0 1__0", "bad pixel value"),
+                          ("0 \x00", "bad pixel value"), ("0", "truncated")):
+        with pytest.raises(PnmFormatError, match=message):
+            load_image(write(tmp_path / "z-2.pgm", f"P2 2 1 255\n{body}\n"))
+    # bytes after the last declared value, past whitespace, are not read
+    p = write(tmp_path / "z-3.pgm", "P2 2 1 255\n200 9 junk +1 99999\n")
+    assert load_image(p).mask.tolist() == [[True, False]]
+
+
+def test_p2_decode_memory(tmp_path):
+    # the values are streamed into an array, with no Python object kept per pixel
+    rng = np.random.default_rng(12)
+    values = rng.integers(0, 256, size=(1000, 1000))
+    text = "\n".join(" ".join(map(str, row)) for row in values.tolist())
+    p = write(tmp_path / "big-1.pgm", "P2\n1000 1000\n255\n" + text + "\n")
+    tracemalloc.start()
+    try:
+        shape = load_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(shape.mask, values > 127)
+    assert peak < 24 * values.size
 
 
 def test_invert_flag(tmp_path):
@@ -124,6 +177,10 @@ def test_malformed_inputs(tmp_path):
         load_image(write(tmp_path / "m-3.pgm", b"P5\n4 4\n255\n" + b"\x00" * 7))
     with pytest.raises(PnmFormatError, match="exceeds maxval"):
         load_image(write(tmp_path / "m-4.pgm", "P2\n1 1\n100\n101\n"))
+    for body in (bytes([200, 0]), bytes([15, 16])):
+        with pytest.raises(PnmFormatError,
+                           match=f"m-10.pgm: pixel value {max(body)} exceeds maxval 15"):
+            load_image(write(tmp_path / "m-10.pgm", b"P5 2 1 15\n" + body))
     with pytest.raises(PnmFormatError, match="width"):
         load_image(write(tmp_path / "m-5.pgm", "P2\nnope\n"))
     with pytest.raises(PnmFormatError):
@@ -160,7 +217,7 @@ def test_mutated_files_decode_or_raise_format_error(tmp_path):
         b"P1\n# bits\n5 3\n10110\n0 1 0 0 1\n11111\n",
         b"P2\n4 2 # dims\n255\n0 17 255 128\n#row\n3 200 64 9\n",
         b"P4\n10 2\n" + bytes([0x80, 0x40, 0x61, 0xC0]),
-        b"P5 3\n2 200\n" + bytes([0, 201, 7, 199, 255, 130]),
+        b"P5 3\n2 200\n" + bytes([0, 200, 7, 199, 150, 130]),
     ]
     alphabet = b"0123456789 \t\n\r#+-_\x00\xffP"
     path = tmp_path / "mut-1.pgm"
