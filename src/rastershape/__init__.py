@@ -8,14 +8,13 @@ protocol over those vectors, including parameter sweeps and an occlusion
 robustness experiment.
 """
 
-from .descriptor import extract, extract_normalized, vector
+from .descriptor import extract, extract_normalized
 from .errors import (
     DatabaseFormatError,
     DatasetError,
     EmptyDatabaseError,
     EmptyShapeError,
     IncompatibleVectorError,
-    MisalignmentError,
     PnmFormatError,
     RasterShapeError,
 )

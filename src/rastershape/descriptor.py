@@ -3,6 +3,8 @@
 Each is a normalized count of lattice samples on foreground pixels: one sampler
 sums the (cycle, angle) hits per row (radial / full-cycle) or per column
 (angular), or keeps them all (fixed-angle, one per spiral arc segment).
+``extract`` is the one way from a shape and an integer spec to a ShapeVector;
+``extract_normalized`` samples a fractional-separation lattice into bare values.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MisalignmentError
 from .raster import (
     KIND_CIRCULAR,
     KIND_SPIRAL,
-    RasterGrid,
     RasterSpec,
     circular_grid,
     cycle_count,
@@ -37,8 +37,6 @@ VARIANT_KIND = {
     SPIRAL_FIXED: KIND_SPIRAL,
 }
 
-CENTER_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class ShapeVector:
@@ -54,7 +52,7 @@ class ShapeVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        variant_kind(self.variant)
+        variant_kind(self.variant, self.spec)
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -82,28 +80,8 @@ def _sample(shape: BinaryShape, variant: str, xs: np.ndarray, ys: np.ndarray,
     if variant in (CIRC_RADIAL, SPIRAL_FULL):
         return inside.sum(axis=1) / samples
     if variant == CIRC_ANGULAR:
-        if len(inside) == 0:
-            raise ValueError("angular vector needs at least one cycle")
         return inside.sum(axis=0) / len(inside)
     return inside.ravel().astype(float)
-
-
-def vector(shape: BinaryShape, grid: RasterGrid, variant: str) -> ShapeVector:
-    """The ``variant`` descriptor of ``shape`` sampled on a prebuilt ``grid``.
-
-    The grid must be of the variant's lattice kind (ValueError otherwise)
-    and centered on the shape's centroid (MisalignmentError otherwise).
-    """
-    variant_kind(variant, grid.spec)
-    c = centroid(shape)  # raises EmptyShapeError on empty masks
-    if (abs(grid.center.cx - c.cx) > CENTER_TOLERANCE
-            or abs(grid.center.cy - c.cy) > CENTER_TOLERANCE):
-        raise MisalignmentError(
-            f"grid center ({grid.center.cx:.8f}, {grid.center.cy:.8f}) is not the "
-            f"centroid of shape {shape.id!r} ({c.cx:.8f}, {c.cy:.8f})"
-        )
-    values = _sample(shape, variant, grid.xs, grid.ys, grid.spec.samples_per_cycle)
-    return ShapeVector(variant, grid.spec, values)
 
 
 def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
@@ -112,7 +90,6 @@ def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
     c = centroid(shape)
     n = cycle_count(spec, max_radius(shape, c))
     build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
-    # the grid is built on the centroid just computed, so it needs no alignment check
     grid = build(c, spec, n)
     return ShapeVector(variant, spec, _sample(shape, variant, grid.xs, grid.ys,
                                               spec.samples_per_cycle))

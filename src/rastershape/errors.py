@@ -13,10 +13,6 @@ class EmptyShapeError(RasterShapeError):
     """A shape with no foreground pixels reached a geometric operation."""
 
 
-class MisalignmentError(RasterShapeError):
-    """A raster grid is not centered on the shape centroid."""
-
-
 class IncompatibleVectorError(RasterShapeError):
     """Shape vectors with different variants or raster parameters were compared."""
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .descriptor import extract, variant_kind
-from .errors import DatasetError
+from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, query
 from .raster import RasterSpec
 from .shape_io import BinaryShape, occlude
@@ -74,11 +74,11 @@ class OcclusionReport:
 
 def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: str,
                     threads: int = 1) -> list[DescriptorRecord]:
-    """Descriptor records for ``shapes`` in input order; a failed shape raises DatasetError."""
+    """Descriptor records for ``shapes`` in input order; bad input raises DatasetError."""
     def one(shape: BinaryShape) -> DescriptorRecord:
         try:
             return DescriptorRecord(shape.id, shape.category, extract(shape, spec, variant))
-        except Exception as exc:
+        except (RasterShapeError, ValueError) as exc:
             raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
 
     if threads and threads > 1:
@@ -88,14 +88,12 @@ def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: st
 
 
 def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
-           mode: str, warm_up: bool = False) -> tuple[float, float]:
+           warm_up: bool = False) -> tuple[float, float]:
     """(seconds of the matching loop, efficiency_pct) for one query pass.
 
     Arguments are checked before any query runs. With ``warm_up``, one
     untimed pass runs first.
     """
-    if mode not in ("any", "precision"):
-        raise ValueError(f"mode must be 'any' or 'precision', got {mode!r}")
     if not queries:
         raise ValueError("no queries given")
     if warm_up:
@@ -105,38 +103,29 @@ def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
     results = [query(db, q.vector, k, exclude_id=q.id) for q in queries]
     total = time.perf_counter() - start
 
-    recognized = 0
-    hits = 0
-    for q, matches in zip(queries, results):
-        same = sum(1 for m in matches if m.category == q.category)
-        if same:
-            recognized += 1
-        hits += same
-    if mode == "any":
-        return total, 100.0 * recognized / len(queries)
-    return total, 100.0 * hits / (k * len(queries))
+    recognized = sum(any(m.category == q.category for m in matches)
+                     for q, matches in zip(queries, results))
+    return total, 100.0 * recognized / len(queries)
 
 
 def retrieval_efficiency(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
-                         k: int = DEFAULT_K, mode: str = "any") -> float:
+                         k: int = DEFAULT_K) -> float:
     """Percentage of queries with a same-category record in their top k.
 
     Each query runs with its own id excluded, so database members can be
-    used as their own test set. mode="any" counts a query as recognized
-    when at least one same-category match appears; mode="precision" instead
-    averages the same-category fraction of all k returned matches.
+    used as their own test set.
     """
-    return _score(db, queries, k, mode)[1]
+    return _score(db, queries, k)[1]
 
 
 def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
-                    k: int = DEFAULT_K, mode: str = "any") -> tuple[float, float, float]:
+                    k: int = DEFAULT_K) -> tuple[float, float, float]:
     """(total_time_s, avg_time_s, efficiency_pct) for the full query loop.
 
     Runs one untimed warm-up pass, then times the query loop alone,
     single-threaded. Efficiency is scored from the timed results afterward.
     """
-    total, efficiency = _score(db, queries, k, mode, warm_up=True)
+    total, efficiency = _score(db, queries, k, warm_up=True)
     return total, total / len(queries), efficiency
 
 
@@ -144,7 +133,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
           separations: Sequence[int] = DEFAULT_SEPARATIONS,
           samples: Sequence[int] = DEFAULT_SAMPLES,
           k: int = DEFAULT_K, dataset_label: str = "dataset",
-          threads: int = 1, mode: str = "any",
+          threads: int = 1,
           progress: Callable[[SweepCell], None] | None = None) -> SweepReport:
     """Leave-self-out retrieval over every (separation, samples) pair.
 
@@ -161,7 +150,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
         spec = RasterSpec(kind, d, s)
         records = extract_records(shapes, spec, variant, threads)
         db = DescriptorDatabase(spec, variant, tuple(records))
-        total, avg, efficiency = timed_retrieval(db, records, k, mode=mode)
+        total, avg, efficiency = timed_retrieval(db, records, k)
         cell = SweepCell(d, s, efficiency, total, avg)
         cells.append(cell)
         if progress is not None:

@@ -17,6 +17,9 @@ from .shape_io import Centroid
 KIND_CIRCULAR = "circular"
 KIND_SPIRAL = "spiral"
 KINDS = (KIND_CIRCULAR, KIND_SPIRAL)
+# largest n_cycles x samples accepted (extract works in ~49 bytes per point); an
+# 8192 x 8192 image needs at most 11,585 cycles at separation 1, so s <= 181 fits
+MAX_LATTICE_POINTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,9 @@ class RasterSpec:
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.samples_per_cycle > MAX_LATTICE_POINTS:
+            raise ValueError(f"samples_per_cycle {self.samples_per_cycle} is above "
+                             f"the cap of {MAX_LATTICE_POINTS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +48,9 @@ class RasterGrid:
     """Materialized lattice: flat, read-only point arrays in (cycle, angle) order."""
 
     spec: RasterSpec
-    center: Centroid
     n_cycles: int
     xs: np.ndarray
     ys: np.ndarray
-    radii: np.ndarray
 
     def __len__(self) -> int:
         return int(self.xs.size)
@@ -74,7 +78,11 @@ def lattice(kind: str, separation: float, samples: int, n_cycles: int):
 
     ``separation`` may be fractional: the grid builders pass a RasterSpec's
     integer separation, the scale-normalized descriptor mode r_max / n_cycles.
+    More than ``MAX_LATTICE_POINTS`` samples raise ValueError before any allocation.
     """
+    if max(n_cycles, 1) * samples > MAX_LATTICE_POINTS:
+        raise ValueError(f"lattice of {n_cycles} cycles x {samples} samples is above "
+                         f"the cap of {MAX_LATTICE_POINTS} points")
     separation = float(separation)
     cos, sin = unit_circle_samples(samples)
     k = np.arange(n_cycles)[:, None]
@@ -107,11 +115,11 @@ def _grid(kind: str, center: Centroid, spec: RasterSpec, n_cycles: int) -> Raste
         raise ValueError(f"{kind}_grid needs a {kind} spec, got {spec.kind!r}")
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
-    radii, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
-    points = [a.ravel() for a in (center.cx + dx, center.cy + dy, radii)]
+    _, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
+    points = [a.ravel() for a in (center.cx + dx, center.cy + dy)]
     for arr in points:
         arr.flags.writeable = False
-    return RasterGrid(spec, center, int(n_cycles), *points)
+    return RasterGrid(spec, int(n_cycles), *points)
 
 
 def circular_grid(center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:

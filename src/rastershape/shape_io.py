@@ -79,10 +79,6 @@ class BinaryShape:
         mask = np.asarray(mask, dtype=bool)
         return cls(mask.shape[1], mask.shape[0], mask, id, category)
 
-    @property
-    def pixel_count(self) -> int:
-        return int(self.mask.sum())
-
 
 def category_of(stem: str) -> str:
     """MPEG-7 naming convention: "apple-3" belongs to category "apple"."""

@@ -220,6 +220,29 @@ def test_version_gate_via_cli(tmp_path, toy_dir, capsys):
     assert "v2" in capsys.readouterr().err
 
 
+def test_query_oversized_lattice_header_exits_2(tmp_path, toy_dir, capsys):
+    # a lattice of 10^9 samples per cycle is refused before anything is allocated
+    db = tmp_path / "huge.rdb"
+    db.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=1 samples=1000000000\n"
+                  "a-1\ta\t1\t0.500000\n")
+    code = main(["query", str(db), str(toy_dir / "disk-1.pgm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "huge.rdb:1: bad header" in err and "above the cap" in err
+
+
+def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypatch):
+    # extract_records turns only bad input into DatasetError (exit 2); a fault propagates
+    def broken(shape, spec, variant):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr("rastershape.evaluation.extract", broken)
+    code = main(["index", str(toy_dir), "--variant", "circ_radial",
+                 "--out", str(tmp_path / "t.rdb")])
+    assert code == 1
+    assert "internal error: RuntimeError('bug')" in capsys.readouterr().err
+
+
 def test_threads_env_is_tolerated(toy_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RASTERSHAPE_THREADS", "2")
     out = tmp_path / "t.rdb"

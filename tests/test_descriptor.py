@@ -7,13 +7,13 @@ from rastershape.descriptor import (
     SPIRAL_FIXED,
     SPIRAL_FULL,
     VARIANTS,
+    ShapeVector,
     extract,
     extract_normalized,
-    vector,
 )
-from rastershape.errors import EmptyShapeError, MisalignmentError
+from rastershape.errors import EmptyShapeError
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
-from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius
+from rastershape.shape_io import BinaryShape, centroid, max_radius
 
 from conftest import blob_shape, coprime6_blob_mask, grid_points
 from oracles import ref_count_vector, ref_extract
@@ -56,12 +56,10 @@ def test_disk_angular():
 
 
 def test_full_coverage_angular_is_all_ones():
-    # a giant filled square covers every sample of a small raster
-    mask = np.ones((101, 101), dtype=bool)
-    shape = BinaryShape.from_mask(mask, id="sq-1")
-    grid = circular_grid(centroid(shape), RasterSpec("circular", 8, 6), 3)
-    vec = vector(shape, grid, CIRC_ANGULAR)
-    assert vec.values.tolist() == [1.0] * 6
+    # r_max = 100 is a multiple of d, so the outermost circle's axis samples
+    # land on the disk's extreme pixels and every sample is foreground
+    vec = extract(disk_shape(), RasterSpec("circular", 25, 4), CIRC_ANGULAR)
+    assert vec.values.tolist() == [1.0] * 4
 
 
 def test_disk_spiral_full_cycle():
@@ -118,38 +116,10 @@ def test_variant_kind_mismatch_rejected():
         extract(shape, RasterSpec("circular", 8, 4), SPIRAL_FULL)
     with pytest.raises(ValueError):
         extract(shape, RasterSpec("circular", 8, 4), "fourier")
-
-
-def test_misaligned_grid_rejected():
-    shape = disk_shape(radius=30, size=71)
-    c = centroid(shape)
-    spec = RasterSpec("circular", 8, 4)
-    off = circular_grid(Centroid(c.cx + 0.001, c.cy), spec, 3)
-    with pytest.raises(MisalignmentError):
-        vector(shape, off, CIRC_RADIAL)
-    near = circular_grid(Centroid(c.cx + 1e-8, c.cy), spec, 3)
-    vector(shape, near, CIRC_RADIAL)  # within tolerance
-
-    sgrid = spiral_grid(Centroid(c.cx + 0.001, c.cy), RasterSpec("spiral", 8, 4), 3)
-    with pytest.raises(MisalignmentError):
-        vector(shape, sgrid, SPIRAL_FULL)
-
-
-def test_wrong_grid_kind_for_vector_op():
-    shape = disk_shape(radius=30, size=71)
-    c = centroid(shape)
-    circ = circular_grid(c, RasterSpec("circular", 8, 4), 3)
-    spir = spiral_grid(c, RasterSpec("spiral", 8, 4), 3)
-    with pytest.raises(ValueError):
-        vector(shape, circ, SPIRAL_FULL)
-    with pytest.raises(ValueError):
-        vector(shape, spir, CIRC_ANGULAR)
-    with pytest.raises(ValueError):
-        vector(shape, circ, SPIRAL_FIXED)
-    with pytest.raises(ValueError):
-        vector(shape, spir, CIRC_RADIAL)
-    with pytest.raises(ValueError):
-        vector(shape, circ, "fourier")
+    with pytest.raises(ValueError, match="needs a circular raster"):
+        ShapeVector(CIRC_RADIAL, RasterSpec("spiral", 8, 4), [0.5])
+    with pytest.raises(ValueError, match="needs a spiral raster"):
+        ShapeVector(SPIRAL_FIXED, RasterSpec("circular", 8, 4), [0.5])
 
 
 def test_extract_deterministic():
@@ -251,7 +221,6 @@ def test_vectors_match_grid_point_oracle():
                                         variant, s, n, grid_points(grid))
             got = extract(shape, spec, variant)
             assert got.values.tolist() == expected
-            assert vector(shape, grid, variant).values.tolist() == expected
 
 
 def test_extract_matches_straight_line_reimplementation():

@@ -55,7 +55,7 @@ def test_efficiency_singleton_categories_is_0():
     assert retrieval_efficiency(db, recs, k=3) == 0.0
 
 
-def test_efficiency_modes_and_validation():
+def test_efficiency_validation():
     rng = np.random.default_rng(6)
     rows = []
     for c in range(4):
@@ -64,17 +64,11 @@ def test_efficiency_modes_and_validation():
             rows.append((f"c{c}-{i}", f"c{c}", np.clip(base + rng.normal(0, 0.01, 6), 0, 1)))
     recs = records_from(rows)
     db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
-    any_mode = retrieval_efficiency(db, recs, k=3, mode="any")
-    precision = retrieval_efficiency(db, recs, k=3, mode="precision")
-    assert 0.0 <= precision <= any_mode <= 100.0
+    assert 0.0 <= retrieval_efficiency(db, recs, k=3) <= 100.0
     for score in (retrieval_efficiency, timed_retrieval):
-        with pytest.raises(ValueError, match="mode"):
-            score(db, recs, k=3, mode="recall")
         with pytest.raises(ValueError):
             score(db, [], k=3)
     shapes = [blob_shape(i, id=f"b-{i}") for i in range(3)]
-    with pytest.raises(ValueError, match="mode"):
-        sweep(shapes, CIRC_RADIAL, separations=(8,), samples=(4,), mode="bogus")
     # an unknown variant is named before any shape is read, extracted or occluded
     never = (pytest.fail("dataset read") for _ in range(1))
     with pytest.raises(ValueError, match="unknown variant 'bogus'"):

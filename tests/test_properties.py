@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract, vector
+from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract
 from rastershape.errors import DatabaseFormatError
 from rastershape.matcher import (
     DescriptorDatabase,
@@ -49,13 +49,13 @@ def on_half_pixel(grid) -> bool:
 @FIXED
 @given(mask=masks, cell=cells)
 def test_vector_on_grid_equals_count_oracle(mask, cell):
-    # membership and grouping over the grid's own points, ties included
+    # membership and grouping over the points of the grid extract builds, ties included
     variant, d, s = cell
     shape = BinaryShape.from_mask(mask, id="h-1")
     grid = grid_for(shape, RasterSpec(VARIANT_KIND[variant], d, s))
     expected = ref_count_vector(mask.tolist(), shape.width, shape.height, variant, s,
                                 grid.n_cycles, grid_points(grid))
-    assert vector(shape, grid, variant).values.tolist() == expected
+    assert extract(shape, grid.spec, variant).values.tolist() == expected
 
 
 @FIXED

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rastershape.raster import (
+    MAX_LATTICE_POINTS,
     RasterSpec,
     circular_grid,
     cycle_count,
@@ -24,6 +27,23 @@ def test_spec_validation():
         RasterSpec("spiral", 8, 0)
     spec = RasterSpec("circular", 8.0, 4)
     assert spec.separation_px == 8 and isinstance(spec.separation_px, int)
+    assert RasterSpec("spiral", 1, MAX_LATTICE_POINTS).samples_per_cycle == MAX_LATTICE_POINTS
+    with pytest.raises(ValueError, match="above the cap"):
+        RasterSpec("spiral", 1, MAX_LATTICE_POINTS + 1)
+
+
+def test_lattice_size_capped_before_allocation():
+    for n_cycles, samples in [(1, 10**9), (0, 10**9), (10**9, 24), (1, MAX_LATTICE_POINTS + 1)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the cap"):
+                lattice("spiral", 1, samples, n_cycles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    radii, _, _ = lattice("circular", 1, MAX_LATTICE_POINTS // 64, 64)
+    assert radii.size == MAX_LATTICE_POINTS
 
 
 def test_cycle_count_examples():
@@ -45,7 +65,7 @@ def test_circular_grid_right_angles_exact():
                    (20.0, 0.0), (0.0, -20.0), (-20.0, 0.0), (0.0, 20.0)]
     # (cycle, angle) order: cycle 0 first, each cycle from angle 0 upward
     assert grid.n_cycles == 2 and len(grid) == 8
-    assert grid.radii.tolist() == [10.0] * 4 + [20.0] * 4
+    assert lattice("circular", 10, 4, 2)[0].ravel().tolist() == [10.0] * 4 + [20.0] * 4
     assert [(k, j) for _, _, k, j in grid_points(grid)] == [
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
 
@@ -72,9 +92,7 @@ def test_spiral_grid_first_turn_exact():
 
 
 def test_spiral_same_angle_radial_steps():
-    spec = RasterSpec("spiral", 8, 24)
-    grid = spiral_grid(Centroid(12.0, 30.0), spec, 6)
-    radii = grid.radii.reshape(6, 24)
+    radii, _, _ = lattice("spiral", 8, 24, 6)
     steps = np.diff(radii, axis=0)
     assert np.all(np.abs(steps - 8.0) <= 1e-9)
 
@@ -84,20 +102,19 @@ def test_radius_formula_within_tolerance():
     for spec, build in [(RasterSpec("circular", 24, 12), circular_grid),
                         (RasterSpec("spiral", 24, 12), spiral_grid)]:
         grid = build(center, spec, 5)
+        radii, _, _ = lattice(spec.kind, 24, 12, 5)
         measured = np.hypot(grid.xs - center.cx, grid.ys - center.cy)
-        assert np.all(np.abs(measured - grid.radii) <= 1e-9)
+        assert np.all(np.abs(measured - radii.ravel()) <= 1e-9)
 
 
 def test_radial_monotonicity():
-    circ = circular_grid(Centroid(0.0, 0.0), RasterSpec("circular", 8, 6), 4)
-    radii = circ.radii.reshape(4, 6)
+    radii, _, _ = lattice("circular", 8, 6, 4)
     assert np.all(np.diff(radii[:, 0]) == 8.0)
     assert np.all(radii == radii[:, :1])
 
-    spir = spiral_grid(Centroid(0.0, 0.0), RasterSpec("spiral", 8, 6), 4)
-    assert np.all(np.diff(spir.radii) > 0) or spir.radii[0] == 0.0
-    assert spir.radii[0] == 0.0
-    assert np.all(np.diff(spir.radii[1:]) > 0)
+    spiral = lattice("spiral", 8, 6, 4)[0].ravel()
+    assert spiral[0] == 0.0
+    assert np.all(np.diff(spiral) > 0)
 
 
 def test_same_angle_collinearity():
@@ -179,8 +196,6 @@ def test_lattice_is_cycle_by_angle():
         grid = build(Centroid(20.5, 7.25), RasterSpec(kind, 8, 6), 3)
         assert np.array_equal(grid.xs, (20.5 + dx).ravel())
         assert np.array_equal(grid.ys, (7.25 + dy).ravel())
-        assert np.array_equal(grid.radii, radii.ravel())
-        assert not (grid.xs.flags.writeable or grid.ys.flags.writeable
-                    or grid.radii.flags.writeable)
+        assert not (grid.xs.flags.writeable or grid.ys.flags.writeable)
     radii, dx, dy = lattice("circular", 8, 6, 0)
     assert radii.shape == dx.shape == dy.shape == (0, 6)
