@@ -3,12 +3,16 @@
 A lattice is an (n_cycles, samples_per_cycle) array: row k is cycle k and
 column j the j-th angle; grids keep its points flat in that order. Angle zero
 points along +x; the image y axis points down, so angles run counter-clockwise.
+
+Row k does not depend on the cycle count, so the grid builders build the
+lattice once per spec, keep the largest built so far on the spec, and take
+its first n_cycles rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +33,8 @@ class RasterSpec:
     kind: str
     separation_px: int
     samples_per_cycle: int
+    # read-only (dx, dy) of the largest lattice built so far, filled by the grid builders
+    _offsets: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -110,12 +116,29 @@ def cycle_count(spec: RasterSpec, r_max: float) -> int:
     return max(1, n)
 
 
+def _offsets(spec: RasterSpec, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n_cycles`` rows of ``spec``'s (dx, dy) lattice, built once per spec.
+
+    Row k does not depend on the cycle count, so a smaller lattice is an exact
+    prefix of a larger one; the spec keeps the largest built so far, at most
+    ``MAX_LATTICE_POINTS`` points. Two workers growing it at once may each
+    build one; either result is a prefix of the other.
+    """
+    offsets = spec._offsets
+    if offsets is None or len(offsets[0]) < n_cycles:
+        _, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
+        dx.flags.writeable = dy.flags.writeable = False
+        offsets = (dx, dy)
+        object.__setattr__(spec, "_offsets", offsets)
+    return offsets[0][:n_cycles], offsets[1][:n_cycles]
+
+
 def _grid(kind: str, center: Centroid, spec: RasterSpec, n_cycles: int) -> RasterGrid:
     if spec.kind != kind:
         raise ValueError(f"{kind}_grid needs a {kind} spec, got {spec.kind!r}")
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
-    _, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
+    dx, dy = _offsets(spec, n_cycles)
     points = [a.ravel() for a in (center.cx + dx, center.cy + dy)]
     for arr in points:
         arr.flags.writeable = False

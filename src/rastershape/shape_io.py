@@ -5,6 +5,10 @@ Shapes are single-object binary masks (MPEG-7 CE-Shape-1 style). PBM
 converted first. All operations here are pure and masks are frozen after
 construction, so shapes can be shared freely between workers.
 
+Geometry is computed once per shape and kept on it: ``centroid`` from the
+row and column sums, ``max_radius`` from each row's leftmost and rightmost
+foreground pixel. Two workers filling it at once store equal values.
+
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
 allocated, and each raster is decoded as a whole (P1 as one byte array,
@@ -19,7 +23,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,9 @@ class BinaryShape:
     mask: np.ndarray
     id: str = ""
     category: str = ""
+    # geometry, filled on first use by centroid() and max_radius()
+    _centroid: Centroid | None = field(default=None, init=False, repr=False)
+    _r_max: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -201,25 +208,54 @@ def load_directory(directory, threshold: int = 127, invert: bool = False) -> lis
     return [load_image(p, threshold=threshold, invert=invert) for p in paths]
 
 
-def _foreground(shape: BinaryShape) -> tuple[np.ndarray, np.ndarray]:
-    ys, xs = np.nonzero(shape.mask)
-    if xs.size == 0:
-        raise EmptyShapeError(f"shape {shape.id!r} has no foreground pixels")
-    return xs, ys
+def _empty(shape: BinaryShape) -> EmptyShapeError:
+    return EmptyShapeError(f"shape {shape.id!r} has no foreground pixels")
 
 
 def centroid(shape: BinaryShape) -> Centroid:
-    """Arithmetic mean of the foreground pixel coordinates."""
-    xs, ys = _foreground(shape)
-    return Centroid(float(xs.mean()), float(ys.mean()))
+    """Arithmetic mean of the foreground pixel coordinates.
+
+    Computed once per shape from the row and column sums: each coordinate
+    is an exact integer sum divided once by the pixel count.
+    """
+    if shape._centroid is None:
+        # a row or column holds at most MAX_PIXELS < 2**31 pixels
+        rows = shape.mask.sum(axis=1, dtype=np.int32)
+        cols = shape.mask.sum(axis=0, dtype=np.int32)
+        n = int(rows.sum())
+        if n == 0:
+            raise _empty(shape)
+        sx = int(cols @ np.arange(shape.width, dtype=np.int64))
+        sy = int(rows @ np.arange(shape.height, dtype=np.int64))
+        object.__setattr__(shape, "_centroid", Centroid(sx / n, sy / n))
+    return shape._centroid
 
 
 def max_radius(shape: BinaryShape, c: Centroid) -> float:
-    """Largest Euclidean distance from the centroid to any foreground pixel."""
-    xs, ys = _foreground(shape)
-    dx = xs - c.cx
-    dy = ys - c.cy
-    return float(np.sqrt((dx * dx + dy * dy).max()))
+    """Largest Euclidean distance from ``c`` to any foreground pixel.
+
+    Only each row's leftmost and rightmost foreground pixel is measured:
+    along a row the distance is convex and rounding is monotone, so one of
+    the two is the row's farthest pixel, bit for bit. The result for the
+    shape's own centroid is kept on the shape; any other ``c`` is measured
+    afresh.
+    """
+    own = c == shape._centroid
+    if own and shape._r_max is not None:
+        return shape._r_max
+    mask = shape.mask
+    hit = mask.any(axis=1)
+    if not hit.any():
+        raise _empty(shape)
+    rows = mask[hit]
+    dy = np.arange(shape.height)[hit] - c.cy
+    dy2 = dy * dy
+    left = rows.argmax(axis=1) - c.cx
+    right = (shape.width - 1) - rows[:, ::-1].argmax(axis=1) - c.cx
+    r = float(np.sqrt(np.maximum(left * left + dy2, right * right + dy2).max()))
+    if own:
+        object.__setattr__(shape, "_r_max", r)
+    return r
 
 
 def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
@@ -248,8 +284,10 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
-    xs, ys = _foreground(shape)
+    ys, xs = np.nonzero(shape.mask)
     n = xs.size
+    if n == 0:
+        raise _empty(shape)
     target = math.ceil(fraction * n)
 
     rng = np.random.default_rng(seed)

@@ -23,7 +23,6 @@ from rastershape.descriptor import (
 )
 from rastershape.evaluation import (
     occlusion_experiment,
-    retrieval_efficiency,
     sweep,
     write_sweep_csv,
 )
@@ -44,7 +43,7 @@ from rastershape.shape_io import (
     max_radius,
 )
 
-from conftest import blob_shape, coprime6_blob_mask, grid_points, random_blob_mask
+from conftest import blob_shape, coprime6_blob_mask, grid_points
 from oracles import ref_count_vector, ref_topk
 from test_descriptor import annulus_shape, disk_shape, rot90ccw
 

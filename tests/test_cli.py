@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from rastershape.cli import main
@@ -6,7 +5,6 @@ from rastershape.evaluation import read_sweep_csv
 from rastershape.matcher import load_database
 from rastershape.shape_io import save_image
 
-from conftest import blob_shape
 from oracles import ref_topk
 
 

@@ -130,6 +130,20 @@ def test_extract_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_extract_independent_of_arrival_order():
+    # one spec keeps one lattice; small and large shapes in any order, and a
+    # fresh spec per shape, give the same values bit for bit
+    shapes = [single_pixel_shape(), disk_shape(100), blob_shape(77), annulus_shape(),
+              disk_shape(30, 61)]
+    for variant in VARIANTS:
+        kind = "circular" if variant.startswith("circ") else "spiral"
+        fresh = [extract(s, RasterSpec(kind, 8, 12), variant).values.tobytes() for s in shapes]
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            spec = RasterSpec(kind, 8, 12)
+            got = {i: extract(shapes[i], spec, variant).values.tobytes() for i in order}
+            assert [got[i] for i in range(len(shapes))] == fresh
+
+
 # ---------------------------------------------------------------- invariants
 
 def test_translation_invariance_all_variants():

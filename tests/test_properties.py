@@ -1,5 +1,5 @@
-"""Property tests (Hypothesis): extraction against the oracles, and
-RASTERDB loading on damaged files.
+"""Property tests (Hypothesis): geometry and extraction against the oracles,
+and RASTERDB loading on damaged files.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so a run is reproducible and leaves no files behind.
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract
-from rastershape.errors import DatabaseFormatError
+from rastershape.errors import DatabaseFormatError, EmptyShapeError
 from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
@@ -20,10 +20,10 @@ from rastershape.matcher import (
     save_database,
 )
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
-from rastershape.shape_io import BinaryShape, centroid, max_radius
+from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius, occlude
 
 from conftest import grid_points
-from oracles import ref_count_vector, ref_extract
+from oracles import ref_centroid, ref_count_vector, ref_extract, ref_max_radius
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -32,6 +32,71 @@ masks = (st.tuples(st.integers(1, 24), st.integers(1, 24))
          .flatmap(lambda hw: arrays(bool, hw))
          .filter(lambda mask: mask.any()))
 cells = st.tuples(st.sampled_from(VARIANTS), st.integers(1, 12), st.integers(1, 24))
+
+
+def _ring(hw):
+    mask = np.ones(hw, dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
+def _framed(mask, pad):
+    top, left, bottom, right = pad
+    return np.pad(mask, ((top, bottom), (left, right)))
+
+
+sizes = st.tuples(st.integers(1, 24), st.integers(1, 24))
+lines = st.integers(1, 40)
+# random masks, single rows and columns, full frames, one-pixel rings (holed
+# once both sides reach 3), and any of these framed by empty margins
+plain_masks = st.one_of(
+    masks,
+    lines.map(lambda w: np.ones((1, w), dtype=bool)),
+    lines.map(lambda h: np.ones((h, 1), dtype=bool)),
+    sizes.map(lambda hw: np.ones(hw, dtype=bool)),
+    sizes.map(_ring),
+)
+geometry_masks = st.one_of(
+    plain_masks,
+    st.tuples(plain_masks, st.tuples(*[st.integers(0, 6)] * 4)).map(lambda mp: _framed(*mp)),
+)
+points = st.builds(Centroid, st.floats(-40.0, 70.0), st.floats(-40.0, 70.0))
+
+
+@FIXED
+@given(mask=geometry_masks, c=points)
+def test_geometry_equals_oracle(mask, c):
+    shape = BinaryShape.from_mask(mask, id="g-1")
+    rows = mask.tolist()
+    # any point first: it must not stand in for the centroid's r_max
+    assert max_radius(shape, c) == ref_max_radius(rows, c.cx, c.cy)
+    own = centroid(shape)
+    assert (own.cx, own.cy) == ref_centroid(rows)
+    r_max = max_radius(shape, own)
+    assert r_max == ref_max_radius(rows, own.cx, own.cy)
+    # repeated calls, in either order, give the same values
+    assert centroid(shape) == own and max_radius(shape, own) == r_max
+    assert max_radius(shape, c) == ref_max_radius(rows, c.cx, c.cy)
+    assert max_radius(shape, centroid(shape)) == r_max
+
+
+@FIXED
+@given(mask=masks.filter(lambda m: m.sum() > 1), fraction=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_occluded_shape_has_its_own_geometry(mask, fraction, seed):
+    shape = BinaryShape.from_mask(mask, id="g-1")
+    parent = centroid(shape), max_radius(shape, centroid(shape))
+    cut = occlude(shape, fraction, seed)
+    if not cut.mask.any():
+        # a cut may erase every pixel of a tiny shape
+        with pytest.raises(EmptyShapeError):
+            centroid(cut)
+    else:
+        rows = cut.mask.tolist()
+        c = centroid(cut)
+        assert (c.cx, c.cy) == ref_centroid(rows)
+        assert max_radius(cut, c) == ref_max_radius(rows, c.cx, c.cy)
+    assert (centroid(shape), max_radius(shape, centroid(shape))) == parent
 
 
 def grid_for(shape, spec):

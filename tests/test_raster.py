@@ -38,6 +38,10 @@ def test_lattice_size_capped_before_allocation():
         try:
             with pytest.raises(ValueError, match="above the cap"):
                 lattice("spiral", 1, samples, n_cycles)
+            if samples <= MAX_LATTICE_POINTS:
+                # the grid builders' per-spec lattice goes through the same check
+                with pytest.raises(ValueError, match="above the cap"):
+                    spiral_grid(Centroid(0.0, 0.0), RasterSpec("spiral", 1, samples), n_cycles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -199,3 +203,31 @@ def test_lattice_is_cycle_by_angle():
         assert not (grid.xs.flags.writeable or grid.ys.flags.writeable)
     radii, dx, dy = lattice("circular", 8, 6, 0)
     assert radii.shape == dx.shape == dy.shape == (0, 6)
+
+
+def test_lattice_rows_do_not_depend_on_cycle_count():
+    for kind in ("circular", "spiral"):
+        for separation in (1, 8, 2.75, 13 / 7):
+            for samples in (1, 4, 7, 24):
+                full = lattice(kind, separation, samples, 40)
+                for n in (0, 1, 2, 17, 40):
+                    for small, big in zip(lattice(kind, separation, samples, n), full):
+                        assert small.tobytes() == big[:n].tobytes()
+
+
+def test_grids_share_one_read_only_lattice_per_spec():
+    c = Centroid(3.5, -2.25)
+    for kind, build in (("circular", circular_grid), ("spiral", spiral_grid)):
+        spec = RasterSpec(kind, 5, 12)
+        cycles = [3, 9, 1, 9, 4, 12, 0, 2]
+        grids = [build(c, spec, n) for n in cycles]
+        for n, grid in zip(cycles, grids):
+            fresh = build(c, RasterSpec(kind, 5, 12), n)
+            assert grid.xs.tobytes() == fresh.xs.tobytes()
+            assert grid.ys.tobytes() == fresh.ys.tobytes()
+        # the spec keeps only the largest lattice built, and it cannot be written
+        dx, dy = spec._offsets
+        assert dx.shape == dy.shape == (max(cycles), 12)
+        for arr in (dx, dy):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0

@@ -322,13 +322,15 @@ def test_centroid_examples():
 
 
 def test_empty_shape_errors():
-    empty = BinaryShape.from_mask(np.zeros((3, 3), dtype=bool), id="void-1")
-    with pytest.raises(EmptyShapeError):
-        centroid(empty)
-    with pytest.raises(EmptyShapeError):
-        max_radius(empty, Centroid(1.0, 1.0))
-    with pytest.raises(EmptyShapeError):
-        occlude(empty, 0.1, 0)
+    for hw in [(3, 3), (1, 1), (1, 7), (7, 1)]:
+        empty = BinaryShape.from_mask(np.zeros(hw, dtype=bool), id="void-1")
+        for _ in range(2):  # a failed call leaves nothing behind
+            with pytest.raises(EmptyShapeError):
+                centroid(empty)
+            with pytest.raises(EmptyShapeError):
+                max_radius(empty, Centroid(1.0, 1.0))
+        with pytest.raises(EmptyShapeError):
+            occlude(empty, 0.1, 0)
 
 
 def test_max_radius_examples():
