@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 internal error, 2 bad input or arguments.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,26 +28,6 @@ from .matcher import DescriptorDatabase, load_database, query, save_database
 from .raster import RasterSpec
 from .shape_io import load_directory, load_image, save_image
 
-THREADS_ENV = "RASTERSHAPE_THREADS"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-        if n < 0:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring {THREADS_ENV}={raw!r} (expected an integer >= 0); "
-              "using 1 thread", file=sys.stderr)
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def _load_dataset(args) -> list:
     shapes = load_directory(args.dir, threshold=args.threshold, invert=args.invert)
     if not shapes:
@@ -59,7 +38,7 @@ def _load_dataset(args) -> list:
 def cmd_index(args) -> int:
     shapes = _load_dataset(args)
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
-    records = extract_records(shapes, spec, args.variant, _thread_count())
+    records = extract_records(shapes, spec, args.variant)
     db = DescriptorDatabase(spec, args.variant, tuple(records))
     save_database(db, args.out)
     print(f"indexed {len(records)} images -> {args.out}")
@@ -110,8 +89,7 @@ def cmd_sweep(args) -> int:
 
     report = sweep(
         shapes, args.variant, separations=args.seps, samples=args.samples,
-        k=args.k, dataset_label=Path(args.dir).name, threads=_thread_count(),
-        progress=progress,
+        k=args.k, dataset_label=Path(args.dir).name, progress=progress,
     )
     if args.out:
         write_sweep_csv(report, args.out)
@@ -137,7 +115,7 @@ def cmd_occlude(args) -> int:
         print(f"wrote {len(queries)} occluded images -> {out_dir}", file=sys.stderr)
     report = occlusion_experiment(
         shapes, configs, per_category=args.per_category, fraction=args.fraction,
-        seed=args.seed, k=args.k, threads=_thread_count(),
+        seed=args.seed, k=args.k,
     )
     if args.report:
         write_occlusion_csv(report, args.report)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -72,8 +71,8 @@ class OcclusionReport:
     cells: tuple[OcclusionCell, ...]
 
 
-def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: str,
-                    threads: int = 1) -> list[DescriptorRecord]:
+def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec,
+                    variant: str) -> list[DescriptorRecord]:
     """Descriptor records for ``shapes`` in input order; bad input raises DatasetError."""
     def one(shape: BinaryShape) -> DescriptorRecord:
         try:
@@ -81,9 +80,6 @@ def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec, variant: st
         except (RasterShapeError, ValueError) as exc:
             raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, shapes))
     return [one(s) for s in shapes]
 
 
@@ -137,10 +133,12 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
           progress: Callable[[SweepCell], None] | None = None) -> SweepReport:
     """Leave-self-out retrieval over every (separation, samples) pair.
 
-    Cells run sequentially so the timing columns do not interfere;
-    extraction inside a cell may fan out over ``threads`` workers.
+    Cells run sequentially, one thread throughout, so the timing columns
+    do not interfere. ``threads`` accepts only 1.
     """
     kind = variant_kind(variant)
+    if threads != 1:  # perfbench/measure.py still passes threads=1
+        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
     shapes = list(dataset)
     if not shapes:
         raise DatasetError("sweep needs a non-empty dataset")
@@ -148,7 +146,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     cells = []
     for d, s in pairs:
         spec = RasterSpec(kind, d, s)
-        records = extract_records(shapes, spec, variant, threads)
+        records = extract_records(shapes, spec, variant)
         db = DescriptorDatabase(spec, variant, tuple(records))
         total, avg, efficiency = timed_retrieval(db, records, k)
         cell = SweepCell(d, s, efficiency, total, avg)
@@ -188,17 +186,20 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     """Retrieval efficiency of occluded queries against the clean database.
 
     The database holds every unoccluded shape; queries are the occluded
-    copies (absent from the database, so nothing is excluded).
+    copies (absent from the database, so nothing is excluded). ``threads``
+    accepts only 1.
     """
     specs = [(variant, RasterSpec(variant_kind(variant), int(d), int(s)))
              for variant, d, s in variant_specs]
+    if threads != 1:  # perfbench/measure.py still passes threads=1
+        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
     shapes = list(dataset)
     queries = select_occlusion_queries(shapes, per_category, fraction, seed)
     cells = []
     for variant, spec in specs:
-        records = extract_records(shapes, spec, variant, threads)
+        records = extract_records(shapes, spec, variant)
         db = DescriptorDatabase(spec, variant, tuple(records))
-        query_records = extract_records(queries, spec, variant, threads)
+        query_records = extract_records(queries, spec, variant)
         efficiency = retrieval_efficiency(db, query_records, k)
         cell = OcclusionCell(variant, spec.separation_px, spec.samples_per_cycle, efficiency)
         cells.append(cell)

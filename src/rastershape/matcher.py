@@ -10,6 +10,7 @@ and the benchmark harness times exactly this scan.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,10 @@ from .raster import RasterSpec
 FORMAT_NAME = "RASTERDB"
 FORMAT_VERSION = "v1"
 HEADER_FIELDS = ("kind", "variant", "sep", "samples")
+# largest N x L_max matrix a database may hold (512 MiB of float64), checked before allocating
+MAX_DATABASE_VALUES = 1 << 26
+# a tab or any line boundary str.splitlines() knows would split a record line
+_FIELD_BREAK = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +50,9 @@ class DescriptorDatabase:
     def __post_init__(self) -> None:
         records = tuple(self.records)
         width = max((len(rec.vector) for rec in records), default=0)
+        if len(records) * width > MAX_DATABASE_VALUES:
+            raise ValueError(f"{len(records)} records x {width} values is above "
+                             f"the cap of {MAX_DATABASE_VALUES} values")
         matrix = np.zeros((len(records), width), order="F")
         rows: dict[str, int] = {}
         for row, rec in enumerate(records):
@@ -130,12 +138,19 @@ def _header_line(db: DescriptorDatabase) -> str:
 
 
 def save_database(db: DescriptorDatabase, path) -> None:
-    """Write the database as RASTERDB v1 text, values at 6 decimals."""
+    """Write the database as RASTERDB v1 text, values at 6 decimals.
+
+    An id or category holding a tab or a line break cannot be read back, so
+    it raises ValueError before anything is written.
+    """
     lines = [_header_line(db)]
     for rec in db.records:
+        for what, text in (("id", rec.id), ("category", rec.category)):
+            if _FIELD_BREAK.search(text):
+                raise ValueError(f"record {rec.id!r}: {what} holds a tab or line break")
         values = ",".join(f"{v:.6f}" for v in rec.vector.values)
         lines.append(f"{rec.id}\t{rec.category}\t{len(rec.vector)}\t{values}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_database(path) -> DescriptorDatabase:
@@ -210,4 +225,7 @@ def load_database(path) -> DescriptorDatabase:
                          ShapeVector(variant, spec, every[start:start + length]))
         for _, rec_id, rec_category, start, length in rows
     )
-    return DescriptorDatabase(spec, variant, records)
+    try:
+        return DescriptorDatabase(spec, variant, records)
+    except ValueError as exc:
+        raise DatabaseFormatError(f"{path.name}: {exc}") from exc

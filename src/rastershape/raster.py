@@ -121,8 +121,7 @@ def _offsets(spec: RasterSpec, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row k does not depend on the cycle count, so a smaller lattice is an exact
     prefix of a larger one; the spec keeps the largest built so far, at most
-    ``MAX_LATTICE_POINTS`` points. Two workers growing it at once may each
-    build one; either result is a prefix of the other.
+    ``MAX_LATTICE_POINTS`` points.
     """
     offsets = spec._offsets
     if offsets is None or len(offsets[0]) < n_cycles:

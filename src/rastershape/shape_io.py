@@ -3,11 +3,11 @@
 Shapes are single-object binary masks (MPEG-7 CE-Shape-1 style). PBM
 (P1/P4) and PGM (P2/P5) files are supported; other formats must be
 converted first. All operations here are pure and masks are frozen after
-construction, so shapes can be shared freely between workers.
+construction.
 
 Geometry is computed once per shape and kept on it: ``centroid`` from the
 row and column sums, ``max_radius`` from each row's leftmost and rightmost
-foreground pixel. Two workers filling it at once store equal values.
+foreground pixel.
 
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
@@ -280,7 +280,7 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     pixels are ranked by their projection onto that direction and the cut
     line is placed so the erased far side holds as close as possible to
     ceil(fraction * N) pixels; ties in projection stay on one side, so the
-    result is always an exact half-plane erase.
+    result is always an exact half-plane erase. At least one pixel is kept.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
@@ -295,9 +295,9 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     proj = xs * math.cos(angle) + ys * math.sin(angle)
     order = np.argsort(-proj, kind="stable")
     ranked = proj[order]
-    # erase counts achievable by a clean cut: strict drops in ranked projection
-    cuts = np.nonzero(ranked[:-1] > ranked[1:])[0] + 1
-    candidates = np.concatenate(([0], cuts, [n]))
+    # erase counts achievable by a clean cut that keeps a pixel: strict drops
+    # in ranked projection
+    candidates = np.concatenate(([0], np.nonzero(ranked[:-1] > ranked[1:])[0] + 1))
     m = int(candidates[np.argmin(np.abs(candidates - target))])
 
     mask = np.array(shape.mask)

@@ -3,7 +3,7 @@ import pytest
 from rastershape.cli import main
 from rastershape.evaluation import read_sweep_csv
 from rastershape.matcher import load_database
-from rastershape.shape_io import save_image
+from rastershape.shape_io import load_image, save_image
 
 from oracles import ref_topk
 
@@ -229,6 +229,27 @@ def test_query_oversized_lattice_header_exits_2(tmp_path, toy_dir, capsys):
     assert "huge.rdb:1: bad header" in err and "above the cap" in err
 
 
+def test_index_refuses_id_that_would_split_a_line(toy_dir, tmp_path, capsys):
+    # a form feed in a file name would end the record line when the database is read
+    save_image(load_image(toy_dir / "disk-1.pgm"), toy_dir / "odd\x0cname-1.pgm")
+    out = tmp_path / "t.rdb"
+    code = main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)])
+    assert code == 2
+    assert "record 'odd\\x0cname-1': id holds a tab or line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_query_oversized_database_exits_2(tmp_path, toy_dir, capsys):
+    # 1,001 records of up to 70,000 values: a 560 MB matrix, refused before allocating
+    db = tmp_path / "wide.rdb"
+    db.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+                  "w-1\tw\t70000\t" + ",".join(["0.5"] * 70_000) + "\n"
+                  + "".join(f"n-{i}\tn\t1\t0.5\n" for i in range(1000)))
+    code = main(["query", str(db), str(toy_dir / "disk-1.pgm")])
+    assert code == 2
+    assert "wide.rdb: 1001 records x 70000 values is above the cap" in capsys.readouterr().err
+
+
 def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypatch):
     # extract_records turns only bad input into DatasetError (exit 2); a fault propagates
     def broken(shape, spec, variant):
@@ -239,30 +260,3 @@ def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypa
                  "--out", str(tmp_path / "t.rdb")])
     assert code == 1
     assert "internal error: RuntimeError('bug')" in capsys.readouterr().err
-
-
-def test_threads_env_is_tolerated(toy_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RASTERSHAPE_THREADS", "2")
-    out = tmp_path / "t.rdb"
-    code = main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)])
-    assert code == 0
-    monkeypatch.setenv("RASTERSHAPE_THREADS", "0")
-    code = main(["sweep", str(toy_dir), "--variant", "circ_radial",
-                 "--seps", "8", "--samples", "4", "--out", str(tmp_path / "s.csv")])
-    assert code == 0
-
-
-def test_threads_env_bad_value_warns(toy_dir, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "t.rdb"
-    for raw in ("two", "-3", "1.5"):
-        monkeypatch.setenv("RASTERSHAPE_THREADS", raw)
-        capsys.readouterr()
-        assert main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert f"RASTERSHAPE_THREADS='{raw}'" in err and "using 1 thread" in err
-    for raw in ("2", "0", " "):
-        monkeypatch.setenv("RASTERSHAPE_THREADS", raw)
-        capsys.readouterr()
-        assert main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)]) == 0
-        assert "warning" not in capsys.readouterr().err

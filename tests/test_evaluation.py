@@ -79,6 +79,11 @@ def test_efficiency_validation():
         occlusion_experiment(shapes, [("bogus", 8, 4)])
     with pytest.raises(ValueError, match="unknown variant 'bogus'"):
         occlusion_experiment(never, [(CIRC_RADIAL, 8, 4), ("bogus", 8, 4)])
+    # extraction is serial: any other thread count is refused, also before reading
+    with pytest.raises(ValueError, match="threads must be 1"):
+        sweep(never, CIRC_RADIAL, threads=2)
+    with pytest.raises(ValueError, match="threads must be 1"):
+        occlusion_experiment(never, threads=2)
     other = DescriptorRecord("x-1", "x",
                              ShapeVector(CIRC_RADIAL, RasterSpec("circular", 16, 24),
                                          np.array([0.5])))
@@ -156,12 +161,6 @@ def test_sweep_deterministic_except_times(toy_corpus):
     for ca, cb in zip(a.cells, b.cells):
         assert (ca.separation_px, ca.samples_per_cycle) == (cb.separation_px, cb.samples_per_cycle)
         assert ca.efficiency_pct == cb.efficiency_pct
-
-
-def test_sweep_threaded_extraction_matches_serial(toy_corpus):
-    a = sweep(toy_corpus, CIRC_RADIAL, separations=(8,), samples=(8,), threads=1)
-    b = sweep(toy_corpus, CIRC_RADIAL, separations=(8,), samples=(8,), threads=4)
-    assert a.cells[0].efficiency_pct == b.cells[0].efficiency_pct
 
 
 def test_sweep_csv_round_trip():

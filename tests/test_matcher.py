@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rastershape.errors import (
     IncompatibleVectorError,
 )
 from rastershape.matcher import (
+    MAX_DATABASE_VALUES,
     DescriptorDatabase,
     DescriptorRecord,
     Match,
@@ -264,6 +267,58 @@ def test_database_validation():
     other = DescriptorRecord("b-1", "b", vec([0.5], spec=RasterSpec("circular", 16, 24)))
     with pytest.raises(ValueError, match="different spec"):
         DescriptorDatabase(SPEC, CIRC_RADIAL, (rec, other))
+
+
+def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
+    # 1,001 x 70,000 float64 would be a 560 MB matrix
+    records = (DescriptorRecord("w-1", "w", vec(np.full(70_000, 0.5))),
+               *(DescriptorRecord(f"n-{i}", "n", vec([0.5])) for i in range(1000)))
+    assert len(records) * 70_000 > MAX_DATABASE_VALUES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1001 records x 70000 values is above the cap"):
+            DescriptorDatabase(SPEC, CIRC_RADIAL, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "wide.rdb"
+    path.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+                    "w-1\tw\t70000\t" + ",".join(["0.5"] * 70_000) + "\n"
+                    + "".join(f"n-{i}\tn\t1\t0.5\n" for i in range(1000)))
+    with pytest.raises(DatabaseFormatError, match=r"wide\.rdb: 1001 records x 70000 values"):
+        load_database(path)
+    # the cap is inclusive
+    monkeypatch.setattr("rastershape.matcher.MAX_DATABASE_VALUES", 6)
+    pair = (DescriptorRecord("p-1", "p", vec([0.5, 0.5])),)
+    assert len(DescriptorDatabase(SPEC, CIRC_RADIAL, records[1:3] + pair)) == 3
+    with pytest.raises(ValueError, match="4 records x 2 values is above the cap of 6"):
+        DescriptorDatabase(SPEC, CIRC_RADIAL, records[1:4] + pair)
+
+
+def test_save_refuses_fields_that_would_split_a_line(tmp_path):
+    path = tmp_path / "t.rdb"
+    breaks = [chr(i) for i in range(0x3000) if len(f"a{chr(i)}b".splitlines()) > 1]
+    assert len(breaks) == 10
+    for ch in ["\t", *breaks]:
+        for rec_id, category, what in ((f"odd{ch}name-1", "odd", "id"),
+                                       ("odd-1", f"odd{ch}name", "category")):
+            db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+                                    (DescriptorRecord(rec_id, category, vec([0.5])),))
+            with pytest.raises(ValueError, match=f"record .*: {what} holds a tab or line break"):
+                save_database(db, path)
+            assert not path.exists()
+    # an id that is not UTF-8 (a lone surrogate from an undecodable file name)
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL, (DescriptorRecord("\udcff-1", "a", vec([0.5])),))
+    with pytest.raises(UnicodeEncodeError):
+        save_database(db, path)
+    assert not path.exists()
+    # other control characters and spaces round-trip
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+                            (DescriptorRecord("odd \x1f\x7fname-1", "odd \x1f", vec([0.5])),))
+    save_database(db, path)
+    loaded = load_database(path).records[0]
+    assert (loaded.id, loaded.category) == ("odd \x1f\x7fname-1", "odd \x1f")
 
 
 def test_save_load_round_trip(tmp_path):

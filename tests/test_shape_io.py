@@ -464,6 +464,15 @@ def test_occlude_never_adds_pixels():
         assert not (out.mask & ~shape.mask).any()
 
 
+def test_occlude_keeps_a_pixel():
+    # the nearest clean cut to ceil(fraction * N) would erase every pixel
+    for row, fraction in (([1, 1], 0.75), ([1, 1, 1], 0.9)):
+        shape = BinaryShape.from_mask([row], id="t-1")
+        out = occlude(shape, fraction, 0)
+        assert out.mask.sum() == 1
+        assert centroid(out) == Centroid(len(row) - 1, 0.0)
+
+
 def test_occlude_fraction_validation():
     shape = blob_shape(7)
     with pytest.raises(ValueError):
