@@ -39,7 +39,7 @@ def cmd_index(args) -> int:
     shapes = _load_dataset(args)
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
     records = extract_records(shapes, spec, args.variant)
-    db = DescriptorDatabase(spec, args.variant, tuple(records))
+    db = DescriptorDatabase.from_records(spec, args.variant, records)
     save_database(db, args.out)
     print(f"indexed {len(records)} images -> {args.out}")
     return 0
@@ -59,8 +59,8 @@ def cmd_query(args) -> int:
     shape = load_image(args.image, threshold=args.threshold, invert=args.invert)
     vector = extract(shape, db.spec, db.variant)
     k = args.k
-    if k > len(db.records):
-        print(f"warning: k={k} but database has only {len(db.records)} records",
+    if k > len(db):
+        print(f"warning: k={k} but database has only {len(db)} records",
               file=sys.stderr)
     matches = query(db, vector, k)
     for rank, m in enumerate(matches, start=1):

@@ -147,7 +147,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     for d, s in pairs:
         spec = RasterSpec(kind, d, s)
         records = extract_records(shapes, spec, variant)
-        db = DescriptorDatabase(spec, variant, tuple(records))
+        db = DescriptorDatabase.from_records(spec, variant, records)
         total, avg, efficiency = timed_retrieval(db, records, k)
         cell = SweepCell(d, s, efficiency, total, avg)
         cells.append(cell)
@@ -198,7 +198,7 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     cells = []
     for variant, spec in specs:
         records = extract_records(shapes, spec, variant)
-        db = DescriptorDatabase(spec, variant, tuple(records))
+        db = DescriptorDatabase.from_records(spec, variant, records)
         query_records = extract_records(queries, spec, variant)
         efficiency = retrieval_efficiency(db, query_records, k)
         cell = OcclusionCell(variant, spec.separation_px, spec.samples_per_cycle, efficiency)

@@ -1,16 +1,21 @@
 """Descriptor databases and Euclidean top-k retrieval.
 
-Databases are plain line-oriented text files (RASTERDB v1) holding one
-labeled vector per record. Retrieval is an exact scan of every record:
-each database keeps its vectors as one read-only, zero-padded
-``(N, L_max)`` matrix, built once, and a query ranks all N rows in one
-vectorized pass. Datasets here are a few hundred to a few thousand records
-and the benchmark harness times exactly this scan.
+A database is stored by column: record ids, categories, vector lengths and
+one read-only, zero-padded, column-major ``(N, L_max)`` matrix of values.
+DescriptorDatabase.from_records builds one from extracted records;
+load_database reads a RASTERDB v1 file (line-oriented text, one labeled
+vector per line) straight into the columns, parsing every value of the
+file at once and building no per-record objects. ``records`` builds the
+record objects when they are read. Retrieval is an exact scan: a query
+ranks all N rows in one vectorized pass. Datasets here are a few hundred
+to a few thousand records, and the benchmark harness times exactly this
+scan.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +30,8 @@ FORMAT_VERSION = "v1"
 HEADER_FIELDS = ("kind", "variant", "sep", "samples")
 # largest N x L_max matrix a database may hold (512 MiB of float64), checked before allocating
 MAX_DATABASE_VALUES = 1 << 26
+# largest array a query beyond the matrix width sums at once (8 MiB of float64)
+_BLOCK_VALUES = 1 << 20
 # a tab or any line boundary str.splitlines() knows would split a record line
 _FIELD_BREAK = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -36,41 +43,90 @@ class DescriptorRecord:
     vector: ShapeVector
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DescriptorDatabase:
-    """Immutable collection of records sharing one spec and variant."""
+    """Immutable labeled vectors sharing one spec and variant, stored by column.
+
+    Record i is ``ids[i]``, ``categories[i]`` and the first ``lengths[i]``
+    values of row i of ``matrix``, the read-only, zero-padded, column-major
+    ``(N, L_max)`` array. ``records`` shows the same data as
+    DescriptorRecord objects, each built when it is read.
+    """
 
     spec: RasterSpec
     variant: str
-    records: tuple[DescriptorRecord, ...]
-    # row i holds records[i]'s values, zero-padded to the longest record
-    _matrix: np.ndarray = field(init=False, repr=False)
-    _rows: dict[str, int] = field(init=False, repr=False)
+    ids: tuple[str, ...]
+    categories: tuple[str, ...]
+    lengths: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
+    _rows: dict[str, int] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        records = tuple(self.records)
-        width = max((len(rec.vector) for rec in records), default=0)
-        if len(records) * width > MAX_DATABASE_VALUES:
-            raise ValueError(f"{len(records)} records x {width} values is above "
+    def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
+                 categories: Sequence[str], lengths: Sequence[int], values) -> None:
+        """``values`` holds every record's values end to end, in record order."""
+        variant_kind(variant, spec)
+        ids, categories = tuple(ids), tuple(categories)
+        lengths = np.array(lengths, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        n = len(ids)
+        if (len(categories) != n or lengths.shape != (n,) or (lengths < 0).any()
+                or lengths.sum() != values.size):
+            raise ValueError("ids, categories, lengths and values do not agree")
+        width = int(lengths.max(initial=0))
+        if n * width > MAX_DATABASE_VALUES:
+            raise ValueError(f"{n} records x {width} values is above "
                              f"the cap of {MAX_DATABASE_VALUES} values")
-        matrix = np.zeros((len(records), width), order="F")
-        rows: dict[str, int] = {}
-        for row, rec in enumerate(records):
-            if rec.id in rows:
-                raise ValueError(f"duplicate record id {rec.id!r}")
-            rows[rec.id] = row
-            if rec.vector.variant != self.variant or rec.vector.spec != self.spec:
+        rows = dict(zip(ids, range(n)))
+        if len(rows) < n:
+            seen: set[str] = set()
+            for rec_id in ids:
+                if rec_id in seen:
+                    raise ValueError(f"duplicate record id {rec_id!r}")
+                seen.add(rec_id)
+        matrix = np.zeros((n, width), order="F")
+        matrix[np.arange(width) < lengths[:, np.newaxis]] = values
+        matrix.flags.writeable = False
+        lengths.flags.writeable = False
+        vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
+                          lengths=lengths, matrix=matrix, _rows=rows)
+
+    @classmethod
+    def from_records(cls, spec: RasterSpec, variant: str,
+                     records: Iterable[DescriptorRecord]) -> DescriptorDatabase:
+        """The database of ``records``, each extracted under ``spec`` and ``variant``."""
+        records = tuple(records)
+        for rec in records:
+            if rec.vector.variant != variant or rec.vector.spec != spec:
                 raise ValueError(
                     f"record {rec.id!r} was extracted under a different spec/variant"
                 )
-            matrix[row, :len(rec.vector)] = rec.vector.values
-        matrix.flags.writeable = False
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_rows", rows)
+        values = [rec.vector.values for rec in records]
+        return cls(spec, variant, [rec.id for rec in records],
+                   [rec.category for rec in records], [v.size for v in values],
+                   np.concatenate([np.empty(0), *values]))
+
+    @property
+    def records(self) -> Sequence[DescriptorRecord]:
+        return _Records(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+
+class _Records(Sequence):
+    """A database's records in insertion order; len() builds none of them."""
+
+    def __init__(self, db: DescriptorDatabase) -> None:
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db)
+
+    def __getitem__(self, i: int) -> DescriptorRecord:
+        db = self._db
+        i = range(len(db))[i]
+        return DescriptorRecord(db.ids[i], db.categories[i],
+                                ShapeVector(db.variant, db.spec, db.matrix[i, :db.lengths[i]]))
 
 
 @dataclass(frozen=True)
@@ -89,13 +145,30 @@ def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     adds each row's squares strictly left to right (it sums pairwise only
     along the contiguous axis). Extra zero columns then add exact zeros, and
     a record's distance does not depend on the width of the matrix it is in.
+
+    The part of ``q`` beyond the matrix adds the same squares to every row.
+    Those go in column blocks of at most ``_BLOCK_VALUES`` values, each
+    block holding the running sums in its first column, so every row is
+    still summed left to right and a long query allocates no more than the
+    matrix and one block.
     """
     n, width = rows.shape
-    diff = np.zeros((max(n, 2), max(width, q.size)), order="F")
-    diff[:n, :width] = rows
-    diff[:n, :q.size] -= q
+    m = max(n, 2)
+    diff = np.zeros((m, width), order="F")
+    diff[:n] = rows
+    head = q[:width]
+    diff[:n, :head.size] -= head
     diff *= diff
-    return np.sqrt(diff.sum(axis=1)[:n])
+    sums = diff.sum(axis=1)
+    tail = q[width:] ** 2
+    step = max(1, _BLOCK_VALUES // m - 1)
+    for start in range(0, tail.size, step):
+        part = tail[start:start + step]
+        block = np.empty((m, 1 + part.size), order="F")
+        block[:, 0] = sums
+        block[:, 1:] = part
+        sums = block.sum(axis=1)
+    return np.sqrt(sums[:n])
 
 
 def distance(a: ShapeVector, b: ShapeVector) -> float:
@@ -121,15 +194,14 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
         raise IncompatibleVectorError(
             f"query is {q.variant}/{q.spec}, database is {db.variant}/{db.spec}"
         )
-    dists = _distances(db._matrix, q.values)
+    dists = _distances(db.matrix, q.values)
     order = np.argsort(dists, kind="stable")
     excluded = db._rows.get(exclude_id)
     if excluded is not None:
         order = order[order != excluded]
     if not order.size:
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
-    return [Match(db.records[i].id, db.records[i].category, float(dists[i]))
-            for i in order[:k]]
+    return [Match(db.ids[i], db.categories[i], float(dists[i])) for i in order[:k].tolist()]
 
 
 def _header_line(db: DescriptorDatabase) -> str:
@@ -144,17 +216,24 @@ def save_database(db: DescriptorDatabase, path) -> None:
     it raises ValueError before anything is written.
     """
     lines = [_header_line(db)]
-    for rec in db.records:
-        for what, text in (("id", rec.id), ("category", rec.category)):
+    for row, (rec_id, category, length) in enumerate(
+            zip(db.ids, db.categories, db.lengths.tolist())):
+        for what, text in (("id", rec_id), ("category", category)):
             if _FIELD_BREAK.search(text):
-                raise ValueError(f"record {rec.id!r}: {what} holds a tab or line break")
-        values = ",".join(f"{v:.6f}" for v in rec.vector.values)
-        lines.append(f"{rec.id}\t{rec.category}\t{len(rec.vector)}\t{values}")
+                raise ValueError(f"record {rec_id!r}: {what} holds a tab or line break")
+        values = ",".join(f"{v:.6f}" for v in db.matrix[row, :length].tolist())
+        lines.append(f"{rec_id}\t{category}\t{length}\t{values}")
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_database(path) -> DescriptorDatabase:
-    """Read a RASTERDB v1 file written by save_database()."""
+    """Read a RASTERDB v1 file written by save_database().
+
+    One pass over the lines checks their structure; then every value in the
+    file is parsed at once, range-checked at once and placed in the matrix
+    by length. Where a file has several faults, the first in file order is
+    reported, as when each line was parsed on its own.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -183,49 +262,71 @@ def load_database(path) -> DescriptorDatabase:
     except (KeyError, ValueError) as exc:
         raise DatabaseFormatError(f"{path.name}:1: bad header: {exc}") from exc
 
-    first_line: dict[str, int] = {}
-    rows = []  # (lineno, id, category, offset into flat, length)
-    flat: list[float] = []
+    first_line: dict[str, int] = {}  # record id -> its line, in file order
+    categories: list[str] = []
+    lengths: list[int] = []
+    texts: list[str] = []
+    fault = None  # the first structural fault, raised after earlier values parse
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise DatabaseFormatError(f"{path.name}:{lineno}: expected 4 fields, got {len(parts)}")
+            fault = f"{lineno}: expected 4 fields, got {len(parts)}"
+            break
         rec_id, rec_category, length_text, values_text = parts
         if rec_id in first_line:
-            raise DatabaseFormatError(
-                f"{path.name}:{lineno}: duplicate record id {rec_id!r} "
-                f"(first on line {first_line[rec_id]})"
-            )
+            fault = (f"{lineno}: duplicate record id {rec_id!r} "
+                     f"(first on line {first_line[rec_id]})")
+            break
         first_line[rec_id] = lineno
         try:
             length = int(length_text)
-            values = [float(v) for v in values_text.split(",")] if values_text else []
         except ValueError as exc:
-            raise DatabaseFormatError(f"{path.name}:{lineno}: bad record: {exc}") from exc
-        if length != len(values):
-            raise DatabaseFormatError(
-                f"{path.name}:{lineno}: declared {length} values, found {len(values)}"
-            )
-        rows.append((lineno, rec_id, rec_category, len(flat), length))
-        flat.extend(values)
+            fault = f"{lineno}: bad record: {exc}"
+            break
+        texts.append(values_text)
+        found = values_text.count(",") + 1 if values_text else 0
+        if length != found:
+            fault = f"{lineno}: declared {length} values, found {found}"
+            break
+        categories.append(rec_category)
+        lengths.append(length)
 
+    linenos = list(first_line.values())
+    every = _parse_values(path, linenos, texts)
+    if fault is not None:
+        raise DatabaseFormatError(f"{path.name}:{fault}")
     # one range check over every value in the file; NaN fails both comparisons
-    every = np.array(flat, dtype=float)
     bad = ~((every >= 0.0) & (every <= 1.0))
     if bad.any():
         at = int(np.argmax(bad))
-        lineno = next(row[0] for row in reversed(rows) if row[3] <= at)
+        row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise DatabaseFormatError(
-            f"{path.name}:{lineno}: value {every[at]!r} outside [0, 1]"
+            f"{path.name}:{linenos[row]}: value {every[at]!r} outside [0, 1]"
         )
-    records = tuple(
-        DescriptorRecord(rec_id, rec_category,
-                         ShapeVector(variant, spec, every[start:start + length]))
-        for _, rec_id, rec_category, start, length in rows
-    )
     try:
-        return DescriptorDatabase(spec, variant, records)
+        return DescriptorDatabase(spec, variant, first_line, categories, lengths, every)
     except ValueError as exc:
         raise DatabaseFormatError(f"{path.name}: {exc}") from exc
+
+
+def _parse_values(path: Path, linenos: list[int], texts: list[str]) -> np.ndarray:
+    """Every comma-separated value of ``texts`` as floats, in one parse.
+
+    numpy converts each token with Python's float(), so the values and the
+    tokens refused are those of float(). Only when the parse fails are the
+    lines parsed one by one, to name the first bad one.
+    """
+    joined = ",".join(text for text in texts if text)
+    try:
+        return np.array(joined.split(",") if joined else [], dtype=float)
+    except ValueError:
+        for lineno, text in zip(linenos, texts):
+            for token in text.split(",") if text else ():
+                try:
+                    float(token)
+                except ValueError as exc:
+                    raise DatabaseFormatError(
+                        f"{path.name}:{lineno}: bad record: {exc}") from exc
+        raise

@@ -197,7 +197,7 @@ def test_criterion_4_matcher_correctness(tmp_path):
         DescriptorRecord(f"rec-{i}", f"cat{i % 9}", vec(rng.random(int(rng.integers(3, 12)))))
         for i in range(200)
     )
-    db = DescriptorDatabase(spec, CIRC_RADIAL, records)
+    db = DescriptorDatabase.from_records(spec, CIRC_RADIAL, records)
     topk_bad = 0
     for trial in range(50):
         q = rng.random(int(rng.integers(3, 12)))

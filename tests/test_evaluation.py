@@ -44,14 +44,14 @@ def test_efficiency_twin_categories_is_100():
         rows.append((f"c{c}-1", f"c{c}", values))
         rows.append((f"c{c}-2", f"c{c}", values.copy()))
     recs = records_from(rows)
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
     assert retrieval_efficiency(db, recs, k=3) == 100.0
 
 
 def test_efficiency_singleton_categories_is_0():
     rng = np.random.default_rng(5)
     recs = records_from([(f"c{i}-1", f"c{i}", rng.random(6)) for i in range(8)])
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
     assert retrieval_efficiency(db, recs, k=3) == 0.0
 
 
@@ -63,7 +63,7 @@ def test_efficiency_validation():
         for i in range(5):
             rows.append((f"c{c}-{i}", f"c{c}", np.clip(base + rng.normal(0, 0.01, 6), 0, 1)))
     recs = records_from(rows)
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
     assert 0.0 <= retrieval_efficiency(db, recs, k=3) <= 100.0
     for score in (retrieval_efficiency, timed_retrieval):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ def test_timed_retrieval_accounting():
     rng = np.random.default_rng(7)
     rows = [(f"c{i % 3}-{i}", f"c{i % 3}", rng.random(5)) for i in range(12)]
     recs = records_from(rows)
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
     total, avg, eff = timed_retrieval(db, recs, k=3)
     assert avg == total / len(recs)
     assert total >= 0.0
@@ -113,11 +113,11 @@ def test_efficiency_invariant_to_record_order():
         for i in range(4):
             rows.append((f"c{c}-{i}", f"c{c}", np.clip(base + rng.normal(0, 0.02, 6), 0, 1)))
     recs = records_from(rows)
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(recs))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
     base_eff = retrieval_efficiency(db, recs, k=3)
     order = rng.permutation(len(recs))
     shuffled = [recs[i] for i in order]
-    db2 = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(shuffled))
+    db2 = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(shuffled))
     assert retrieval_efficiency(db2, shuffled, k=3) == base_eff
 
 

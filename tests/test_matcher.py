@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ def random_db(rng, n_records=200, categories=8, max_len=12):
             f"rec-{i}", f"cat{int(rng.integers(categories))}",
             vec(rng.random(length)),
         ))
-    return DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(records))
+    return DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(records))
 
 
 # ----------------------------------------------------------------- distance
@@ -87,7 +88,7 @@ def test_distance_matches_reference():
 # -------------------------------------------------------------------- query
 
 def test_query_single_record():
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.5, 0.5])),))
     matches = query(db, vec([0.5, 0.5]), 3)
     assert matches == [Match("a-1", "a", 0.0)]
@@ -96,7 +97,7 @@ def test_query_single_record():
 
 
 def test_query_validation():
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.5])),))
     with pytest.raises(ValueError):
         query(db, vec([0.5]), 0)
@@ -111,7 +112,7 @@ def test_query_ties_keep_insertion_order():
         DescriptorRecord("c-1", "c", vec([0.2, 0.2])),
         DescriptorRecord("d-1", "d", vec([0.9, 0.9])),
     )
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, records)
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records)
     got = [m.id for m in query(db, vec([0.2, 0.2]), 4)]
     assert got == ["a-1", "b-1", "c-1", "d-1"]
     got = [m.id for m in query(db, vec([0.2, 0.2]), 4, exclude_id="b-1")]
@@ -119,7 +120,7 @@ def test_query_ties_keep_insertion_order():
 
 
 def test_query_k_larger_than_database():
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.1])),
                              DescriptorRecord("b-1", "b", vec([0.4]))))
     assert len(query(db, vec([0.0]), 10)) == 2
@@ -149,15 +150,16 @@ def test_query_result_distances_non_decreasing():
 
 def db_of(*vectors):
     records = tuple(DescriptorRecord(f"r-{i}", f"c{i % 3}", vec(v)) for i, v in enumerate(vectors))
-    return DescriptorDatabase(SPEC, CIRC_RADIAL, records)
+    return DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records)
 
 
 def assert_matches_oracle(db, q, k, exclude_id=None):
     """query() equals the full-sort oracle; each distance is distance() exactly."""
     got = query(db, vec(q), k, exclude_id=exclude_id)
-    expected = ref_topk(db.records, list(q), k, exclude_id=exclude_id)
+    records = list(db.records)
+    expected = ref_topk(records, list(q), k, exclude_id=exclude_id)
     assert [m.id for m in got] == [rec_id for rec_id, _ in expected]
-    by_id = {rec.id: rec for rec in db.records}
+    by_id = {rec.id: rec for rec in records}
     for m, (_, dist) in zip(got, expected):
         assert m.distance == pytest.approx(dist, abs=1e-12)
         assert m.distance == distance(vec(q), by_id[m.id].vector)
@@ -191,7 +193,7 @@ def test_query_all_records_zero_length():
 
 
 def test_query_empty_database():
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, ())
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, ())
     assert ref_topk(db.records, [0.5], 3) == []
     with pytest.raises(EmptyDatabaseError):
         query(db, vec([0.5]), 3)
@@ -240,7 +242,7 @@ def test_query_randomized_against_oracle():
         if i % 7 == 0:
             values[rng.random(values.size) < 0.5] = 0.0
         records.append(DescriptorRecord(f"rec-{i}", f"cat{i % 5}", vec(values)))
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, tuple(records))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(records))
     for trial in range(1000):
         q = rng.random(int(rng.integers(0, 41)))
         exclude = f"rec-{int(rng.integers(70))}" if trial % 2 else None
@@ -258,15 +260,82 @@ def test_match_distance_equals_distance_exactly():
             assert m.distance == distance(by_id[m.id].vector, q)
 
 
+def one_array_distances(rows, q):
+    """The kernel before tail blocks: both sides padded to the longer width in one array."""
+    n, width = rows.shape
+    diff = np.zeros((max(n, 2), max(width, q.size)), order="F")
+    diff[:n, :width] = rows
+    diff[:n, :q.size] -= q
+    diff *= diff
+    return np.sqrt(diff.sum(axis=1)[:n])
+
+
+def test_distances_bit_identical_to_one_array_kernel(monkeypatch):
+    rng = np.random.default_rng(98)
+    for block in (2, 3, 7, 64, 1 << 20):
+        monkeypatch.setattr("rastershape.matcher._BLOCK_VALUES", block)
+        for _ in range(150):
+            rows = [rng.random(int(rng.integers(0, 12))) for _ in range(int(rng.integers(1, 9)))]
+            for v in rows:
+                v[rng.random(v.size) < 0.3] = 0.0
+            db = db_of(*rows)
+            q = rng.random(int(rng.integers(0, 40)))
+            got = {m.id: m.distance for m in query(db, vec(q), len(db))}
+            expected = one_array_distances(db.matrix, q)
+            assert np.array([got[i] for i in db.ids]).tobytes() == expected.tobytes()
+
+
+def test_long_query_memory_bounded():
+    # 1,000 one-value records and a 256,000-value query: a single padded
+    # difference array would be 1,000 x 256,000 float64, 2 GB
+    db = db_of(*([0.5] for _ in range(1000)))
+    q = vec(np.full(256_000, 0.25))
+    tracemalloc.start()
+    try:
+        got = query(db, q, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    # 256,000 squares of 0.25 sum exactly to 16,000
+    assert got == [Match(f"r-{i}", f"c{i}", math.sqrt(16_000.0)) for i in range(3)]
+
+
 # ----------------------------------------------------------------- database
 
 def test_database_validation():
     rec = DescriptorRecord("a-1", "a", vec([0.5]))
     with pytest.raises(ValueError, match="duplicate"):
-        DescriptorDatabase(SPEC, CIRC_RADIAL, (rec, DescriptorRecord("a-1", "b", vec([0.2]))))
+        DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (rec, DescriptorRecord("a-1", "b", vec([0.2]))))
     other = DescriptorRecord("b-1", "b", vec([0.5], spec=RasterSpec("circular", 16, 24)))
     with pytest.raises(ValueError, match="different spec"):
-        DescriptorDatabase(SPEC, CIRC_RADIAL, (rec, other))
+        DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (rec, other))
+
+
+def test_database_columns():
+    db = db_of([0.25, 0.5], [], [1.0, 0.0, 0.75])
+    assert db.ids == ("r-0", "r-1", "r-2")
+    assert db.categories == ("c0", "c1", "c2")
+    assert db.lengths.tolist() == [2, 0, 3]
+    assert db.matrix.tolist() == [[0.25, 0.5, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.75]]
+    assert db.matrix.flags.f_contiguous
+    for array in (db.matrix, db.lengths):
+        assert not array.flags.writeable
+    with pytest.raises(AttributeError):
+        db.ids = ()
+    assert len(db.records) == len(db) == 3
+    last = db.records[-1]
+    assert (last.id, last.category, last.vector.values.tolist()) == ("r-2", "c2", [1.0, 0.0, 0.75])
+    assert db.records[1].vector.values.size == 0
+    with pytest.raises(IndexError):
+        db.records[3]
+    assert [rec.id for rec in db.records] == list(db.ids)
+    with pytest.raises(ValueError, match="do not agree"):
+        DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1"], ["a"], [2], [0.5])
+    with pytest.raises(ValueError, match="duplicate record id 'a-1'"):
+        DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1", "b-1", "a-1"], ["a"] * 3, [0, 0, 0], [])
+    with pytest.raises(ValueError, match="needs a spiral raster"):
+        DescriptorDatabase(SPEC, SPIRAL_FULL, [], [], [], [])
 
 
 def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
@@ -277,7 +346,7 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="1001 records x 70000 values is above the cap"):
-            DescriptorDatabase(SPEC, CIRC_RADIAL, records)
+            DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,9 +360,9 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
     # the cap is inclusive
     monkeypatch.setattr("rastershape.matcher.MAX_DATABASE_VALUES", 6)
     pair = (DescriptorRecord("p-1", "p", vec([0.5, 0.5])),)
-    assert len(DescriptorDatabase(SPEC, CIRC_RADIAL, records[1:3] + pair)) == 3
+    assert len(DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records[1:3] + pair)) == 3
     with pytest.raises(ValueError, match="4 records x 2 values is above the cap of 6"):
-        DescriptorDatabase(SPEC, CIRC_RADIAL, records[1:4] + pair)
+        DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records[1:4] + pair)
 
 
 def test_save_refuses_fields_that_would_split_a_line(tmp_path):
@@ -303,18 +372,18 @@ def test_save_refuses_fields_that_would_split_a_line(tmp_path):
     for ch in ["\t", *breaks]:
         for rec_id, category, what in ((f"odd{ch}name-1", "odd", "id"),
                                        ("odd-1", f"odd{ch}name", "category")):
-            db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+            db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                                     (DescriptorRecord(rec_id, category, vec([0.5])),))
             with pytest.raises(ValueError, match=f"record .*: {what} holds a tab or line break"):
                 save_database(db, path)
             assert not path.exists()
     # an id that is not UTF-8 (a lone surrogate from an undecodable file name)
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL, (DescriptorRecord("\udcff-1", "a", vec([0.5])),))
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (DescriptorRecord("\udcff-1", "a", vec([0.5])),))
     with pytest.raises(UnicodeEncodeError):
         save_database(db, path)
     assert not path.exists()
     # other control characters and spaces round-trip
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("odd \x1f\x7fname-1", "odd \x1f", vec([0.5])),))
     save_database(db, path)
     loaded = load_database(path).records[0]
@@ -337,14 +406,14 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_empty_database(tmp_path):
-    db = DescriptorDatabase(RasterSpec("spiral", 16, 12), SPIRAL_FULL, ())
+    db = DescriptorDatabase.from_records(RasterSpec("spiral", 16, 12), SPIRAL_FULL, ())
     path = tmp_path / "empty.rdb"
     save_database(db, path)
     assert path.read_text().splitlines() == [
         "RASTERDB v1 kind=spiral variant=spiral_full sep=16 samples=12"
     ]
     loaded = load_database(path)
-    assert loaded.records == ()
+    assert len(loaded) == len(loaded.records) == 0
     assert loaded.spec == db.spec
 
 
@@ -369,6 +438,19 @@ def test_load_rejects_malformed(tmp_path):
          "a-1\ta\t2\t0.100000\n", "declared 2"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\n", "4 fields"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\t0.5\nb-1\tb\t2\t0.1,x\n",
+         r"\.rdb:3: bad record: could not convert string to float: 'x'"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\tone\t0.5\n",
+         r"\.rdb:2: bad record: invalid literal for int\(\) with base 10: 'one'"),
+        # a file with several faults names the first in file order
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\tx\nb-1\tb\n", r"\.rdb:2: bad record: .* 'x'"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t2\tx\n", r"\.rdb:2: bad record: .* 'x'"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\t0.5\nb-1\tb\t1\t7\nc-1\tc\t2\t0.5\n", r"\.rdb:4: declared 2"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 bogus=1\n",
          r"\.rdb:1: bad header field 'bogus=1'"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 sep=16\n",
@@ -383,6 +465,9 @@ def test_load_rejects_malformed(tmp_path):
         cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
                       "a-1\ta\t2\t0.100000,0.200000\n\n"
                       f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: value"))
+    # a bad value first on its line, after a zero-length record
+    cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+                  "a-1\ta\t1\t0.5\nb-1\tb\t0\t\nc-1\tc\t2\t1.5,0.5\n", r"\.rdb:4: value .*1\.5"))
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad-{i}.rdb"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -391,7 +476,7 @@ def test_load_rejects_malformed(tmp_path):
 
 
 def test_header_format_exact(tmp_path):
-    db = DescriptorDatabase(SPEC, CIRC_RADIAL,
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.123456789, 1.0])),))
     path = tmp_path / "one.rdb"
     save_database(db, path)

@@ -1,9 +1,15 @@
 """Property tests (Hypothesis): geometry and extraction against the oracles,
-and RASTERDB loading on damaged files.
+RASTERDB loading and querying on damaged files, the value parse against
+float(), and query against the full-sort oracle.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so a run is reproducible and leaves no files behind.
 """
+
+import contextlib
+import io
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +18,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract
-from rastershape.errors import DatabaseFormatError
+from rastershape.cli import main
+from rastershape.errors import DatabaseFormatError, EmptyDatabaseError
 from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
+    _parse_values,
+    distance,
     load_database,
+    query,
     save_database,
 )
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
-from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius, occlude
+from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius, occlude, save_image
 
 from conftest import grid_points
-from oracles import ref_centroid, ref_count_vector, ref_extract, ref_max_radius
+from oracles import ref_centroid, ref_count_vector, ref_extract, ref_max_radius, ref_topk
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -144,7 +154,7 @@ def rdb(tmp_path_factory):
                          ShapeVector("spiral_full", spec, np.linspace(0, 1, n)))
         for i, n in enumerate((3, 0, 5, 1)))
     path = tmp_path_factory.mktemp("rdb") / "db-1.rdb"
-    save_database(DescriptorDatabase(spec, "spiral_full", records), path)
+    save_database(DescriptorDatabase.from_records(spec, "spiral_full", records), path)
     return path, path.read_bytes()
 
 
@@ -168,8 +178,125 @@ def test_damaged_database_loads_or_raises_format_error(rdb, cut, noise, changes)
     loads_or_format_error(path, valid[:cut % (len(valid) + 1)])
     loads_or_format_error(path, noise)
     loads_or_format_error(path, valid.split(b"\n", 1)[0] + b"\n" + noise)
-    data = bytearray(valid)
+    loads_or_format_error(path, edited(valid, changes))
+
+
+def edited(data: bytes, changes) -> bytes:
+    """``data`` with each (at, drop, insert) edit applied in turn."""
+    data = bytearray(data)
     for at, drop, insert in changes:
         at %= len(data) + 1
         data[at:at + drop] = insert
-    loads_or_format_error(path, bytes(data))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def query_image(tmp_path_factory):
+    path = tmp_path_factory.mktemp("image") / "disk-1.pgm"
+    yy, xx = np.mgrid[0:15, 0:15]
+    save_image(BinaryShape.from_mask((yy - 7) ** 2 + (xx - 7) ** 2 <= 30), path)
+    return str(path)
+
+
+@FIXED
+@given(changes=edits)
+def test_cli_query_on_damaged_database_exits_0_or_2(rdb, query_image, changes):
+    path, valid = rdb
+    path.write_bytes(edited(valid, changes))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["query", str(path), query_image])
+    assert code in (0, 2), err.getvalue()
+
+
+# strings float() reads in unusual ways, and some it refuses
+ODD_FLOATS = ["1_0", " 0.5", "nan", "inf", "1e-3", "-0", ".5", "1.", "\u0663", "-nan",
+              "1e400", "Infinity", "\u20030.5", "0.5\n"]
+REFUSED = ["", "x", "1__0", "_1", "0x10", "0.5\x00", "\u0663\u066b5"]
+float_tokens = st.one_of(st.sampled_from(ODD_FLOATS), st.floats().map(repr),
+                         st.floats(0, 1).map("{:.6f}".format))
+junk_tokens = st.one_of(
+    st.sampled_from(REFUSED),
+    st.lists(st.sampled_from(" +-0123456789_.eE\u0663"), max_size=8).map("".join),
+    st.text(st.characters(exclude_characters=","), max_size=5),
+)
+
+
+def assert_parse_equals_float(lines) -> None:
+    """_parse_values gives float()'s values, or names the first token float() refuses."""
+    texts = [",".join(line) for line in lines]
+    linenos = list(range(2, 2 + len(texts)))
+    expected, fault = [], None
+    for lineno, text in zip(linenos, texts):
+        for token in text.split(",") if text else ():
+            try:
+                expected.append(float(token))
+            except ValueError as exc:
+                fault = fault or f"db.rdb:{lineno}: bad record: {exc}"
+    if fault is None:
+        got = _parse_values(Path("db.rdb"), linenos, texts)
+        assert got.tobytes() == struct.pack(f"{len(expected)}d", *expected)
+    else:
+        with pytest.raises(DatabaseFormatError) as info:
+            _parse_values(Path("db.rdb"), linenos, texts)
+        assert str(info.value) == fault
+
+
+def test_value_parse_equals_float_on_odd_tokens():
+    assert_parse_equals_float([ODD_FLOATS[:7], [], ODD_FLOATS[7:]])
+    for token in REFUSED:
+        assert_parse_equals_float([["0.5"], ["0.25", token]])
+
+
+@FIXED
+@given(lines=st.lists(st.lists(float_tokens, min_size=1, max_size=5), max_size=5),
+       junk=st.none() | st.tuples(st.integers(0, 30), junk_tokens))
+def test_value_parse_equals_float(lines, junk):
+    if junk is not None and lines:
+        at, token = junk
+        line = lines[at % len(lines)]
+        line.insert(at % (len(line) + 1), token)
+    assert_parse_equals_float(lines)
+
+
+# Multiples of 1/64 have six decimals, so a save/load round trip is exact,
+# and their squares and sums are exact, so ties in exact arithmetic are
+# ties in floating point too and the oracle's ranking is the only one.
+dyadic = st.integers(0, 64).map(lambda i: i / 64)
+dyadic_vectors = st.lists(dyadic, max_size=8)
+
+
+@pytest.fixture(scope="module")
+def db_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("query") / "q.rdb"
+
+
+@FIXED
+@given(rows=st.lists(dyadic_vectors, max_size=10), q=dyadic_vectors,
+       copy=st.integers(0, 12), k=st.integers(1, 12), exclude=st.none() | st.integers(0, 12))
+def test_query_equals_oracle_before_and_after_round_trip(db_path, rows, q, copy, k, exclude):
+    spec = RasterSpec("circular", 8, 24)
+    records = [DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector("circ_radial", spec, v))
+               for i, v in enumerate(rows)]
+    if copy < len(rows):  # a query equal to a record ties with each of its copies
+        q = rows[copy]
+    query_vector = ShapeVector("circ_radial", spec, q)
+    exclude_id = None if exclude is None else f"r-{exclude}"
+    expected = ref_topk(records, q, k, exclude_id=exclude_id)
+    db = DescriptorDatabase.from_records(spec, "circ_radial", records)
+    save_database(db, db_path)
+    loaded = load_database(db_path)
+    assert loaded.ids == db.ids and loaded.categories == db.categories
+    assert loaded.lengths.tolist() == db.lengths.tolist() == [len(v) for v in rows]
+    assert loaded.matrix.shape == db.matrix.shape
+    assert loaded.matrix.tobytes(order="F") == db.matrix.tobytes(order="F")
+    for d in (db, loaded):
+        if not expected:
+            with pytest.raises(EmptyDatabaseError):
+                query(d, query_vector, k, exclude_id=exclude_id)
+            continue
+        got = query(d, query_vector, k, exclude_id=exclude_id)
+        assert [(m.id, m.distance) for m in got] == expected
+        for m in got:
+            rec = records[int(m.id[2:])]
+            assert m.category == rec.category
+            assert m.distance == distance(query_vector, rec.vector)
