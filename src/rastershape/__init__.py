@@ -8,7 +8,7 @@ protocol over those vectors, including parameter sweeps and an occlusion
 robustness experiment.
 """
 
-from .descriptor import extract, extract_normalized
+from .descriptor import extract
 from .errors import (
     DatabaseFormatError,
     DatasetError,

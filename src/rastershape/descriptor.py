@@ -1,10 +1,9 @@
 """The four raster shape vectors.
 
-Each is a normalized count of lattice samples on foreground pixels: one sampler
-sums the (cycle, angle) hits per row (radial / full-cycle) or per column
+Each is a normalized count of lattice samples on foreground pixels.
+``extract`` is the one way from a shape and a spec to a ShapeVector: it sums
+the (cycle, angle) hits per row (radial / full-cycle) or per column
 (angular), or keeps them all (fixed-angle, one per spiral arc segment).
-``extract`` is the one way from a shape and an integer spec to a ShapeVector;
-``extract_normalized`` samples a fractional-separation lattice into bare values.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .raster import (
     RasterSpec,
     circular_grid,
     cycle_count,
-    lattice,
     spiral_grid,
 )
 from .shape_io import BinaryShape, centroid, contains_points, max_radius
@@ -73,17 +71,6 @@ def variant_kind(variant: str, spec: RasterSpec | None = None) -> str:
     return kind
 
 
-def _sample(shape: BinaryShape, variant: str, xs: np.ndarray, ys: np.ndarray,
-            samples: int) -> np.ndarray:
-    """Values of ``variant`` from lattice points given flat in (cycle, angle) order."""
-    inside = contains_points(shape, xs, ys).reshape(-1, samples)
-    if variant in (CIRC_RADIAL, SPIRAL_FULL):
-        return inside.sum(axis=1) / samples
-    if variant == CIRC_ANGULAR:
-        return inside.sum(axis=0) / len(inside)
-    return inside.ravel().astype(float)
-
-
 def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
     """Full pipeline: centroid, extent, cycle count, grid, then grouping."""
     variant_kind(variant, spec)
@@ -91,24 +78,12 @@ def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
     n = cycle_count(spec, max_radius(shape, c))
     build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
     grid = build(c, spec, n)
-    return ShapeVector(variant, spec, _sample(shape, variant, grid.xs, grid.ys,
-                                              spec.samples_per_cycle))
-
-
-def extract_normalized(shape: BinaryShape, variant: str, n_cycles: int,
-                       samples_per_cycle: int) -> np.ndarray:
-    """Scale-normalized extraction: fixed cycle count, separation r_max/n.
-
-    Every shape yields the same vector length under a given (n_cycles,
-    samples_per_cycle), which makes the values roughly scale-invariant.
-    The separation is fractional, so the result is a bare value array; it
-    has no integer-pixel RasterSpec and cannot go into a descriptor
-    database.
-    """
-    kind = variant_kind(variant)
-    if n_cycles < 1 or samples_per_cycle < 1:
-        raise ValueError("n_cycles and samples_per_cycle must be positive")
-    c = centroid(shape)
-    _, dx, dy = lattice(kind, max_radius(shape, c) / n_cycles, samples_per_cycle, n_cycles)
-    return _sample(shape, variant, (c.cx + dx).ravel(), (c.cy + dy).ravel(),
-                   samples_per_cycle)
+    samples = spec.samples_per_cycle
+    inside = contains_points(shape, grid.xs, grid.ys).reshape(n, samples)
+    if variant in (CIRC_RADIAL, SPIRAL_FULL):
+        values = inside.sum(axis=1) / samples
+    elif variant == CIRC_ANGULAR:
+        values = inside.sum(axis=0) / n
+    else:
+        values = inside.ravel().astype(float)
+    return ShapeVector(variant, spec, values)

@@ -303,7 +303,7 @@ def load_database(path) -> DescriptorDatabase:
         at = int(np.argmax(bad))
         row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise DatabaseFormatError(
-            f"{path.name}:{linenos[row]}: value {every[at]!r} outside [0, 1]"
+            f"{path.name}:{linenos[row]}: value {float(every[at])} outside [0, 1]"
         )
     try:
         return DescriptorDatabase(spec, variant, first_line, categories, lengths, every)

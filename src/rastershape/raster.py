@@ -1,12 +1,13 @@
 """Sample-point lattices: concentric circles and Archimedean spirals.
 
-A lattice is an (n_cycles, samples_per_cycle) array: row k is cycle k and
-column j the j-th angle; grids keep its points flat in that order. Angle zero
-points along +x; the image y axis points down, so angles run counter-clockwise.
+A spec's lattice is its (dx, dy) offset table from the center, each an
+(n_cycles, samples_per_cycle) array: row k is cycle k and column j the j-th
+angle; grids keep its points flat in that order. Angle zero points along +x;
+the image y axis points down, so angles run counter-clockwise.
 
-Row k does not depend on the cycle count, so the grid builders build the
-lattice once per spec, keep the largest built so far on the spec, and take
-its first n_cycles rows.
+Row k does not depend on the cycle count, so one private function makes the
+table once per spec and keeps the largest built so far on the spec;
+``circular_grid`` and ``spiral_grid`` take its first n_cycles rows.
 """
 
 from __future__ import annotations
@@ -79,27 +80,6 @@ def unit_circle_samples(samples: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def lattice(kind: str, separation: float, samples: int, n_cycles: int):
-    """Offsets from the center: (radii, dx, dy), each of shape (n_cycles, samples).
-
-    ``separation`` may be fractional: the grid builders pass a RasterSpec's
-    integer separation, the scale-normalized descriptor mode r_max / n_cycles.
-    More than ``MAX_LATTICE_POINTS`` samples raise ValueError before any allocation.
-    """
-    if max(n_cycles, 1) * samples > MAX_LATTICE_POINTS:
-        raise ValueError(f"lattice of {n_cycles} cycles x {samples} samples is above "
-                         f"the cap of {MAX_LATTICE_POINTS} points")
-    separation = float(separation)
-    cos, sin = unit_circle_samples(samples)
-    k = np.arange(n_cycles)[:, None]
-    if kind == KIND_SPIRAL:
-        # rho = d*(k + j/s), one division so dyadic sample counts stay exact
-        radii = separation * (k * samples + np.arange(samples)) / samples
-    else:
-        radii = np.broadcast_to((k + 1) * separation, (n_cycles, samples))
-    return radii, radii * cos, -radii * sin
-
-
 def cycle_count(spec: RasterSpec, r_max: float) -> int:
     """Cycles needed for the lattice to reach radius ``r_max``.
 
@@ -117,17 +97,29 @@ def cycle_count(spec: RasterSpec, r_max: float) -> int:
 
 
 def _offsets(spec: RasterSpec, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``n_cycles`` rows of ``spec``'s (dx, dy) lattice, built once per spec.
+    """The first ``n_cycles`` rows of ``spec``'s read-only (dx, dy) lattice.
 
     Row k does not depend on the cycle count, so a smaller lattice is an exact
-    prefix of a larger one; the spec keeps the largest built so far, at most
-    ``MAX_LATTICE_POINTS`` points.
+    prefix of a larger one; the spec keeps the largest built so far. More than
+    ``MAX_LATTICE_POINTS`` points raise ValueError before any allocation.
     """
     offsets = spec._offsets
     if offsets is None or len(offsets[0]) < n_cycles:
-        _, dx, dy = lattice(spec.kind, spec.separation_px, spec.samples_per_cycle, n_cycles)
-        dx.flags.writeable = dy.flags.writeable = False
-        offsets = (dx, dy)
+        samples = spec.samples_per_cycle
+        if n_cycles * samples > MAX_LATTICE_POINTS:
+            raise ValueError(f"lattice of {n_cycles} cycles x {samples} samples is above "
+                             f"the cap of {MAX_LATTICE_POINTS} points")
+        d = float(spec.separation_px)
+        k = np.arange(n_cycles)[:, None]
+        if spec.kind == KIND_SPIRAL:
+            # rho = d*(k + j/s), one division so dyadic sample counts stay exact
+            radii = d * (k * samples + np.arange(samples)) / samples
+        else:
+            radii = (k + 1) * d  # one radius per circle, broadcast over its samples
+        cos, sin = unit_circle_samples(samples)
+        offsets = (radii * cos, -radii * sin)
+        for arr in offsets:
+            arr.flags.writeable = False
         object.__setattr__(spec, "_offsets", offsets)
     return offsets[0][:n_cycles], offsets[1][:n_cycles]
 

@@ -2,8 +2,9 @@
 
 Shapes are single-object binary masks (MPEG-7 CE-Shape-1 style). PBM
 (P1/P4) and PGM (P2/P5) files are supported; other formats must be
-converted first. All operations here are pure and masks are frozen after
-construction.
+converted first. A ``BinaryShape`` is built from its mask alone, and
+``width`` and ``height`` are the mask's shape. All operations here are
+pure and masks are frozen after construction.
 
 Geometry is computed once per shape and kept on it: ``centroid`` from the
 row and column sums, ``max_radius`` from each row's leftmost and rightmost
@@ -55,13 +56,12 @@ class Centroid:
 class BinaryShape:
     """A binary pixel mask with retrieval labels.
 
-    ``mask[y, x]`` is True on foreground pixels. ``category`` is the class
-    label used by retrieval scoring; for files named like ``apple-3.pgm``
-    it is the stem up to the last dash.
+    ``mask[y, x]`` is True on foreground pixels; it must be 2-D and at
+    least 1x1, and ``width`` and ``height`` are its shape. ``category`` is
+    the class label used by retrieval scoring; for files named like
+    ``apple-3.pgm`` it is the stem up to the last dash.
     """
 
-    width: int
-    height: int
     mask: np.ndarray
     id: str = ""
     category: str = ""
@@ -70,21 +70,19 @@ class BinaryShape:
     _r_max: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image must be at least 1x1")
         mask = np.array(self.mask, dtype=bool)
-        if mask.shape != (self.height, self.width):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match "
-                f"height={self.height} width={self.width}"
-            )
+        if mask.ndim != 2 or mask.size == 0:
+            raise ValueError(f"mask must be 2-D and at least 1x1, got shape {mask.shape}")
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_mask(cls, mask, id: str = "", category: str = "") -> "BinaryShape":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(mask.shape[1], mask.shape[0], mask, id, category)
+    @property
+    def width(self) -> int:
+        return self.mask.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.mask.shape[0]
 
 
 def category_of(stem: str) -> str:
@@ -176,8 +174,8 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     if invert:
         foreground = ~foreground
 
-    return BinaryShape(width, height, foreground.reshape(height, width),
-                       id=path.stem, category=category_of(path.stem))
+    return BinaryShape(foreground.reshape(height, width), id=path.stem,
+                       category=category_of(path.stem))
 
 
 def save_image(shape: BinaryShape, path, format: str = "P5") -> None:
@@ -303,5 +301,4 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     mask = np.array(shape.mask)
     erase = order[:m]
     mask[ys[erase], xs[erase]] = False
-    return BinaryShape(shape.width, shape.height, mask,
-                       id=shape.id + "-occ", category=shape.category)
+    return BinaryShape(mask, id=shape.id + "-occ", category=shape.category)

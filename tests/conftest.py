@@ -53,7 +53,7 @@ def blob_shape(seed: int, size: int = 96, coprime6: bool = False,
                id: str = "blob-1") -> BinaryShape:
     rng = np.random.default_rng(seed)
     mask = coprime6_blob_mask(rng, size) if coprime6 else random_blob_mask(rng, size)
-    return BinaryShape.from_mask(mask, id=id, category="blob")
+    return BinaryShape(mask, id=id, category="blob")
 
 
 def grid_points(grid) -> list[tuple[float, float, int, int]]:

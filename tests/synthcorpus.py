@@ -144,7 +144,7 @@ def make_corpus(categories=CATEGORIES, samples: int = 20, size: int = 336,
             mask = make_sample(name, rng, size, base_radius * factor,
                                max_shift, noise, max_rotation)
             assert mask.any(), f"empty sample {name}-{i + 1}"
-            shapes.append(BinaryShape.from_mask(mask, id=f"{name}-{i + 1}", category=name))
+            shapes.append(BinaryShape(mask, id=f"{name}-{i + 1}", category=name))
     return shapes
 
 

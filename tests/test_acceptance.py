@@ -118,9 +118,9 @@ def test_criterion_3_invariance_suite():
              for t in range(5)]
     while shifts < 25:
         mask = masks[shifts % len(masks)]
-        shape = BinaryShape.from_mask(mask, id="b-1")
+        shape = BinaryShape(mask, id="b-1")
         dx, dy = (int(v) for v in rng.integers(-18, 19, 2))
-        moved = BinaryShape.from_mask(np.roll(np.roll(mask, dy, 0), dx, 1), id="b-2")
+        moved = BinaryShape(np.roll(np.roll(mask, dy, 0), dx, 1), id="b-2")
         good = True
         for variant in VARIANTS:
             spec = RasterSpec(kind_of(variant), 8, 6)
@@ -132,8 +132,8 @@ def test_criterion_3_invariance_suite():
     rotation_ok = 0
     for t in range(5):
         mask = coprime6_blob_mask(np.random.default_rng(6000 + t), size=96)
-        shape = BinaryShape.from_mask(mask, id="b-1")
-        turned = BinaryShape.from_mask(rot90ccw(mask), id="b-2")
+        shape = BinaryShape(mask, id="b-1")
+        turned = BinaryShape(rot90ccw(mask), id="b-2")
         good = True
         for s in (4, 8, 12, 24):
             spec = RasterSpec("circular", 8, s)

@@ -9,7 +9,6 @@ from rastershape.descriptor import (
     VARIANTS,
     ShapeVector,
     extract,
-    extract_normalized,
 )
 from rastershape.errors import EmptyShapeError
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
@@ -22,20 +21,20 @@ from oracles import ref_count_vector, ref_extract
 def disk_shape(radius=100, size=211):
     yy, xx = np.mgrid[0:size, 0:size]
     c = size // 2
-    return BinaryShape.from_mask((xx - c) ** 2 + (yy - c) ** 2 <= radius ** 2, id="disk-1")
+    return BinaryShape((xx - c) ** 2 + (yy - c) ** 2 <= radius ** 2, id="disk-1")
 
 
 def annulus_shape(inner=40, outer=80, size=171):
     yy, xx = np.mgrid[0:size, 0:size]
     c = size // 2
     d2 = (xx - c) ** 2 + (yy - c) ** 2
-    return BinaryShape.from_mask((d2 >= inner ** 2) & (d2 <= outer ** 2), id="ring-1")
+    return BinaryShape((d2 >= inner ** 2) & (d2 <= outer ** 2), id="ring-1")
 
 
 def single_pixel_shape():
     mask = np.zeros((15, 15), dtype=bool)
     mask[7, 5] = True
-    return BinaryShape.from_mask(mask, id="dot-1")
+    return BinaryShape(mask, id="dot-1")
 
 
 # ---------------------------------------------------------- analytic fixtures
@@ -103,7 +102,7 @@ def test_values_in_unit_range():
 
 
 def test_empty_shape_rejected():
-    empty = BinaryShape.from_mask(np.zeros((5, 5), dtype=bool), id="void-1")
+    empty = BinaryShape(np.zeros((5, 5), dtype=bool), id="void-1")
     with pytest.raises(EmptyShapeError):
         extract(empty, RasterSpec("circular", 8, 4), CIRC_RADIAL)
 
@@ -150,10 +149,10 @@ def test_translation_invariance_all_variants():
     rng = np.random.default_rng(50)
     for trial in range(5):
         mask = coprime6_blob_mask(np.random.default_rng(500 + trial), size=128)
-        shape = BinaryShape.from_mask(mask, id="b-1")
+        shape = BinaryShape(mask, id="b-1")
         for _ in range(5):
             dx, dy = (int(v) for v in rng.integers(-18, 19, 2))
-            moved = BinaryShape.from_mask(np.roll(np.roll(mask, dy, 0), dx, 1), id="b-2")
+            moved = BinaryShape(np.roll(np.roll(mask, dy, 0), dx, 1), id="b-2")
             for variant in VARIANTS:
                 kind = "circular" if variant.startswith("circ") else "spiral"
                 spec = RasterSpec(kind, 8, 6)
@@ -174,8 +173,8 @@ def rot90ccw(mask):
 def test_rotation_90_circ_radial_invariant_angular_shifted():
     for trial in range(8):
         mask = coprime6_blob_mask(np.random.default_rng(900 + trial), size=96)
-        shape = BinaryShape.from_mask(mask, id="b-1")
-        turned = BinaryShape.from_mask(rot90ccw(mask), id="b-2")
+        shape = BinaryShape(mask, id="b-1")
+        turned = BinaryShape(rot90ccw(mask), id="b-2")
         for s in (4, 8, 12, 24):
             spec = RasterSpec("circular", 8, s)
             r1 = extract(shape, spec, CIRC_RADIAL)
@@ -248,33 +247,3 @@ def test_extract_matches_straight_line_reimplementation():
                 "circular" if variant.startswith("circ") else "spiral", d, s), variant)
             expected = ref_extract(rows, shape.width, shape.height, variant, d, s)
             assert got.values.tolist() == expected
-
-
-# ------------------------------------------------------------ normalized mode
-
-def test_extract_normalized_fixed_length():
-    small = disk_shape(radius=30, size=71)
-    large = disk_shape(radius=90, size=191)
-    for variant, length in [(CIRC_RADIAL, 6), (CIRC_ANGULAR, 10),
-                            (SPIRAL_FULL, 6), (SPIRAL_FIXED, 60)]:
-        a = extract_normalized(small, variant, 6, 10)
-        b = extract_normalized(large, variant, 6, 10)
-        assert a.shape == b.shape
-        assert np.all((a >= 0) & (a <= 1))
-    a = extract_normalized(small, CIRC_RADIAL, 6, 10)
-    b = extract_normalized(large, CIRC_RADIAL, 6, 10)
-    assert len(a) == 6
-    # the outermost circle sits exactly on the extremal radius, where pixel
-    # rounding is a knife edge; interior entries must agree across scales
-    assert np.allclose(a[:-1], b[:-1], atol=0.12)
-
-
-def test_extract_normalized_validation():
-    shape = single_pixel_shape()
-    with pytest.raises(ValueError):
-        extract_normalized(shape, CIRC_RADIAL, 0, 10)
-    with pytest.raises(ValueError):
-        extract_normalized(shape, "fourier", 4, 10)
-    # degenerate single pixel: every sample collapses onto the centroid
-    values = extract_normalized(shape, CIRC_RADIAL, 4, 8)
-    assert values.tolist() == [1.0, 1.0, 1.0, 1.0]

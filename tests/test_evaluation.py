@@ -149,7 +149,7 @@ def test_sweep_trend_on_toy_corpus(toy_corpus):
 def test_sweep_rejects_empty_and_broken_datasets():
     with pytest.raises(DatasetError):
         sweep([], CIRC_RADIAL)
-    empty = BinaryShape.from_mask(np.zeros((4, 4), dtype=bool), id="void-7")
+    empty = BinaryShape(np.zeros((4, 4), dtype=bool), id="void-7")
     with pytest.raises(DatasetError, match="void-7"):
         sweep([blob_shape(1, id="b-1"), empty], CIRC_RADIAL,
               separations=(8,), samples=(4,))

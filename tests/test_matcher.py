@@ -467,7 +467,7 @@ def test_load_rejects_malformed(tmp_path):
                       f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: value"))
     # a bad value first on its line, after a zero-length record
     cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-                  "a-1\ta\t1\t0.5\nb-1\tb\t0\t\nc-1\tc\t2\t1.5,0.5\n", r"\.rdb:4: value .*1\.5"))
+                  "a-1\ta\t1\t0.5\nb-1\tb\t0\t\nc-1\tc\t2\t1.5,0.5\n", r"\.rdb:4: value 1\.5 outside \[0, 1\]$"))
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad-{i}.rdb"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

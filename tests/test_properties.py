@@ -1,6 +1,7 @@
 """Property tests (Hypothesis): geometry and extraction against the oracles,
 RASTERDB loading and querying on damaged files, the value parse against
-float(), and query against the full-sort oracle.
+float(), query against the full-sort oracle, and PNM decoding and the CLI
+commands on damaged images and sweep CSVs.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so a run is reproducible and leaves no files behind.
@@ -9,6 +10,7 @@ database, so a run is reproducible and leaves no files behind.
 import contextlib
 import io
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract
 from rastershape.cli import main
-from rastershape.errors import DatabaseFormatError, EmptyDatabaseError
+from rastershape.errors import DatabaseFormatError, EmptyDatabaseError, PnmFormatError
 from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
@@ -30,7 +32,16 @@ from rastershape.matcher import (
     save_database,
 )
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
-from rastershape.shape_io import BinaryShape, Centroid, centroid, max_radius, occlude, save_image
+from rastershape.shape_io import (
+    MAX_PIXELS,
+    BinaryShape,
+    Centroid,
+    centroid,
+    load_image,
+    max_radius,
+    occlude,
+    save_image,
+)
 
 from conftest import grid_points
 from oracles import ref_centroid, ref_count_vector, ref_extract, ref_max_radius, ref_topk
@@ -76,7 +87,7 @@ points = st.builds(Centroid, st.floats(-40.0, 70.0), st.floats(-40.0, 70.0))
 @FIXED
 @given(mask=geometry_masks, c=points)
 def test_geometry_equals_oracle(mask, c):
-    shape = BinaryShape.from_mask(mask, id="g-1")
+    shape = BinaryShape(mask, id="g-1")
     rows = mask.tolist()
     # any point first: it must not stand in for the centroid's r_max
     assert max_radius(shape, c) == ref_max_radius(rows, c.cx, c.cy)
@@ -94,7 +105,7 @@ def test_geometry_equals_oracle(mask, c):
 @given(mask=masks.filter(lambda m: m.sum() > 1), fraction=st.floats(0.0, 0.9),
        seed=st.integers(0, 2**32 - 1))
 def test_occluded_shape_has_its_own_geometry(mask, fraction, seed):
-    shape = BinaryShape.from_mask(mask, id="g-1")
+    shape = BinaryShape(mask, id="g-1")
     parent = centroid(shape), max_radius(shape, centroid(shape))
     cut = occlude(shape, fraction, seed)
     assert cut.mask.any()
@@ -122,7 +133,7 @@ def on_half_pixel(grid) -> bool:
 def test_vector_on_grid_equals_count_oracle(mask, cell):
     # membership and grouping over the points of the grid extract builds, ties included
     variant, d, s = cell
-    shape = BinaryShape.from_mask(mask, id="h-1")
+    shape = BinaryShape(mask, id="h-1")
     grid = grid_for(shape, RasterSpec(VARIANT_KIND[variant], d, s))
     expected = ref_count_vector(mask.tolist(), shape.width, shape.height, variant, s,
                                 grid.n_cycles, grid_points(grid))
@@ -138,7 +149,7 @@ def test_extract_equals_straight_line_oracle(mask, cell):
     # pixels in the two (mask [[1, 1]], d=1, s=12 is one such case), so the
     # comparison is made away from such ties; the test above covers them.
     variant, d, s = cell
-    shape = BinaryShape.from_mask(mask, id="h-1")
+    shape = BinaryShape(mask, id="h-1")
     spec = RasterSpec(VARIANT_KIND[variant], d, s)
     assume(not on_half_pixel(grid_for(shape, spec)))
     expected = ref_extract(mask.tolist(), shape.width, shape.height, variant, d, s)
@@ -194,7 +205,7 @@ def edited(data: bytes, changes) -> bytes:
 def query_image(tmp_path_factory):
     path = tmp_path_factory.mktemp("image") / "disk-1.pgm"
     yy, xx = np.mgrid[0:15, 0:15]
-    save_image(BinaryShape.from_mask((yy - 7) ** 2 + (xx - 7) ** 2 <= 30), path)
+    save_image(BinaryShape((yy - 7) ** 2 + (xx - 7) ** 2 <= 30), path)
     return str(path)
 
 
@@ -203,8 +214,12 @@ def query_image(tmp_path_factory):
 def test_cli_query_on_damaged_database_exits_0_or_2(rdb, query_image, changes):
     path, valid = rdb
     path.write_bytes(edited(valid, changes))
+    assert_exits_0_or_2(["query", str(path), query_image])
+
+
+def assert_exits_0_or_2(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["query", str(path), query_image])
+        code = main(argv)
     assert code in (0, 2), err.getvalue()
 
 
@@ -300,3 +315,99 @@ def test_query_equals_oracle_before_and_after_round_trip(db_path, rows, q, copy,
             rec = records[int(m.id[2:])]
             assert m.category == rec.category
             assert m.distance == distance(query_vector, rec.vector)
+
+
+# one small valid file per netpbm format, split where its raster starts
+VALID_PNM = [
+    (b"P1\n# bits\n5 3\n", b"10110\n0 1 0 0 1\n11111\n"),
+    (b"P2\n4 2 # dims\n255\n", b"0 17 255 128\n#row\n3 200 64 9\n"),
+    (b"P4\n10 2\n", bytes([0x80, 0x40, 0x61, 0xC0])),
+    (b"P5 3\n2 200\n", bytes([0, 200, 7, 199, 150, 130])),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def loads_or_pnm_error(path, data: bytes) -> None:
+    """load_image gives a shape or a PnmFormatError, allocating far less than MAX_PIXELS."""
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        assert isinstance(load_image(path), BinaryShape)
+    except PnmFormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < MAX_PIXELS // 64
+
+
+@st.composite
+def damaged_pnm(draw) -> bytes:
+    """A valid file cut short, its header before random bytes, or edited."""
+    header, raster = draw(st.sampled_from(VALID_PNM))
+    valid = header + raster
+    how = draw(st.sampled_from(("cut", "noise", "edit")))
+    if how == "cut":
+        return valid[:draw(st.integers(0, len(valid)))]
+    if how == "noise":
+        return header + draw(st.binary(max_size=100))
+    return edited(valid, draw(edits))
+
+
+@FIXED
+@given(data=damaged_pnm(), noise=st.binary(max_size=300))
+def test_damaged_pnm_loads_or_raises_format_error(fuzz_dir, data, noise):
+    path = fuzz_dir / "fuzz-1.pgm"
+    loads_or_pnm_error(path, data)
+    loads_or_pnm_error(path, noise)
+
+
+@FIXED
+@given(data=damaged_pnm())
+def test_cli_query_on_damaged_image_exits_0_or_2(rdb, fuzz_dir, data):
+    path, valid = rdb
+    path.write_bytes(valid)
+    image = fuzz_dir / "query-1.pgm"
+    image.write_bytes(data)
+    assert_exits_0_or_2(["query", str(path), str(image)])
+
+
+@pytest.fixture(scope="module")
+def image_dir(tmp_path_factory):
+    """Six valid images in three categories; tests add one damaged file."""
+    directory = tmp_path_factory.mktemp("images")
+    yy, xx = np.mgrid[0:15, 0:15]
+    for i, r2 in enumerate((30, 20, 12, 40, 25, 16)):
+        save_image(BinaryShape((yy - 7) ** 2 + (xx - 7) ** 2 <= r2), directory / f"c{i % 3}-{i}.pgm")
+    return directory
+
+
+@FIXED
+@given(data=damaged_pnm())
+def test_cli_index_and_sweep_on_damaged_file_exit_0_or_2(image_dir, fuzz_dir, data):
+    (image_dir / "c0-9.pgm").write_bytes(data)
+    assert_exits_0_or_2(["index", str(image_dir), "--variant", "spiral_fixed", "--sep", "4",
+                         "--samples", "6", "--out", str(fuzz_dir / "index.rdb")])
+    assert_exits_0_or_2(["sweep", str(image_dir), "--variant", "circ_radial", "--seps", "4",
+                         "--samples", "6", "--k", "2"])
+
+
+VALID_SWEEP_CSV = (b"variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
+                   b"circ_radial,toy,8,4,50.0,0.012,0.001\n"
+                   b"circ_radial,toy,8,24,75.5,0.020,0.002\n"
+                   b"circ_radial,toy,16,4,25.0,0.010,0.001\n")
+
+
+@FIXED
+@given(cut=st.integers(0, 10**6), noise=st.binary(max_size=100), changes=edits)
+def test_cli_report_on_damaged_sweep_csv_exits_0_or_2(fuzz_dir, cut, noise, changes):
+    path = fuzz_dir / "sweep.csv"
+    header = VALID_SWEEP_CSV.split(b"\n", 1)[0] + b"\n"
+    for data in (VALID_SWEEP_CSV[:cut % (len(VALID_SWEEP_CSV) + 1)], header + noise,
+                 edited(VALID_SWEEP_CSV, changes)):
+        path.write_bytes(data)
+        assert_exits_0_or_2(["report", str(path)])

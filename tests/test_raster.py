@@ -8,7 +8,6 @@ from rastershape.raster import (
     RasterSpec,
     circular_grid,
     cycle_count,
-    lattice,
     spiral_grid,
     unit_circle_samples,
 )
@@ -16,6 +15,16 @@ from rastershape.shape_io import Centroid
 
 from conftest import grid_points
 from oracles import ref_grid_points
+
+ORIGIN = Centroid(0.0, 0.0)
+
+
+def origin_offsets(kind, separation, samples, n_cycles):
+    """(dx, dy) of a fresh spec's lattice, each (n_cycles, samples), read off
+    a grid built at the origin."""
+    build = circular_grid if kind == "circular" else spiral_grid
+    grid = build(ORIGIN, RasterSpec(kind, separation, samples), n_cycles)
+    return grid.xs.reshape(n_cycles, samples), grid.ys.reshape(n_cycles, samples)
 
 
 def test_spec_validation():
@@ -36,18 +45,15 @@ def test_lattice_size_capped_before_allocation():
     for n_cycles, samples in [(1, 10**9), (0, 10**9), (10**9, 24), (1, MAX_LATTICE_POINTS + 1)]:
         tracemalloc.start()
         try:
+            # the spec refuses too many samples, the grid too many points
             with pytest.raises(ValueError, match="above the cap"):
-                lattice("spiral", 1, samples, n_cycles)
-            if samples <= MAX_LATTICE_POINTS:
-                # the grid builders' per-spec lattice goes through the same check
-                with pytest.raises(ValueError, match="above the cap"):
-                    spiral_grid(Centroid(0.0, 0.0), RasterSpec("spiral", 1, samples), n_cycles)
+                spiral_grid(ORIGIN, RasterSpec("spiral", 1, samples), n_cycles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-    radii, _, _ = lattice("circular", 1, MAX_LATTICE_POINTS // 64, 64)
-    assert radii.size == MAX_LATTICE_POINTS
+    spec = RasterSpec("circular", 1, MAX_LATTICE_POINTS // 64)
+    assert len(circular_grid(ORIGIN, spec, 64)) == MAX_LATTICE_POINTS
 
 
 def test_cycle_count_examples():
@@ -69,7 +75,7 @@ def test_circular_grid_right_angles_exact():
                    (20.0, 0.0), (0.0, -20.0), (-20.0, 0.0), (0.0, 20.0)]
     # (cycle, angle) order: cycle 0 first, each cycle from angle 0 upward
     assert grid.n_cycles == 2 and len(grid) == 8
-    assert lattice("circular", 10, 4, 2)[0].ravel().tolist() == [10.0] * 4 + [20.0] * 4
+    assert np.hypot(grid.xs, grid.ys).tolist() == [10.0] * 4 + [20.0] * 4
     assert [(k, j) for _, _, k, j in grid_points(grid)] == [
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
 
@@ -96,7 +102,7 @@ def test_spiral_grid_first_turn_exact():
 
 
 def test_spiral_same_angle_radial_steps():
-    radii, _, _ = lattice("spiral", 8, 24, 6)
+    radii = np.hypot(*origin_offsets("spiral", 8, 24, 6))
     steps = np.diff(radii, axis=0)
     assert np.all(np.abs(steps - 8.0) <= 1e-9)
 
@@ -106,17 +112,20 @@ def test_radius_formula_within_tolerance():
     for spec, build in [(RasterSpec("circular", 24, 12), circular_grid),
                         (RasterSpec("spiral", 24, 12), spiral_grid)]:
         grid = build(center, spec, 5)
-        radii, _, _ = lattice(spec.kind, 24, 12, 5)
+        radii = np.hypot(*origin_offsets(spec.kind, 24, 12, 5))
         measured = np.hypot(grid.xs - center.cx, grid.ys - center.cy)
         assert np.all(np.abs(measured - radii.ravel()) <= 1e-9)
 
 
 def test_radial_monotonicity():
-    radii, _, _ = lattice("circular", 8, 6, 4)
+    # angle 0 lies on +x, so column 0 of dx is each circle's radius, exactly
+    dx, dy = origin_offsets("circular", 8, 6, 4)
+    radii = dx[:, :1]
     assert np.all(np.diff(radii[:, 0]) == 8.0)
-    assert np.all(radii == radii[:, :1])
+    cos, sin = unit_circle_samples(6)
+    assert np.array_equal(dx, radii * cos) and np.array_equal(dy, -radii * sin)
 
-    spiral = lattice("spiral", 8, 6, 4)[0].ravel()
+    spiral = np.hypot(*origin_offsets("spiral", 8, 6, 4)).ravel()
     assert spiral[0] == 0.0
     assert np.all(np.diff(spiral) > 0)
 
@@ -189,29 +198,27 @@ def test_lattice_is_cycle_by_angle():
     # row k is cycle k, column j the j-th angle; grids are the flat layout
     cos, sin = unit_circle_samples(6)
     for kind in ("circular", "spiral"):
-        radii, dx, dy = lattice(kind, 8, 6, 3)
-        assert radii.shape == dx.shape == dy.shape == (3, 6)
+        dx, dy = origin_offsets(kind, 8, 6, 3)
         for k in range(3):
             for j in range(6):
                 rho = 8.0 * (k + 1) if kind == "circular" else 8.0 * (6 * k + j) / 6
-                assert radii[k, j] == rho
                 assert dx[k, j] == rho * cos[j] and dy[k, j] == -rho * sin[j]
         build = circular_grid if kind == "circular" else spiral_grid
         grid = build(Centroid(20.5, 7.25), RasterSpec(kind, 8, 6), 3)
         assert np.array_equal(grid.xs, (20.5 + dx).ravel())
         assert np.array_equal(grid.ys, (7.25 + dy).ravel())
         assert not (grid.xs.flags.writeable or grid.ys.flags.writeable)
-    radii, dx, dy = lattice("circular", 8, 6, 0)
-    assert radii.shape == dx.shape == dy.shape == (0, 6)
+    dx, dy = origin_offsets("circular", 8, 6, 0)
+    assert dx.shape == dy.shape == (0, 6)
 
 
 def test_lattice_rows_do_not_depend_on_cycle_count():
     for kind in ("circular", "spiral"):
-        for separation in (1, 8, 2.75, 13 / 7):
+        for separation in (1, 8):
             for samples in (1, 4, 7, 24):
-                full = lattice(kind, separation, samples, 40)
+                full = origin_offsets(kind, separation, samples, 40)
                 for n in (0, 1, 2, 17, 40):
-                    for small, big in zip(lattice(kind, separation, samples, n), full):
+                    for small, big in zip(origin_offsets(kind, separation, samples, n), full):
                         assert small.tobytes() == big[:n].tobytes()
 
 

@@ -35,6 +35,18 @@ def write(path, text):
     return path
 
 
+# ------------------------------------------------------------ construction
+
+def test_shape_from_mask_alone():
+    shape = BinaryShape([[0, 1, 0], [1, 1, 0]], id="t-1", category="t")
+    assert (shape.width, shape.height) == (3, 2)
+    assert shape.mask.dtype == bool and not shape.mask.flags.writeable
+    assert (shape.id, shape.category) == ("t-1", "t")
+    for mask in ([1, 0, 1], np.zeros((0, 3), dtype=bool), np.ones((2, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="mask must be 2-D and at least 1x1"):
+            BinaryShape(mask)
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_p2_threshold_single_center_pixel(tmp_path):
@@ -285,7 +297,7 @@ def test_random_files_match_reference_reader(tmp_path):
 def test_reencode_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     for i in range(10):
-        shape = BinaryShape.from_mask(random_blob_mask(rng, 40), id=f"s-{i}")
+        shape = BinaryShape(random_blob_mask(rng, 40), id=f"s-{i}")
         for fmt in ("P5", "P4"):
             out = tmp_path / f"s-{i}.{fmt}.{'pgm' if fmt == 'P5' else 'pbm'}"
             save_image(shape, out, format=fmt)
@@ -309,21 +321,21 @@ def test_load_directory_sorted(tmp_path):
 def test_centroid_examples():
     mask = np.zeros((10, 10), dtype=bool)
     mask[7, 5] = True
-    assert centroid(BinaryShape.from_mask(mask)) == Centroid(5.0, 7.0)
+    assert centroid(BinaryShape(mask)) == Centroid(5.0, 7.0)
 
     mask = np.zeros((20, 20), dtype=bool)
     mask[10:12, 10:12] = True
-    assert centroid(BinaryShape.from_mask(mask)) == Centroid(10.5, 10.5)
+    assert centroid(BinaryShape(mask)) == Centroid(10.5, 10.5)
 
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 0] = mask[0, 1] = mask[1, 0] = True
-    c = centroid(BinaryShape.from_mask(mask))
+    c = centroid(BinaryShape(mask))
     assert c.cx == 1 / 3 and c.cy == 1 / 3
 
 
 def test_empty_shape_errors():
     for hw in [(3, 3), (1, 1), (1, 7), (7, 1)]:
-        empty = BinaryShape.from_mask(np.zeros(hw, dtype=bool), id="void-1")
+        empty = BinaryShape(np.zeros(hw, dtype=bool), id="void-1")
         for _ in range(2):  # a failed call leaves nothing behind
             with pytest.raises(EmptyShapeError):
                 centroid(empty)
@@ -336,12 +348,12 @@ def test_empty_shape_errors():
 def test_max_radius_examples():
     mask = np.zeros((10, 10), dtype=bool)
     mask[7, 5] = True
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     assert max_radius(shape, centroid(shape)) == 0.0
 
     mask = np.zeros((20, 20), dtype=bool)
     mask[10:12, 10:12] = True
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     assert max_radius(shape, centroid(shape)) == math.sqrt(0.5)
 
 
@@ -349,7 +361,7 @@ def test_max_radius_disk_against_scan():
     size = 111
     yy, xx = np.mgrid[0:size, 0:size]
     mask = (xx - 55) ** 2 + (yy - 55) ** 2 <= 50 ** 2
-    shape = BinaryShape.from_mask(mask, id="disk-1")
+    shape = BinaryShape(mask, id="disk-1")
     c = centroid(shape)
     r = max_radius(shape, c)
     assert abs(r - 50.0) <= 1.0
@@ -360,7 +372,7 @@ def test_centroid_matches_reference_on_random_blobs():
     rng = np.random.default_rng(17)
     for _ in range(10):
         mask = random_blob_mask(rng, 48)
-        shape = BinaryShape.from_mask(mask)
+        shape = BinaryShape(mask)
         c = centroid(shape)
         assert (c.cx, c.cy) == ref_centroid(mask.tolist())
 
@@ -368,7 +380,7 @@ def test_centroid_matches_reference_on_random_blobs():
 def test_contains_examples():
     mask = np.zeros((10, 10), dtype=bool)
     mask[7, 5] = True
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     got = contains_points(shape, [5.4, -3.0, 5.0], [6.6, 0.0, 100.0])
     assert got.tolist() == [True, False, False]
 
@@ -378,13 +390,13 @@ def test_rounding_half_away_from_zero():
     # x 0.5 -> 1, 1.5 -> 2, -0.4 -> 0, 2.4 -> 2, and y 0.5 -> 1
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 1] = mask[1, 2] = mask[2, 0] = mask[3, 2] = True
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     got = contains_points(shape, [0.5, 1.5, -0.4, 2.4, 2.0], [0.0, 1.0, 2.0, 3.0, 0.5])
     assert got.tolist() == [True] * 5
 
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 0] = True
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     assert contains_points(shape, [-0.4], [-0.4]).tolist() == [True]   # rounds to pixel (0, 0)
     assert contains_points(shape, [-0.5], [0.0]).tolist() == [False]   # rounds to -1: out of frame
 
@@ -392,7 +404,7 @@ def test_rounding_half_away_from_zero():
 def test_contains_random_queries_match_oracle():
     rng = np.random.default_rng(23)
     mask = random_blob_mask(rng, 64)
-    shape = BinaryShape.from_mask(mask)
+    shape = BinaryShape(mask)
     rows = mask.tolist()
     xs = rng.uniform(-10, 74, size=10_000)
     ys = rng.uniform(-10, 74, size=10_000)
@@ -407,11 +419,11 @@ def test_translation_equivariance_exact():
     rng = np.random.default_rng(31)
     for trial in range(10):
         mask = random_blob_mask(rng, 128)
-        shape = BinaryShape.from_mask(mask)
+        shape = BinaryShape(mask)
         ys, xs = np.nonzero(mask)
         n = xs.size
         dx, dy = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        moved = BinaryShape.from_mask(np.roll(np.roll(mask, dy, 0), dx, 1))
+        moved = BinaryShape(np.roll(np.roll(mask, dy, 0), dx, 1))
         c2 = centroid(moved)
         assert c2.cx == float(Fraction(int(xs.sum()) + n * dx, n))
         assert c2.cy == float(Fraction(int(ys.sum()) + n * dy, n))
@@ -449,7 +461,7 @@ def test_occlude_erases_close_to_target():
     assert xs.size >= 1000
     for i in range(xs.size - 1000):
         mask[ys[i], xs[i]] = False
-    shape = BinaryShape.from_mask(mask, id="blob-1")
+    shape = BinaryShape(mask, id="blob-1")
     out = occlude(shape, 0.2, seed=1)
     erased = int(shape.mask.sum()) - int(out.mask.sum())
     assert abs(erased - 200) <= 1
@@ -459,7 +471,7 @@ def test_occlude_never_adds_pixels():
     rng = np.random.default_rng(12)
     for seed in range(8):
         mask = random_blob_mask(rng, 64)
-        shape = BinaryShape.from_mask(mask, id="b-1")
+        shape = BinaryShape(mask, id="b-1")
         out = occlude(shape, float(rng.uniform(0, 0.9)), seed=seed)
         assert not (out.mask & ~shape.mask).any()
 
@@ -467,7 +479,7 @@ def test_occlude_never_adds_pixels():
 def test_occlude_keeps_a_pixel():
     # the nearest clean cut to ceil(fraction * N) would erase every pixel
     for row, fraction in (([1, 1], 0.75), ([1, 1, 1], 0.9)):
-        shape = BinaryShape.from_mask([row], id="t-1")
+        shape = BinaryShape([row], id="t-1")
         out = occlude(shape, fraction, 0)
         assert out.mask.sum() == 1
         assert centroid(out) == Centroid(len(row) - 1, 0.0)
@@ -484,10 +496,10 @@ def test_occlude_fraction_validation():
 def test_centroid_pixel_inside_convex_shapes():
     size = 61
     yy, xx = np.mgrid[0:size, 0:size]
-    disk = BinaryShape.from_mask((xx - 30) ** 2 + (yy - 30) ** 2 <= 25 ** 2)
+    disk = BinaryShape((xx - 30) ** 2 + (yy - 30) ** 2 <= 25 ** 2)
     rect = np.zeros((size, size), dtype=bool)
     rect[10:40, 5:50] = True
-    rectangle = BinaryShape.from_mask(rect)
+    rectangle = BinaryShape(rect)
     for shape in (disk, rectangle):
         c = centroid(shape)
         assert contains_points(shape, [c.cx], [c.cy]).tolist() == [True]
