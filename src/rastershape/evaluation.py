@@ -164,6 +164,8 @@ def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
     cut direction derived from ``seed`` plus its position, so the whole set
     is reproducible from one seed.
     """
+    if per_category < 1:
+        raise ValueError(f"per_category must be >= 1, got {per_category}")
     groups: dict[str, list[BinaryShape]] = {}
     for shape in dataset:
         groups.setdefault(shape.category, []).append(shape)

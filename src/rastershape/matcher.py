@@ -3,9 +3,12 @@
 A database is stored by column: record ids, categories, vector lengths and
 one read-only, zero-padded, column-major ``(N, L_max)`` matrix of values.
 DescriptorDatabase.from_records builds one from extracted records;
-load_database reads a RASTERDB v1 file (line-oriented text, one labeled
-vector per line) straight into the columns, parsing every value of the
-file at once and building no per-record objects. ``records`` builds the
+load_database reads a RASTERDB v1 file (UTF-8 text, one labeled vector per
+line, lines separated by line feeds alone) straight into the columns,
+building no per-record objects. It reads values only in the fixed
+6-decimal notation save_database writes, a digit, a dot and six digits:
+every value of the file is checked and converted at once, as integer
+millionths, and any other token is a bad record. ``records`` builds the
 record objects when they are read. Retrieval is an exact scan: a query
 ranks all N rows in one vectorized pass. Datasets here are a few hundred
 to a few thousand records, and the benchmark harness times exactly this
@@ -32,8 +35,16 @@ HEADER_FIELDS = ("kind", "variant", "sep", "samples")
 MAX_DATABASE_VALUES = 1 << 26
 # largest array a query beyond the matrix width sums at once (8 MiB of float64)
 _BLOCK_VALUES = 1 << 20
-# a tab or any line boundary str.splitlines() knows would split a record line
-_FIELD_BREAK = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# the line boundaries str.splitlines() knows besides "\n"
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# a tab or any line boundary would split a record line
+_FIELD_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
+# A value and its comma, "d.dddddd,", are 9 bytes. Less ord("0"), wrapping
+# as uint8, a digit is 0-9 and any other byte is above 9, the dot and the
+# comma become _DOT and _COMMA, and each byte is worth _PLACE_VALUE millionths.
+_DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
+_PLACE_VALUE = np.array([1e6, 0, 1e5, 1e4, 1e3, 1e2, 1e1, 1, 0])
+_MICRO = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,17 +241,21 @@ def load_database(path) -> DescriptorDatabase:
     """Read a RASTERDB v1 file written by save_database().
 
     One pass over the lines checks their structure; then every value in the
-    file is parsed at once, range-checked at once and placed in the matrix
-    by length. Where a file has several faults, the first in file order is
-    reported, as when each line was parsed on its own.
+    file is read at once, as micro-units, range-checked at once and placed
+    in the matrix by length. Lines are separated by line feeds alone and each
+    value is fixed 6-decimal notation, as save_database writes them. Where
+    a file has several faults, the first in file order is reported, as
+    when each line was parsed on its own; bad records and structural
+    faults come before values out of range.
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise DatabaseFormatError(f"{path.name}: not UTF-8 text") from None
-    if not lines:
+    if not text:
         raise DatabaseFormatError(f"{path.name}: empty file")
+    lines = text.split("\n")
     head = lines[0].split()
     if not head or head[0] != FORMAT_NAME:
         raise DatabaseFormatError(f"{path.name}: not a descriptor database: {lines[0][:60]!r}")
@@ -249,6 +264,12 @@ def load_database(path) -> DescriptorDatabase:
         raise DatabaseFormatError(
             f"{path.name}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
+    # save_database writes no line boundary but "\n", so the first line
+    # holding another one, which str.splitlines() would split, is refused
+    cut = min((at for at in map(text.find, _LINE_BREAKS) if at >= 0), default=-1)
+    broken = text.count("\n", 0, cut) + 1 if cut >= 0 else 0
+    if broken == 1:
+        raise DatabaseFormatError(f"{path.name}:1: bad header: line break {text[cut]!r}")
     fields = {}
     for part in head[2:]:
         key, sep, value = part.partition("=")
@@ -270,6 +291,9 @@ def load_database(path) -> DescriptorDatabase:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        if lineno == broken:
+            fault = f"{lineno}: bad record: line break {text[cut]!r}"
+            break
         parts = line.split("\t")
         if len(parts) != 4:
             fault = f"{lineno}: expected 4 fields, got {len(parts)}"
@@ -294,39 +318,49 @@ def load_database(path) -> DescriptorDatabase:
         lengths.append(length)
 
     linenos = list(first_line.values())
-    every = _parse_values(path, linenos, texts)
+    micro = _micro_units(path, linenos, texts)
     if fault is not None:
         raise DatabaseFormatError(f"{path.name}:{fault}")
-    # one range check over every value in the file; NaN fails both comparisons
-    bad = ~((every >= 0.0) & (every <= 1.0))
-    if bad.any():
-        at = int(np.argmax(bad))
+    # one range check over every value in the file
+    over = micro > _MICRO
+    if over.any():
+        at = int(np.argmax(over))
         row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise DatabaseFormatError(
-            f"{path.name}:{linenos[row]}: value {float(every[at])} outside [0, 1]"
+            f"{path.name}:{linenos[row]}: value {float(micro[at] / _MICRO)} outside [0, 1]"
         )
     try:
-        return DescriptorDatabase(spec, variant, first_line, categories, lengths, every)
+        return DescriptorDatabase(spec, variant, first_line, categories, lengths, micro / _MICRO)
     except ValueError as exc:
         raise DatabaseFormatError(f"{path.name}: {exc}") from exc
 
 
-def _parse_values(path: Path, linenos: list[int], texts: list[str]) -> np.ndarray:
-    """Every comma-separated value of ``texts`` as floats, in one parse.
+def _micro_units(path: Path, linenos: list[int], texts: list[str]) -> np.ndarray:
+    """Every comma-separated value of ``texts`` in millionths, as exact floats.
 
-    numpy converts each token with Python's float(), so the values and the
-    tokens refused are those of float(). Only when the parse fails are the
-    lines parsed one by one, to name the first bad one.
+    A value is a digit, a dot and six digits, so with its comma it is one
+    row of 9 bytes, and the file's values are checked and read as one array
+    of such rows. ``micro / 1e6`` is then float(token) exactly: both are
+    exact doubles and IEEE division rounds correctly. The first token of
+    any other form is named with its line.
     """
-    joined = ",".join(text for text in texts if text)
-    try:
-        return np.array(joined.split(",") if joined else [], dtype=float)
-    except ValueError:
+    joined = ",".join(filter(None, texts))
+    if not joined:
+        return np.empty(0)
+    data = (joined + ",").encode()
+    data += bytes(-len(data) % 9)
+    rows = (np.frombuffer(data, np.uint8) - ord("0")).reshape(-1, 9)
+    bad = (rows[:, 1] != _DOT) | (rows[:, 8] != _COMMA)
+    rows[:, 1] = rows[:, 8] = 0
+    if bad.any() or rows.max() > 9:
+        # the rows before the first bad one are canonical tokens, so it
+        # starts the first bad token, at the same offset in ``joined``
+        at = 9 * int(np.argmax(bad | (rows > 9).any(axis=1)))
+        token = joined[at:].split(",", 1)[0]
+        end = 0
         for lineno, text in zip(linenos, texts):
-            for token in text.split(",") if text else ():
-                try:
-                    float(token)
-                except ValueError as exc:
-                    raise DatabaseFormatError(
-                        f"{path.name}:{lineno}: bad record: {exc}") from exc
-        raise
+            end += len(text) + 1 if text else 0
+            if at < end:
+                raise DatabaseFormatError(f"{path.name}:{lineno}: bad record: "
+                                          f"value {token!r} is not fixed 6-decimal notation")
+    return rows.astype(float) @ _PLACE_VALUE

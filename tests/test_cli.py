@@ -146,6 +146,18 @@ def test_occlude_standard_configs(toy_dir, tmp_path, capsys):
     assert rows["spiral_full"] >= rows["spiral_fixed"]
 
 
+def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    for n in ("-1", "0"):
+        out_dir = tmp_path / f"occluded{n}"
+        code = main(["occlude", str(toy_dir), "--per-category", n, "--out", str(out_dir)])
+        assert code == 2
+        assert f"per_category must be >= 1, got {n}" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+        assert main(["occlude", str(toy_dir), "--per-category", n]) == 2
+        assert f"per_category must be >= 1, got {n}" in capsys.readouterr().err
+
+
 def test_occlude_fraction_zero_all_perfect(toy_dir, capsys):
     code = main(["occlude", str(toy_dir), "--fraction", "0"])
     assert code == 0
@@ -243,8 +255,8 @@ def test_query_oversized_database_exits_2(tmp_path, toy_dir, capsys):
     # 1,001 records of up to 70,000 values: a 560 MB matrix, refused before allocating
     db = tmp_path / "wide.rdb"
     db.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-                  "w-1\tw\t70000\t" + ",".join(["0.5"] * 70_000) + "\n"
-                  + "".join(f"n-{i}\tn\t1\t0.5\n" for i in range(1000)))
+                  "w-1\tw\t70000\t" + ",".join(["0.500000"] * 70_000) + "\n"
+                  + "".join(f"n-{i}\tn\t1\t0.500000\n" for i in range(1000)))
     code = main(["query", str(db), str(toy_dir / "disk-1.pgm")])
     assert code == 2
     assert "wide.rdb: 1001 records x 70000 values is above the cap" in capsys.readouterr().err

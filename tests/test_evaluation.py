@@ -212,6 +212,17 @@ def test_occlusion_query_selection(toy_corpus):
                                  + [s for s in toy_corpus if s.id == "disk-1"], 2, 0.2, 0)
 
 
+def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
+    # refused before any shape is occluded or extracted
+    monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match=f"^per_category must be >= 1, got {n}$"):
+            select_occlusion_queries(toy_corpus, n, 0.2, 0)
+        with pytest.raises(ValueError, match=f"^per_category must be >= 1, got {n}$"):
+            occlusion_experiment(toy_corpus, per_category=n)
+
+
 def test_occlusion_fraction_zero_is_perfect(toy_corpus):
     report = occlusion_experiment(toy_corpus, fraction=0.0, seed=3)
     assert all(cell.efficiency_pct == 100.0 for cell in report.cells)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -353,8 +354,8 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
     assert peak < 1 << 20
     path = tmp_path / "wide.rdb"
     path.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-                    "w-1\tw\t70000\t" + ",".join(["0.5"] * 70_000) + "\n"
-                    + "".join(f"n-{i}\tn\t1\t0.5\n" for i in range(1000)))
+                    "w-1\tw\t70000\t" + ",".join(["0.500000"] * 70_000) + "\n"
+                    + "".join(f"n-{i}\tn\t1\t0.500000\n" for i in range(1000)))
     with pytest.raises(DatabaseFormatError, match=r"wide\.rdb: 1001 records x 70000 values"):
         load_database(path)
     # the cap is inclusive
@@ -388,6 +389,31 @@ def test_save_refuses_fields_that_would_split_a_line(tmp_path):
     save_database(db, path)
     loaded = load_database(path).records[0]
     assert (loaded.id, loaded.category) == ("odd \x1f\x7fname-1", "odd \x1f")
+
+
+def test_load_accepts_exactly_what_save_writes(tmp_path):
+    path = tmp_path / "t.rdb"
+    chars = [chr(i) for i in range(0x3000)]
+    breaks = [ch for ch in chars if ch == "\t" or len(f"a{ch}b".splitlines()) > 1]
+    # every other character round-trips in an id and in a category
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (
+        DescriptorRecord(f"c{ch}{i}-1", f"c{ch}", vec([0.5]))
+        for i, ch in enumerate(chars) if ch not in breaks))
+    save_database(db, path)
+    loaded = load_database(path)
+    assert (loaded.ids, loaded.categories) == (db.ids, db.categories)
+    # a line holding a tab or a line break other than "\n" in its first
+    # three fields is refused, by line number, and never loads
+    header = "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\na-1\ta\t1\t0.500000\n"
+    for ch in breaks:
+        if ch == "\n":
+            continue
+        match = (r"t\.rdb:3: expected 4 fields, got 5$" if ch == "\t" else
+                 f"t\\.rdb:3: bad record: line break {re.escape(repr(ch))}$")
+        for fields in (f"odd{ch}name-1\todd\t1", f"odd-1\todd{ch}\t1", f"odd-1\todd\t1{ch}"):
+            path.write_bytes(f"{header}{fields}\t0.500000\n".encode())
+            with pytest.raises(DatabaseFormatError, match=match):
+                load_database(path)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -439,8 +465,8 @@ def test_load_rejects_malformed(tmp_path):
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\n", "4 fields"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-         "a-1\ta\t1\t0.5\nb-1\tb\t2\t0.1,x\n",
-         r"\.rdb:3: bad record: could not convert string to float: 'x'"),
+         "a-1\ta\t1\t0.500000\nb-1\tb\t2\t0.100000,x\n",
+         r"\.rdb:3: bad record: value 'x' is not fixed 6-decimal notation$"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\tone\t0.5\n",
          r"\.rdb:2: bad record: invalid literal for int\(\) with base 10: 'one'"),
@@ -450,7 +476,8 @@ def test_load_rejects_malformed(tmp_path):
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\t2\tx\n", r"\.rdb:2: bad record: .* 'x'"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-         "a-1\ta\t1\t0.5\nb-1\tb\t1\t7\nc-1\tc\t2\t0.5\n", r"\.rdb:4: declared 2"),
+         "a-1\ta\t1\t0.500000\nb-1\tb\t1\t7.000000\nc-1\tc\t2\t0.500000\n",
+         r"\.rdb:4: declared 2"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 bogus=1\n",
          r"\.rdb:1: bad header field 'bogus=1'"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 sep=16\n",
@@ -460,14 +487,25 @@ def test_load_rejects_malformed(tmp_path):
          r"\.rdb:4: duplicate record id 'a-1' \(first on line 2\)"),
         (b"RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          b"a-1\ta\t1\t0.5\xff\n", r"bad-\d+\.rdb: not UTF-8 text"),
+        # lines end at "\n" alone
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\r\n",
+         r"\.rdb:1: bad header: line break '\\r'$"),
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\t0.500000\r\nb-1\tb\n", r"\.rdb:2: bad record: line break '\\r'$"),
     ]
-    for value in ("nan", "inf", "-inf", "-5", "1.000001"):
+    # a value in fixed 6-decimal notation above 1 is out of range; any other
+    # token is a bad record
+    for value in ("nan", "inf", "-inf", "-5", "1.000001", "9.999999"):
+        match = (f"value {re.escape(value)} outside \\[0, 1\\]$"
+                 if re.fullmatch(r"[0-9]\.[0-9]{6}", value) else
+                 f"bad record: value '{value}' is not fixed 6-decimal notation$")
         cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
                       "a-1\ta\t2\t0.100000,0.200000\n\n"
-                      f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: value"))
+                      f"b-1\tb\t3\t0.100000,{value},0.300000\n", r"\.rdb:4: " + match))
     # a bad value first on its line, after a zero-length record
     cases.append(("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
-                  "a-1\ta\t1\t0.5\nb-1\tb\t0\t\nc-1\tc\t2\t1.5,0.5\n", r"\.rdb:4: value 1\.5 outside \[0, 1\]$"))
+                  "a-1\ta\t1\t0.500000\nb-1\tb\t0\t\nc-1\tc\t2\t1.500000,0.500000\n",
+                  r"\.rdb:4: value 1\.5 outside \[0, 1\]$"))
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad-{i}.rdb"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

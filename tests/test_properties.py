@@ -1,5 +1,5 @@
 """Property tests (Hypothesis): geometry and extraction against the oracles,
-RASTERDB loading and querying on damaged files, the value parse against
+RASTERDB loading and querying on damaged files, the value grammar against
 float(), query against the full-sort oracle, and PNM decoding and the CLI
 commands on damaged images and sweep CSVs.
 
@@ -9,9 +9,8 @@ database, so a run is reproducible and leaves no files behind.
 
 import contextlib
 import io
-import struct
+import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from rastershape.errors import DatabaseFormatError, EmptyDatabaseError, PnmForma
 from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
-    _parse_values,
     distance,
     load_database,
     query,
@@ -223,54 +221,69 @@ def assert_exits_0_or_2(argv) -> None:
     assert code in (0, 2), err.getvalue()
 
 
-# strings float() reads in unusual ways, and some it refuses
-ODD_FLOATS = ["1_0", " 0.5", "nan", "inf", "1e-3", "-0", ".5", "1.", "\u0663", "-nan",
-              "1e400", "Infinity", "\u20030.5", "0.5\n"]
-REFUSED = ["", "x", "1__0", "_1", "0x10", "0.5\x00", "\u0663\u066b5"]
-float_tokens = st.one_of(st.sampled_from(ODD_FLOATS), st.floats().map(repr),
-                         st.floats(0, 1).map("{:.6f}".format))
-junk_tokens = st.one_of(
-    st.sampled_from(REFUSED),
-    st.lists(st.sampled_from(" +-0123456789_.eE\u0663"), max_size=8).map("".join),
-    st.text(st.characters(exclude_characters=","), max_size=5),
-)
+@pytest.fixture(scope="module")
+def db_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("query") / "q.rdb"
 
 
-def assert_parse_equals_float(lines) -> None:
-    """_parse_values gives float()'s values, or names the first token float() refuses."""
-    texts = [",".join(line) for line in lines]
-    linenos = list(range(2, 2 + len(texts)))
-    expected, fault = [], None
-    for lineno, text in zip(linenos, texts):
-        for token in text.split(",") if text else ():
-            try:
-                expected.append(float(token))
-            except ValueError as exc:
-                fault = fault or f"db.rdb:{lineno}: bad record: {exc}"
-    if fault is None:
-        got = _parse_values(Path("db.rdb"), linenos, texts)
-        assert got.tobytes() == struct.pack(f"{len(expected)}d", *expected)
-    else:
-        with pytest.raises(DatabaseFormatError) as info:
-            _parse_values(Path("db.rdb"), linenos, texts)
-        assert str(info.value) == fault
+HEADER = "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24"
 
 
-def test_value_parse_equals_float_on_odd_tokens():
-    assert_parse_equals_float([ODD_FLOATS[:7], [], ODD_FLOATS[7:]])
-    for token in REFUSED:
-        assert_parse_equals_float([["0.5"], ["0.25", token]])
+def test_every_canonical_value_loads_as_its_float(db_path):
+    # all 1,000,001 values of fixed 6-decimal notation in [0, 1], built as one array
+    micro = np.arange(10**6 + 1)
+    rows = np.full((micro.size, 9), ord(","), np.uint8)
+    rows[:, 1] = ord(".")
+    rows[:, [0, 2, 3, 4, 5, 6, 7]] = micro[:, np.newaxis] // 10 ** np.arange(6, -1, -1) % 10 + ord("0")
+    values = rows.tobytes()[:-1].decode()
+    tokens = values.split(",")
+    sample = [*range(0, 10**6, 7), 10**6]
+    assert [tokens[m] for m in sample] == [f"{m / 1e6:.6f}" for m in sample]
+    db_path.write_text(f"{HEADER}\nall-1\tall\t{len(tokens)}\t{values}\n")
+    loaded = load_database(db_path)
+    assert loaded.matrix.tobytes() == np.array(list(map(float, tokens))).tobytes()
+
+
+# tokens float() reads but that are not fixed 6-decimal notation, and some it
+# refuses; each makes its line a bad record
+NON_CANONICAL = ["1", ".5", "1e-3", " 0.5", "+0.500000", "0.5000000", "-0.000000", "nan",
+                 "inf", "-nan", "Infinity", "1e400", "-0", "1.", "1_0", "1.5", "0.50000",
+                 "00.50000", "0.500000 ", "\u20030.5", "\u0663", "\u0663.000000",
+                 "\u0663\u066b5", "0.5\x00", "", "x", "_1", "1__0", "0x10"]
+canonical = st.integers(0, 10**6).map(lambda m: f"{m / 1e6:.6f}")
+non_canonical = st.one_of(
+    st.sampled_from(NON_CANONICAL),
+    st.floats().map(repr),
+    st.lists(st.sampled_from(" +-0123456789_.eE\u0663"), max_size=10).map("".join),
+    st.text(st.characters(exclude_characters=",\t\n"), max_size=9),
+).filter(lambda token: not re.fullmatch("[0-9][.][0-9]{6}", token))
+
+
+def splits(text: str) -> bool:
+    return len(f"{text}x".splitlines()) > 1
 
 
 @FIXED
-@given(lines=st.lists(st.lists(float_tokens, min_size=1, max_size=5), max_size=5),
-       junk=st.none() | st.tuples(st.integers(0, 30), junk_tokens))
-def test_value_parse_equals_float(lines, junk):
-    if junk is not None and lines:
-        at, token = junk
-        line = lines[at % len(lines)]
-        line.insert(at % (len(line) + 1), token)
-    assert_parse_equals_float(lines)
+@given(lines=st.lists(st.lists(canonical, min_size=1, max_size=4), min_size=1, max_size=4),
+       at=st.integers(0, 30), junk=st.none() | non_canonical, crlf=st.booleans())
+def test_non_canonical_value_is_a_bad_record(db_path, lines, at, junk, crlf):
+    assume(junk is not None or crlf)
+    row = at % len(lines)
+    if junk is not None:
+        lines[row].insert(at % (len(lines[row]) + 1), junk)
+    records = [f"r-{i}\tc\t{len(line)}\t{','.join(line)}" for i, line in enumerate(lines)]
+    if crlf:
+        records[row] += "\r"
+    body = "\n".join(records)
+    db_path.write_bytes(f"{HEADER}\n{body}\n".encode())
+    with pytest.raises(DatabaseFormatError) as info:
+        load_database(db_path)
+    prefix = f"q.rdb:{row + 2}: bad record: "
+    if splits(records[row]):  # a line break other than "\n", or a CRLF line end
+        brk = next(ch for ch in records[row] if splits(ch))
+        assert str(info.value) == f"{prefix}line break {brk!r}"
+    else:
+        assert str(info.value) == f"{prefix}value {junk!r} is not fixed 6-decimal notation"
 
 
 # Multiples of 1/64 have six decimals, so a save/load round trip is exact,
@@ -278,11 +291,6 @@ def test_value_parse_equals_float(lines, junk):
 # ties in floating point too and the oracle's ranking is the only one.
 dyadic = st.integers(0, 64).map(lambda i: i / 64)
 dyadic_vectors = st.lists(dyadic, max_size=8)
-
-
-@pytest.fixture(scope="module")
-def db_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("query") / "q.rdb"
 
 
 @FIXED

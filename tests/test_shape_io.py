@@ -108,11 +108,12 @@ def test_p2_tokens(tmp_path):
 
 
 def test_p2_decode_memory(tmp_path):
-    # the values are streamed into an array, with no Python object kept per pixel
+    # the values are streamed into an array, with no Python object kept per
+    # pixel (one bytes object per token would take about 58 bytes a pixel)
     rng = np.random.default_rng(12)
-    values = rng.integers(0, 256, size=(1000, 1000))
+    values = rng.integers(0, 256, size=(200, 200))
     text = "\n".join(" ".join(map(str, row)) for row in values.tolist())
-    p = write(tmp_path / "big-1.pgm", "P2\n1000 1000\n255\n" + text + "\n")
+    p = write(tmp_path / "big-1.pgm", "P2\n200 200\n255\n" + text + "\n")
     tracemalloc.start()
     try:
         shape = load_image(p)
