@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 internal error, 2 bad input or arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -151,7 +152,14 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main().
+
+    Parsing keeps no state in it, and every default is immutable (the
+    ``--seps``/``--samples`` defaults are tuples), so one call cannot leak
+    into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="rastershape",
         description="Raster shape vectors: extraction, retrieval, and benchmark sweeps",
@@ -187,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="efficiency/time grid over separations x samples")
     p.add_argument("dir")
     p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--seps", type=int, nargs="+", default=list(DEFAULT_SEPARATIONS))
-    p.add_argument("--samples", type=int, nargs="+", default=list(DEFAULT_SAMPLES))
+    p.add_argument("--seps", type=int, nargs="+", default=DEFAULT_SEPARATIONS)
+    p.add_argument("--samples", type=int, nargs="+", default=DEFAULT_SAMPLES)
     p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--out", help="CSV path (default: stdout)")
     add_load_flags(p)
@@ -205,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS,
                    help="sweep this variant over --seps x --samples instead of "
                         "the four standard configurations")
-    p.add_argument("--seps", type=int, nargs="+", default=list(DEFAULT_SEPARATIONS))
-    p.add_argument("--samples", type=int, nargs="+", default=list(DEFAULT_SAMPLES))
+    p.add_argument("--seps", type=int, nargs="+", default=DEFAULT_SEPARATIONS)
+    p.add_argument("--samples", type=int, nargs="+", default=DEFAULT_SAMPLES)
     p.add_argument("--out", help="directory for the occluded query images")
     p.add_argument("--report", help="CSV path for the efficiency table (default: stdout)")
     add_load_flags(p)

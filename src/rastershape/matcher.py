@@ -9,10 +9,16 @@ building no per-record objects. It reads values only in the fixed
 6-decimal notation save_database writes, a digit, a dot and six digits:
 every value of the file is checked and converted at once, as integer
 millionths, and any other token is a bad record. ``records`` builds the
-record objects when they are read. Retrieval is an exact scan: a query
-ranks all N rows in one vectorized pass. Datasets here are a few hundred
-to a few thousand records, and the benchmark harness times exactly this
-scan.
+record objects when they are read.
+
+Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
+product gives every row's squared distance to the query up to a rounding
+bound; only the rows whose lower bound can still reach the k-th smallest
+upper bound go through the exact distance kernel, which sums each row the
+same way whatever rows it is given. So a query returns the same matches,
+bit for bit, as ranking every row with that kernel, in a fraction of the
+time when the vectors are long. Datasets here are a few hundred to a few
+thousand records, and the benchmark harness times exactly this scan.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ _FIELD_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
 _DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
 _PLACE_VALUE = np.array([1e6, 0, 1e5, 1e4, 1e3, 1e2, 1e1, 1, 0])
 _MICRO = 1_000_000
+# query()'s pruning bound, derived in _candidates: its margin over the worst
+# rounding error, the unit roundoff, the smallest subnormal, and the power of
+# two the stored row norms are scaled by, so that a row's bound overflows
+# (which keeps the row) before its squared distance can
+_SLACK = 16
+_UNIT = 2.0 ** -53
+_TINY = 2.0 ** -1074
+_HEADROOM = 2.0 ** 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +85,8 @@ class DescriptorDatabase:
     lengths: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
+    _norms: np.ndarray = field(repr=False)  # each row's squared norm
+    _roots: np.ndarray = field(repr=False)  # each row's norm, times _HEADROOM
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
@@ -96,10 +112,16 @@ class DescriptorDatabase:
                 seen.add(rec_id)
         matrix = np.zeros((n, width), order="F")
         matrix[np.arange(width) < lengths[:, np.newaxis]] = values
-        matrix.flags.writeable = False
-        lengths.flags.writeable = False
+        # read by query's bound (see _candidates), which also handles their
+        # overflow and NaN, so neither warns here
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("ij,ij->i", matrix, matrix)
+            roots = np.sqrt(norms) * _HEADROOM
+        for array in (matrix, lengths, norms, roots):
+            array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
-                          lengths=lengths, matrix=matrix, _rows=rows)
+                          lengths=lengths, matrix=matrix, _rows=rows,
+                          _norms=norms, _roots=roots)
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
@@ -205,19 +227,80 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
         raise IncompatibleVectorError(
             f"query is {q.variant}/{q.spec}, database is {db.variant}/{db.spec}"
         )
-    dists = _distances(db.matrix, q.values)
-    order = np.argsort(dists, kind="stable")
     excluded = db._rows.get(exclude_id)
+    rows = _candidates(db, q.values, k, excluded)
+    dists = _distances(db.matrix[rows], q.values)
+    order = np.argsort(dists, kind="stable")
     if excluded is not None:
-        order = order[order != excluded]
+        order = order[rows[order] != excluded]
     if not order.size:
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
-    return [Match(db.ids[i], db.categories[i], float(dists[i])) for i in order[:k].tolist()]
+    order = order[:k]
+    return [Match(db.ids[i], db.categories[i], d)
+            for i, d in zip(rows[order].tolist(), dists[order].tolist())]
 
 
-def _header_line(db: DescriptorDatabase) -> str:
-    return (f"{FORMAT_NAME} {FORMAT_VERSION} kind={db.spec.kind} variant={db.variant} "
-            f"sep={db.spec.separation_px} samples={db.spec.samples_per_cycle}")
+def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
+                excluded: int | None) -> np.ndarray:
+    """The rows, ascending, that can be among the k nearest to ``q``.
+
+    Why no row of the exact top k is dropped: pad a row ``r`` and ``q`` with
+    zeros to W = max(width, len(q)), and let u = 2^-53 and M = (|r| + |q|)^2,
+    which bounds |r - q|^2 and every term and partial sum below.
+
+    - ``approx`` is the Gram form |r|^2 + |q|^2 - 2 r.q, from the stored
+      norms and one matrix-vector product with -2 q. In any summation
+      order, BLAS's included, it is within about (W + 2) u M of the exact
+      square.
+    - _distances sums (r_i - q_i)^2 left to right, so its square is within
+      (W + 2) u M of the exact one too.
+    - Underflow adds at most about W + 2 smallest subnormals to either.
+
+    ``err`` is _SLACK = 16 times that bound, (W + 2) (u M + 2^-1074). Take
+    the k rows, the excluded one aside, with the smallest ``approx + err``:
+    each one's kernel square lies below ``kth``, the largest of these. A row
+    whose ``approx - err`` is above ``kth`` then has a kernel square above
+    theirs by more than _SLACK - 3 bounds: 2 for the two errors and 1 for
+    rounding ``approx - err`` and ``approx + err``. As W + 2 >= 2, that gap
+    is over 26 u times the larger square (or 26 subnormals), and two squares
+    6 u apart already have distinct correctly rounded square roots. So a
+    pruned row is strictly farther than k others, and no tie-break can bring
+    it back.
+
+    A row holding NaN or inf gets a NaN or -inf ``approx - err`` and is
+    kept, and every row is kept when ``q`` holds one, as NaN compares false.
+    So is a row with M above about 2^1008: the norms are stored times
+    _HEADROOM = 2^8, so its ``err`` overflows to inf before its kernel
+    square can overflow. The kernel therefore meets every value that raises
+    a warning in a full scan, and raises the same warnings; the bound
+    arithmetic raises none.
+    """
+    n, width = db.matrix.shape
+    if k >= n:
+        return np.arange(n)
+    head = q[:width]
+    scale = _SLACK * (max(width, q.size) + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq = float(q @ q)
+        approx = db.matrix[:, :head.size] @ (head * -2)
+        approx += db._norms
+        approx += qq
+        err = db._roots + np.sqrt(qq) * _HEADROOM
+        err *= err
+        err *= scale * _UNIT / _HEADROOM ** 2
+        err += scale * _TINY
+        high = approx + err
+        if excluded is not None:
+            high[excluded] = np.inf
+        high.partition(k - 1)
+        kth = high[k - 1]
+        approx -= err
+        return np.flatnonzero(~(approx > kth))
+
+
+def _header_line(spec: RasterSpec, variant: str) -> str:
+    return (f"{FORMAT_NAME} {FORMAT_VERSION} kind={spec.kind} variant={variant} "
+            f"sep={spec.separation_px} samples={spec.samples_per_cycle}")
 
 
 def save_database(db: DescriptorDatabase, path) -> None:
@@ -226,7 +309,7 @@ def save_database(db: DescriptorDatabase, path) -> None:
     An id or category holding a tab or a line break cannot be read back, so
     it raises ValueError before anything is written.
     """
-    lines = [_header_line(db)]
+    lines = [_header_line(db.spec, db.variant)]
     for row, (rec_id, category, length) in enumerate(
             zip(db.ids, db.categories, db.lengths.tolist())):
         for what, text in (("id", rec_id), ("category", category)):
@@ -242,11 +325,12 @@ def load_database(path) -> DescriptorDatabase:
 
     One pass over the lines checks their structure; then every value in the
     file is read at once, as micro-units, range-checked at once and placed
-    in the matrix by length. Lines are separated by line feeds alone and each
-    value is fixed 6-decimal notation, as save_database writes them. Where
-    a file has several faults, the first in file order is reported, as
-    when each line was parsed on its own; bad records and structural
-    faults come before values out of range.
+    in the matrix by length. Lines are separated by line feeds alone, the
+    header and each length are spelled exactly as save_database writes them,
+    and each value is fixed 6-decimal notation. Where a file has several
+    faults, the first in file order is reported, as when each line was
+    parsed on its own; bad records and structural faults come before values
+    out of range.
     """
     path = Path(path)
     try:
@@ -282,6 +366,11 @@ def load_database(path) -> DescriptorDatabase:
         variant_kind(variant, spec)
     except (KeyError, ValueError) as exc:
         raise DatabaseFormatError(f"{path.name}:1: bad header: {exc}") from exc
+    # only the header save_database writes: no other spacing, field order or
+    # number notation (int() also takes "+8", "08" and other scripts' digits)
+    header = _header_line(spec, variant)
+    if lines[0] != header:
+        raise DatabaseFormatError(f"{path.name}:1: bad header: expected {header!r}")
 
     first_line: dict[str, int] = {}  # record id -> its line, in file order
     categories: list[str] = []
@@ -304,18 +393,20 @@ def load_database(path) -> DescriptorDatabase:
                      f"(first on line {first_line[rec_id]})")
             break
         first_line[rec_id] = lineno
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            fault = f"{lineno}: bad record: {exc}"
+        found = values_text.count(",") + 1 if values_text else 0
+        if length_text != str(found):
+            try:
+                length = int(length_text)
+            except ValueError as exc:
+                fault = f"{lineno}: bad record: {exc}"
+                break
+            texts.append(values_text)
+            fault = (f"{lineno}: declared {length} values, found {found}" if length != found
+                     else f"{lineno}: bad record: length {length_text!r} is not canonical")
             break
         texts.append(values_text)
-        found = values_text.count(",") + 1 if values_text else 0
-        if length != found:
-            fault = f"{lineno}: declared {length} values, found {found}"
-            break
         categories.append(rec_category)
-        lengths.append(length)
+        lengths.append(found)
 
     linenos = list(first_line.values())
     micro = _micro_units(path, linenos, texts)

@@ -1,7 +1,12 @@
 import pytest
 
-from rastershape.cli import main
-from rastershape.evaluation import read_sweep_csv
+from rastershape.cli import build_parser, main
+from rastershape.evaluation import (
+    STANDARD_OCCLUSION_CONFIGS,
+    OcclusionReport,
+    SweepReport,
+    read_sweep_csv,
+)
 from rastershape.matcher import load_database
 from rastershape.shape_io import load_image, save_image
 
@@ -272,3 +277,49 @@ def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypa
                  "--out", str(tmp_path / "t.rdb")])
     assert code == 1
     assert "internal error: RuntimeError('bug')" in capsys.readouterr().err
+
+
+def test_main_calls_share_no_state(toy_dir, capsys, monkeypatch):
+    # the parser is built once per process; a command that empties the lists
+    # it is given must not change what the next call parses
+    seen = []
+
+    def grabbing(name, report):
+        def run(shapes, *args, progress=None, **kwargs):
+            frozen = {key: tuple(v) if isinstance(v, list) else v for key, v in kwargs.items()}
+            seen.append((name, tuple(args[0]) if name == "occlude" else args[0], frozen))
+            for value in (*args, *kwargs.values()):
+                if isinstance(value, list):
+                    value.clear()
+            return report
+        return run
+
+    monkeypatch.setattr("rastershape.cli.sweep",
+                        grabbing("sweep", SweepReport("circ_radial", "toy", ())))
+    monkeypatch.setattr("rastershape.cli.occlusion_experiment",
+                        grabbing("occlude", OcclusionReport(0.2, 0, 2, ())))
+    assert build_parser() is build_parser()
+    for argv in (["sweep", str(toy_dir), "--variant", "spiral_fixed",
+                  "--seps", "16", "--samples", "6", "12", "--k", "5"],
+                 ["sweep", str(toy_dir), "--variant", "circ_radial"],
+                 ["occlude", str(toy_dir), "--variant", "circ_radial", "--seed", "4"],
+                 ["occlude", str(toy_dir), "--variant", "spiral_full",
+                  "--seps", "8", "--samples", "4", "--fraction", "0.5"],
+                 ["occlude", str(toy_dir)],
+                 ["sweep", str(toy_dir), "--variant", "circ_radial"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    grid = tuple(("circ_radial", d, s) for d in (8, 16, 24, 32) for s in (4, 6, 8, 12, 24))
+    occlude = {"per_category": 2, "fraction": 0.2, "seed": 0, "k": 3}
+    sweep = ("sweep", "circ_radial", {"separations": (8, 16, 24, 32),
+                                      "samples": (4, 6, 8, 12, 24), "k": 3,
+                                      "dataset_label": "toy"})
+    assert seen == [
+        ("sweep", "spiral_fixed", {"separations": (16,), "samples": (6, 12), "k": 5,
+                                   "dataset_label": "toy"}),
+        sweep,
+        ("occlude", grid, {**occlude, "seed": 4}),
+        ("occlude", (("spiral_full", 8, 4),), {**occlude, "fraction": 0.5}),
+        ("occlude", STANDARD_OCCLUSION_CONFIGS, occlude),
+        sweep,
+    ]

@@ -513,6 +513,41 @@ def test_load_rejects_malformed(tmp_path):
             load_database(path)
 
 
+def test_load_refuses_non_canonical_header_and_lengths(tmp_path):
+    header = "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24"
+    record = "a-1\ta\t1\t0.500000\n"
+    expected = re.escape(f"h.rdb:1: bad header: expected {header!r}") + "$"
+    for odd in ("RASTERDB\xa0v1 kind=circular variant=circ_radial sep=8 samples=24",
+                "RASTERDB v1 kind=circular variant=circ_radial sep=+8 samples=24",
+                "RASTERDB v1 kind=circular variant=circ_radial sep=8\u3000samples=\u0662\u0664",
+                "RASTERDB v1 kind=circular variant=circ_radial sep=08 samples=24",
+                "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24 ",
+                "RASTERDB  v1 kind=circular variant=circ_radial sep=8 samples=24",
+                "RASTERDB v1 variant=circ_radial kind=circular sep=8 samples=24",
+                "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=2_4"):
+        path = tmp_path / "h.rdb"
+        path.write_text(f"{odd}\n{record}", encoding="utf-8")
+        with pytest.raises(DatabaseFormatError, match=expected):
+            load_database(path)
+    for length in ("+1", " 1", "01", "1 ", "\u0661", "1_0"):
+        path = tmp_path / "n.rdb"
+        path.write_text(f"{header}\n{record}b-1\tb\t{length}\t0.250000\n", encoding="utf-8")
+        message = (re.escape(f"n.rdb:3: bad record: length {length!r} is not canonical")
+                   if int(length) == 1 else r"n\.rdb:3: declared 10 values, found 1")
+        with pytest.raises(DatabaseFormatError, match=message + "$"):
+            load_database(path)
+    # the first fault in file order is still the one named
+    path = tmp_path / "f.rdb"
+    path.write_text(f"{header}\nb-1\tb\t01\t0.250000\na-1\ta\tone\t0.5\n", encoding="utf-8")
+    with pytest.raises(DatabaseFormatError, match=r"f\.rdb:2: bad record: length '01'"):
+        load_database(path)
+    path.write_text(f"{header}\nb-1\tb\t01\tx\n", encoding="utf-8")
+    with pytest.raises(DatabaseFormatError, match=r"f\.rdb:2: bad record: value 'x'"):
+        load_database(path)
+    path.write_text(f"{header}\n{record}", encoding="utf-8")
+    assert load_database(path).ids == ("a-1",)
+
+
 def test_header_format_exact(tmp_path):
     db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.123456789, 1.0])),))

@@ -11,6 +11,7 @@ import contextlib
 import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from rastershape.errors import DatabaseFormatError, EmptyDatabaseError, PnmForma
 from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
+    Match,
+    _distances,
     distance,
     load_database,
     query,
@@ -323,6 +326,120 @@ def test_query_equals_oracle_before_and_after_round_trip(db_path, rows, q, copy,
             rec = records[int(m.id[2:])]
             assert m.category == rec.category
             assert m.distance == distance(query_vector, rec.vector)
+
+
+def full_scan(db, q, k, exclude_id=None):
+    """query() as an unpruned scan: the exact kernel over every row, one
+    stable argsort, then the exclusion."""
+    dists = _distances(db.matrix, q.values)
+    order = np.argsort(dists, kind="stable")
+    if exclude_id in db.ids:
+        order = order[order != db.ids.index(exclude_id)]
+    if not order.size:
+        raise EmptyDatabaseError("no records to query (database empty after exclusion)")
+    return [Match(db.ids[i], db.categories[i], float(dists[i])) for i in order[:k].tolist()]
+
+
+def scan_outcome(scan, db, q, k, exclude_id, error: bool):
+    """(matches with their distances' bits, or the exception; the warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if error else "always")
+        try:
+            got = [(m.id, m.category, np.float64(m.distance).tobytes())
+                   for m in scan(db, q, k, exclude_id=exclude_id)]
+        except (EmptyDatabaseError, RuntimeWarning) as exc:
+            got = (type(exc), str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+# Each example draws its values from one regime: unit floats, dyadic
+# fractions (exact ties), wide floats, values near 1e154 (whose squares and
+# sums can overflow) or 1e200 (whose squares do), or tiny ones (whose
+# squares are subnormal or underflow to 0); then it may put NaN or inf into
+# one of them.
+regimes = st.sampled_from([st.floats(0, 1), dyadic, st.floats(-1e3, 1e3),
+                           st.floats(5e153, 2e154), st.floats(1e199, 1e201),
+                           st.floats(0, 1e-155), st.floats(0, 1e-161)])
+
+
+@st.composite
+def scan_cases(draw):
+    values = draw(regimes)
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+
+    def vector(max_size):
+        v = np.array(draw(st.lists(values, max_size=max_size)), dtype=float)
+        if v.size and draw(st.integers(0, 2)) == 0:
+            v[draw(st.integers(0, v.size - 1))] = draw(special)
+        return v
+
+    def near(v):
+        # a copy, or a copy one ulp away in one place
+        v = v.copy()
+        if v.size and draw(st.booleans()):
+            at = draw(st.integers(0, v.size - 1))
+            with np.errstate(over="ignore"):  # from inf, one step is the largest float
+                v[at] = np.nextafter(v[at], draw(st.sampled_from([-np.inf, np.inf])))
+        return v
+
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append(near(rows[draw(st.integers(0, len(rows) - 1))])
+                    if rows and draw(st.booleans()) else vector(8))
+    q = near(rows[draw(st.integers(0, len(rows) - 1))]) if rows and draw(st.booleans()) \
+        else vector(draw(st.sampled_from([8, 20])))
+    k = draw(st.integers(1, len(rows) + 2))
+    exclude = draw(st.none() | st.integers(0, len(rows)))
+    return rows, q, k, exclude
+
+
+@settings(FIXED, max_examples=400)
+@given(case=scan_cases())
+def test_pruned_query_is_the_full_scan_bit_for_bit(case):
+    rows, q, k, exclude = case
+    spec = RasterSpec("circular", 8, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        db = DescriptorDatabase.from_records(spec, "circ_radial", [
+            DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector("circ_radial", spec, v))
+            for i, v in enumerate(rows)])
+    query_vector = ShapeVector("circ_radial", spec, q)
+    exclude_id = None if exclude is None else f"r-{exclude}"
+    for error in (False, True):
+        got, got_warnings = scan_outcome(query, db, query_vector, k, exclude_id, error)
+        expected, expected_warnings = scan_outcome(full_scan, db, query_vector, k,
+                                                   exclude_id, error)
+        assert got == expected
+        # the kernel warns once per array operation, and a long query's
+        # tail blocks are as many as its rows allow, so only the kinds count
+        assert set(got_warnings) == set(expected_warnings)
+
+
+def test_pruned_query_at_the_bound_edges():
+    spec = RasterSpec("circular", 8, 24)
+
+    def outcome(rows, q, k):
+        """What query() gives under -W error, once both modes match the full scan."""
+        db = DescriptorDatabase.from_records(spec, "circ_radial", [
+            DescriptorRecord(f"r-{i}", f"c{i}", ShapeVector("circ_radial", spec, np.array(v)))
+            for i, v in enumerate(rows)])
+        query_vector = ShapeVector("circ_radial", spec, np.array(q))
+        for error in (False, True):
+            got = scan_outcome(query, db, query_vector, k, None, error)
+            assert got == scan_outcome(full_scan, db, query_vector, k, None, error)
+        return got[0]
+
+    # r-0 and r-1 both lie at 0.0, the square of r-1's distance underflowing;
+    # the Gram form rounds r-0's square up to a subnormal, which only the
+    # bound's absolute term covers
+    assert outcome([[6.9e-162], [6.8e-162]], [6.9e-162], 1) == [
+        ("r-0", "c0", np.float64(0.0).tobytes())]
+    # the kernel's sum of squares for r-1 overflows (a warning, so under -W
+    # error an exception), while (|r| + |q|)^2 rounds to just below the
+    # largest float; the bound's headroom keeps r-1 in the scan
+    a, b = 9.402102630488402e+153, 7.864927762077513e+151
+    kind, message = outcome([[-b, -b], [a, a]], [-b, -b], 1)
+    assert kind is RuntimeWarning and "overflow" in message
 
 
 # one small valid file per netpbm format, split where its raster starts
