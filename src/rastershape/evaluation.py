@@ -9,6 +9,7 @@ measures the matching loop only (extraction and I/O excluded).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import time
@@ -139,6 +140,8 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     kind = variant_kind(variant)
     if threads != 1:  # perfbench/measure.py still passes threads=1
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     shapes = list(dataset)
     if not shapes:
         raise DatasetError("sweep needs a non-empty dataset")
@@ -195,6 +198,8 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
              for variant, d, s in variant_specs]
     if threads != 1:  # perfbench/measure.py still passes threads=1
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     shapes = list(dataset)
     queries = select_occlusion_queries(shapes, per_category, fraction, seed)
     cells = []
@@ -210,81 +215,74 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     return OcclusionReport(fraction, seed, per_category, tuple(cells))
 
 
-def _open_for(dest, mode: str):
-    if hasattr(dest, "write") or hasattr(dest, "read"):
-        return dest, False
-    return open(dest, mode, newline="", encoding="utf-8"), True
+@contextlib.contextmanager
+def _opened(target, mode: str):
+    """``target`` itself if it is a file object, else the named file, closed on exit."""
+    if hasattr(target, "write") or hasattr(target, "read"):
+        yield target
+    else:
+        with open(target, mode, newline="", encoding="utf-8") as f:
+            yield f
+
+
+def _write_csv(dest, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _opened(dest, "w") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_sweep_csv(report: SweepReport, dest) -> None:
     """CSV with one row per cell: efficiency at 1 decimal, times at 3."""
-    f, owned = _open_for(dest, "w")
-    try:
-        writer = csv.writer(f)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for cell in report.cells:
-            writer.writerow([
-                report.variant, report.dataset,
-                cell.separation_px, cell.samples_per_cycle,
-                f"{cell.efficiency_pct:.1f}",
-                f"{cell.total_time_s:.3f}",
-                f"{cell.avg_time_s:.3f}",
-            ])
-    finally:
-        if owned:
-            f.close()
+    _write_csv(dest, SWEEP_CSV_COLUMNS, (
+        [report.variant, report.dataset, cell.separation_px, cell.samples_per_cycle,
+         f"{cell.efficiency_pct:.1f}", f"{cell.total_time_s:.3f}", f"{cell.avg_time_s:.3f}"]
+        for cell in report.cells))
 
 
 def read_sweep_csv(source) -> SweepReport:
     """Parse a CSV written by write_sweep_csv(); errors name the row and file."""
-    f, owned = _open_for(source, "r")
-    where = f"{Path(source).name}: " if owned else ""
     rows = []
-    try:
-        for row in csv.reader(f):
-            rows.append(row)
-    except csv.Error as exc:
-        raise ValueError(f"{where}sweep report CSV row {len(rows) + 1}: {exc}") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{where}not UTF-8 text") from None
-    finally:
-        if owned:
-            f.close()
+    with _opened(source, "r") as f:
+        where = "" if f is source else f"{Path(source).name}: "
+        try:
+            for row in csv.reader(f):
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"{where}sweep report CSV row {len(rows) + 1}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{where}not UTF-8 text") from None
     if not rows or tuple(rows[0]) != SWEEP_CSV_COLUMNS:
         raise ValueError(f"{where}not a sweep report CSV (bad or missing header)")
     body = [(n, row) for n, row in enumerate(rows[1:], start=2) if row]
     if not body:
         raise ValueError(f"{where}sweep report CSV has no data rows")
     cells = []
+    first_row: dict[tuple[int, int], int] = {}
     for n, row in body:
+        at = f"{where}sweep report CSV row {n}: "
         if len(row) != len(SWEEP_CSV_COLUMNS):
-            raise ValueError(f"{where}sweep report CSV row {n}: expected "
-                             f"{len(SWEEP_CSV_COLUMNS)} columns, got {len(row)}")
+            raise ValueError(f"{at}expected {len(SWEEP_CSV_COLUMNS)} columns, got {len(row)}")
         try:
-            cells.append(SweepCell(int(row[2]), int(row[3]), float(row[4]),
-                                   float(row[5]), float(row[6])))
+            cell = (int(row[2]), int(row[3]))
+            efficiency, total, avg = numbers = [float(text) for text in row[4:]]
         except ValueError as exc:
-            raise ValueError(f"{where}sweep report CSV row {n}: {exc}") from None
-        for text in row[4:]:
-            if not math.isfinite(float(text)):
-                raise ValueError(f"{where}sweep report CSV row {n}: non-finite value {text!r}")
-    variants = {row[0] for _, row in body}
-    datasets = {row[1] for _, row in body}
-    if len(variants) != 1 or len(datasets) != 1:
+            raise ValueError(f"{at}{exc}") from None
+        for text, value in zip(row[4:], numbers):
+            if not math.isfinite(value):
+                raise ValueError(f"{at}non-finite value {text!r}")
+        if not (0 <= efficiency <= 100 and total >= 0 and avg >= 0):
+            raise ValueError(f"{at}efficiency_pct outside [0, 100] or a negative time")
+        if first_row.setdefault(cell, n) != n:
+            raise ValueError(f"{at}repeats separation {cell[0]}, samples {cell[1]} "
+                             f"(first on row {first_row[cell]})")
+        cells.append(SweepCell(*cell, *numbers))
+    if len({(row[0], row[1]) for _, row in body}) != 1:
         raise ValueError(f"{where}sweep report CSV mixes variants or datasets")
     return SweepReport(body[0][1][0], body[0][1][1], tuple(cells))
 
 
 def write_occlusion_csv(report: OcclusionReport, dest) -> None:
-    f, owned = _open_for(dest, "w")
-    try:
-        writer = csv.writer(f)
-        writer.writerow(OCCLUSION_CSV_COLUMNS)
-        for cell in report.cells:
-            writer.writerow([
-                cell.variant, cell.separation_px, cell.samples_per_cycle,
-                f"{cell.efficiency_pct:.1f}",
-            ])
-    finally:
-        if owned:
-            f.close()
+    _write_csv(dest, OCCLUSION_CSV_COLUMNS, (
+        [cell.variant, cell.separation_px, cell.samples_per_cycle, f"{cell.efficiency_pct:.1f}"]
+        for cell in report.cells))

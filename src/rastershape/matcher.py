@@ -12,17 +12,20 @@ millionths, and any other token is a bad record. ``records`` builds the
 record objects when they are read.
 
 Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
-product gives every row's squared distance to the query up to a rounding
-bound; only the rows whose lower bound can still reach the k-th smallest
-upper bound go through the exact distance kernel, which sums each row the
-same way whatever rows it is given. So a query returns the same matches,
-bit for bit, as ranking every row with that kernel, in a fraction of the
-time when the vectors are long. Datasets here are a few hundred to a few
-thousand records, and the benchmark harness times exactly this scan.
+product gives every row's squared distance to the query up to one rounding
+margin per query, set by the largest row norm R and the query's norm (for
+descriptor values in [0, 1], R <= sqrt(L_max)); only the rows within twice
+that margin of the k-th smallest estimate go through the exact distance
+kernel, which sums each row the same way whatever rows it is given. So a
+query returns the same matches, bit for bit, as ranking every row with that
+kernel, in a fraction of the time when the vectors are long. Datasets here
+are a few hundred to a few thousand records, and the benchmark harness
+times exactly this scan.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -51,10 +54,10 @@ _FIELD_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
 _DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
 _PLACE_VALUE = np.array([1e6, 0, 1e5, 1e4, 1e3, 1e2, 1e1, 1, 0])
 _MICRO = 1_000_000
-# query()'s pruning bound, derived in _candidates: its margin over the worst
+# query()'s pruning margin, derived in _candidates: its slack over the worst
 # rounding error, the unit roundoff, the smallest subnormal, and the power of
-# two the stored row norms are scaled by, so that a row's bound overflows
-# (which keeps the row) before its squared distance can
+# two the largest row norm and |q| are scaled by, so that the margin
+# overflows (which keeps every row) before a squared distance can
 _SLACK = 16
 _UNIT = 2.0 ** -53
 _TINY = 2.0 ** -1074
@@ -86,7 +89,7 @@ class DescriptorDatabase:
     matrix: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
     _norms: np.ndarray = field(repr=False)  # each row's squared norm
-    _roots: np.ndarray = field(repr=False)  # each row's norm, times _HEADROOM
+    _radius: float = field(repr=False)  # the largest row norm, times _HEADROOM
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
@@ -116,12 +119,11 @@ class DescriptorDatabase:
         # overflow and NaN, so neither warns here
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.einsum("ij,ij->i", matrix, matrix)
-            roots = np.sqrt(norms) * _HEADROOM
-        for array in (matrix, lengths, norms, roots):
+        for array in (matrix, lengths, norms):
             array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
-                          lengths=lengths, matrix=matrix, _rows=rows,
-                          _norms=norms, _roots=roots)
+                          lengths=lengths, matrix=matrix, _rows=rows, _norms=norms,
+                          _radius=math.sqrt(norms.max(initial=0.0)) * _HEADROOM)
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
@@ -155,9 +157,11 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return len(self._db)
 
-    def __getitem__(self, i: int) -> DescriptorRecord:
+    def __getitem__(self, i: int | slice) -> DescriptorRecord | list[DescriptorRecord]:
         db = self._db
         i = range(len(db))[i]
+        if isinstance(i, range):  # a slice
+            return [self[j] for j in i]
         return DescriptorRecord(db.ids[i], db.categories[i],
                                 ShapeVector(db.variant, db.spec, db.matrix[i, :db.lengths[i]]))
 
@@ -244,58 +248,51 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
                 excluded: int | None) -> np.ndarray:
     """The rows, ascending, that can be among the k nearest to ``q``.
 
-    Why no row of the exact top k is dropped: pad a row ``r`` and ``q`` with
-    zeros to W = max(width, len(q)), and let u = 2^-53 and M = (|r| + |q|)^2,
-    which bounds |r - q|^2 and every term and partial sum below.
+    Why no row of the exact top k is dropped: pad every row ``r`` and ``q``
+    with zeros to W = max(width, len(q)), and let u = 2^-53, R the largest
+    row norm and M = (R + |q|)^2, which bounds every |r - q|^2 and every
+    term and partial sum below, whatever the row.
 
-    - ``approx`` is the Gram form |r|^2 + |q|^2 - 2 r.q, from the stored
-      norms and one matrix-vector product with -2 q. In any summation
-      order, BLAS's included, it is within about (W + 2) u M of the exact
-      square.
+    - ``approx`` is the Gram form |r|^2 - 2 r.q, from the stored norms and
+      one matrix-vector product with -2 q; it leaves out |q|^2, the same for
+      every row. In any summation order, BLAS's included, it is within
+      about (W + 2) u M of the exact |r - q|^2 - |q|^2.
     - _distances sums (r_i - q_i)^2 left to right, so its square is within
       (W + 2) u M of the exact one too.
     - Underflow adds at most about W + 2 smallest subnormals to either.
 
-    ``err`` is _SLACK = 16 times that bound, (W + 2) (u M + 2^-1074). Take
-    the k rows, the excluded one aside, with the smallest ``approx + err``:
-    each one's kernel square lies below ``kth``, the largest of these. A row
-    whose ``approx - err`` is above ``kth`` then has a kernel square above
-    theirs by more than _SLACK - 3 bounds: 2 for the two errors and 1 for
-    rounding ``approx - err`` and ``approx + err``. As W + 2 >= 2, that gap
-    is over 26 u times the larger square (or 26 subnormals), and two squares
-    6 u apart already have distinct correctly rounded square roots. So a
-    pruned row is strictly farther than k others, and no tie-break can bring
-    it back.
+    So e = (W + 2) (u M + 2^-1074) bounds both errors for every row, and
+    ``err`` is _SLACK = 16 times it. Let ``kth`` be the k-th smallest
+    ``approx``, the excluded row aside: k rows have kernel squares at most
+    kth + |q|^2 + 2e. A row kept out has ``approx`` above the computed
+    kth + 2 err, which rounding puts at most e below the exact sum, so its
+    kernel square is above kth + |q|^2 + 2 err - 3e. The gap is over 27 e:
+    as W + 2 >= 2, over 50 u times the larger square (or 54 subnormals),
+    and two squares 6 u apart already have distinct correctly rounded
+    square roots. So a pruned row is strictly farther than k others, and no
+    tie-break can bring it back.
 
-    A row holding NaN or inf gets a NaN or -inf ``approx - err`` and is
-    kept, and every row is kept when ``q`` holds one, as NaN compares false.
-    So is a row with M above about 2^1008: the norms are stored times
-    _HEADROOM = 2^8, so its ``err`` overflows to inf before its kernel
-    square can overflow. The kernel therefore meets every value that raises
-    a warning in a full scan, and raises the same warnings; the bound
-    arithmetic raises none.
+    R and |q| are taken times _HEADROOM = 2^8, so ``err`` overflows to inf
+    once M is above about 2^1008, before any kernel square can overflow;
+    with NaN in the database or in ``q`` it is NaN. Either way no row is
+    above the threshold and every row is kept, as NaN compares false. The
+    kernel therefore meets every value that raises a warning in a full
+    scan, and raises the same warnings; the bound arithmetic raises none.
     """
     n, width = db.matrix.shape
     if k >= n:
         return np.arange(n)
     head = q[:width]
-    scale = _SLACK * (max(width, q.size) + 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        qq = float(q @ q)
         approx = db.matrix[:, :head.size] @ (head * -2)
         approx += db._norms
-        approx += qq
-        err = db._roots + np.sqrt(qq) * _HEADROOM
-        err *= err
-        err *= scale * _UNIT / _HEADROOM ** 2
-        err += scale * _TINY
-        high = approx + err
+        reach = db._radius + math.sqrt(q @ q) * _HEADROOM
+        err = _SLACK * (max(width, q.size) + 2) * (
+            reach * reach * (_UNIT / _HEADROOM ** 2) + _TINY)
         if excluded is not None:
-            high[excluded] = np.inf
-        high.partition(k - 1)
-        kth = high[k - 1]
-        approx -= err
-        return np.flatnonzero(~(approx > kth))
+            approx[excluded] = np.inf
+        kth = float(np.partition(approx, k - 1)[k - 1])
+        return np.flatnonzero(~(approx > kth + 2 * err))
 
 
 def _header_line(spec: RasterSpec, variant: str) -> str:

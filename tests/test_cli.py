@@ -209,7 +209,10 @@ def test_report_rejects_bad_csv(tmp_path, capsys):
     good = "circ_radial,toy,8,4,50.0,0.010,0.001\n"
     for row in ("circ_radial,toy,8\n", "circ_radial,toy,8,four,50.0,0.010,0.001\n",
                 "circ_radial,toy,8,4,nan,inf,0.001\n",
-                "circ_radial,toy,8,4," + "5" * 200_000 + ",0.010,0.001\n"):
+                "circ_radial,toy,8,4," + "5" * 200_000 + ",0.010,0.001\n",
+                "circ_radial,toy,8,4,60.0,0.010,0.001\n",
+                "circ_radial,toy,8,24,150.0,-1.0,0.001\n",
+                "circ_radial,toy,8,24,50.0,0.010,-0.001\n"):
         bad.write_text(header + good + row)
         capsys.readouterr()
         assert main(["report", str(bad)]) == 2

@@ -199,6 +199,18 @@ def test_read_sweep_csv_rejects_non_finite_cells():
                 "circ_radial,toy,8,24,50.0,NaN,0.001\n"):
         with pytest.raises(ValueError, match="row 3: non-finite value"):
             read_sweep_csv(io.StringIO(header + good + row))
+    # a repeated cell would hide the first one's row, and a percentage or
+    # time out of range is no report write_sweep_csv writes
+    for row, message in (("circ_radial,toy,8,4,60.0,0.010,0.001\n",
+                          r"row 3: repeats separation 8, samples 4 \(first on row 2\)"),
+                         ("circ_radial,toy,8,24,150.0,-1.0,0.001\n",
+                          r"row 3: efficiency_pct outside \[0, 100\] or a negative time"),
+                         ("circ_radial,toy,8,24,-0.1,0.010,0.001\n", "row 3: efficiency_pct"),
+                         ("circ_radial,toy,8,24,50.0,0.010,-0.001\n", "row 3: efficiency_pct")):
+        with pytest.raises(ValueError, match=message):
+            read_sweep_csv(io.StringIO(header + good + row))
+    edges = read_sweep_csv(io.StringIO(header + good + "circ_radial,toy,8,24,100.0,0.0,0.0\n"))
+    assert edges.cells[1] == SweepCell(8, 24, 100.0, 0.0, 0.0)
 
 
 def test_occlusion_query_selection(toy_corpus):
@@ -221,6 +233,17 @@ def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
             select_occlusion_queries(toy_corpus, n, 0.2, 0)
         with pytest.raises(ValueError, match=f"^per_category must be >= 1, got {n}$"):
             occlusion_experiment(toy_corpus, per_category=n)
+
+
+def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
+    calls = []
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: calls.append(a))
+    for k in (-1, 0):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            sweep(toy_corpus, CIRC_RADIAL, k=k)
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            occlusion_experiment(toy_corpus, k=k)
+    assert calls == []
 
 
 def test_occlusion_fraction_zero_is_perfect(toy_corpus):

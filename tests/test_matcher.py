@@ -331,6 +331,9 @@ def test_database_columns():
     with pytest.raises(IndexError):
         db.records[3]
     assert [rec.id for rec in db.records] == list(db.ids)
+    for part in (slice(1, 3), slice(None, None, -1), slice(5, 9)):
+        assert [(r.id, r.category, r.vector.values.tolist()) for r in db.records[part]] == \
+            [(r.id, r.category, r.vector.values.tolist()) for r in list(db.records)[part]]
     with pytest.raises(ValueError, match="do not agree"):
         DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1"], ["a"], [2], [0.5])
     with pytest.raises(ValueError, match="duplicate record id 'a-1'"):

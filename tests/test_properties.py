@@ -418,15 +418,15 @@ def test_pruned_query_is_the_full_scan_bit_for_bit(case):
 def test_pruned_query_at_the_bound_edges():
     spec = RasterSpec("circular", 8, 24)
 
-    def outcome(rows, q, k):
+    def outcome(rows, q, k, exclude_id=None):
         """What query() gives under -W error, once both modes match the full scan."""
         db = DescriptorDatabase.from_records(spec, "circ_radial", [
             DescriptorRecord(f"r-{i}", f"c{i}", ShapeVector("circ_radial", spec, np.array(v)))
             for i, v in enumerate(rows)])
         query_vector = ShapeVector("circ_radial", spec, np.array(q))
         for error in (False, True):
-            got = scan_outcome(query, db, query_vector, k, None, error)
-            assert got == scan_outcome(full_scan, db, query_vector, k, None, error)
+            got = scan_outcome(query, db, query_vector, k, exclude_id, error)
+            assert got == scan_outcome(full_scan, db, query_vector, k, exclude_id, error)
         return got[0]
 
     # r-0 and r-1 both lie at 0.0, the square of r-1's distance underflowing;
@@ -440,6 +440,15 @@ def test_pruned_query_at_the_bound_edges():
     a, b = 9.402102630488402e+153, 7.864927762077513e+151
     kind, message = outcome([[-b, -b], [a, a]], [-b, -b], 1)
     assert kind is RuntimeWarning and "overflow" in message
+    # the loosest margin: one row near 1e150 among rows in [0, 1] sets every
+    # query's margin far above the gaps between the small rows, so all of
+    # them are scanned; queried beside it, the small rows tie at 1e150
+    rows = [[0.25, 0.5], [1e150, 0.5], [0.5, 0.75], [1.0, 0.0]]
+    for q, exclude_id, top in (([0.3, 0.5], None, ["r-0", "r-2"]),
+                               ([0.3, 0.5], "r-1", ["r-0", "r-2"]),
+                               ([1e150, 0.5], None, ["r-1", "r-0"]),
+                               ([1e150, 0.5], "r-1", ["r-0", "r-2"])):
+        assert [rec_id for rec_id, _, _ in outcome(rows, q, 2, exclude_id)] == top
 
 
 # one small valid file per netpbm format, split where its raster starts
