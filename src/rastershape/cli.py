@@ -106,18 +106,20 @@ def cmd_occlude(args) -> int:
         configs = [(args.variant, d, s) for d in args.seps for s in args.samples]
     else:
         configs = list(STANDARD_OCCLUSION_CONFIGS)
+    # images go to --out only after the experiment has checked every argument
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+    report = occlusion_experiment(
+        shapes, configs, per_category=args.per_category, fraction=args.fraction,
+        seed=args.seed, k=args.k,
+    )
+    if args.out:
         queries = select_occlusion_queries(shapes, args.per_category,
                                            args.fraction, args.seed)
         for q in queries:
             save_image(q, out_dir / f"{q.id}.pgm")
         print(f"wrote {len(queries)} occluded images -> {out_dir}", file=sys.stderr)
-    report = occlusion_experiment(
-        shapes, configs, per_category=args.per_category, fraction=args.fraction,
-        seed=args.seed, k=args.k,
-    )
     if args.report:
         write_occlusion_csv(report, args.report)
         print(f"wrote {len(report.cells)} rows -> {args.report}")

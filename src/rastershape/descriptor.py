@@ -40,9 +40,9 @@ VARIANT_KIND = {
 class ShapeVector:
     """One descriptor: variant name, lattice spec, and normalized values.
 
-    Values lie in [0, 1]. Length depends on the shape's extent for the
-    per-cycle variants, so two shapes may produce different lengths under
-    one spec; comparisons zero-pad the shorter vector (see matcher).
+    Values lie in [0, 1]; any other, NaN and inf included, raises ValueError.
+    Length follows the shape's extent for the per-cycle variants, so two shapes
+    may differ in length under one spec; comparisons zero-pad the shorter one.
     """
 
     variant: str
@@ -54,11 +54,20 @@ class ShapeVector:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
+        check_unit_range(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def check_unit_range(values: np.ndarray) -> None:
+    """ValueError unless every value lies in [0, 1]; NaN fails both tests."""
+    # compared as Python floats, which never warn; initial=0 accepts an empty array
+    low, high = float(values.min(initial=0)), float(values.max(initial=0))
+    if not (low >= 0 and high <= 1):
+        raise ValueError("descriptor values must lie in [0, 1]")
 
 
 def variant_kind(variant: str, spec: RasterSpec | None = None) -> str:

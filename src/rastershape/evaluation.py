@@ -142,17 +142,17 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # every spec is checked before any extraction; equal specs run once
+    specs = dict.fromkeys(RasterSpec(kind, d, s) for d in separations for s in samples)
     shapes = list(dataset)
     if not shapes:
         raise DatasetError("sweep needs a non-empty dataset")
-    pairs = list(dict.fromkeys((int(d), int(s)) for d in separations for s in samples))
     cells = []
-    for d, s in pairs:
-        spec = RasterSpec(kind, d, s)
+    for spec in specs:
         records = extract_records(shapes, spec, variant)
         db = DescriptorDatabase.from_records(spec, variant, records)
         total, avg, efficiency = timed_retrieval(db, records, k)
-        cell = SweepCell(d, s, efficiency, total, avg)
+        cell = SweepCell(spec.separation_px, spec.samples_per_cycle, efficiency, total, avg)
         cells.append(cell)
         if progress is not None:
             progress(cell)
@@ -194,7 +194,7 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     copies (absent from the database, so nothing is excluded). ``threads``
     accepts only 1.
     """
-    specs = [(variant, RasterSpec(variant_kind(variant), int(d), int(s)))
+    specs = [(variant, RasterSpec(variant_kind(variant), d, s))
              for variant, d, s in variant_specs]
     if threads != 1:  # perfbench/measure.py still passes threads=1
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")

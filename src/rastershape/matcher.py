@@ -13,14 +13,15 @@ record objects when they are read.
 
 Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
 product gives every row's squared distance to the query up to one rounding
-margin per query, set by the largest row norm R and the query's norm (for
-descriptor values in [0, 1], R <= sqrt(L_max)); only the rows within twice
-that margin of the k-th smallest estimate go through the exact distance
-kernel, which sums each row the same way whatever rows it is given. So a
-query returns the same matches, bit for bit, as ranking every row with that
-kernel, in a fraction of the time when the vectors are long. Datasets here
-are a few hundred to a few thousand records, and the benchmark harness
-times exactly this scan.
+margin per query, set by the largest row norm R and the query's norm. The
+bound relies on ShapeVector and DescriptorDatabase refusing values outside
+[0, 1]: so R <= sqrt(L_max), and no NaN, inf or overflow reaches a ranking.
+Only the rows within twice that margin of the k-th smallest estimate go
+through the exact distance kernel, which sums each row the same way
+whatever rows it is given. So a query returns the same matches, bit for
+bit, as ranking every row with that kernel, in a fraction of the time when
+the vectors are long. Datasets here are a few hundred to a few thousand
+records, and the benchmark harness times exactly this scan.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor import ShapeVector, variant_kind
+from .descriptor import ShapeVector, check_unit_range, variant_kind
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
 
@@ -55,13 +56,10 @@ _DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
 _PLACE_VALUE = np.array([1e6, 0, 1e5, 1e4, 1e3, 1e2, 1e1, 1, 0])
 _MICRO = 1_000_000
 # query()'s pruning margin, derived in _candidates: its slack over the worst
-# rounding error, the unit roundoff, the smallest subnormal, and the power of
-# two the largest row norm and |q| are scaled by, so that the margin
-# overflows (which keeps every row) before a squared distance can
+# rounding error, the unit roundoff and the smallest subnormal
 _SLACK = 16
 _UNIT = 2.0 ** -53
 _TINY = 2.0 ** -1074
-_HEADROOM = 2.0 ** 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +87,11 @@ class DescriptorDatabase:
     matrix: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
     _norms: np.ndarray = field(repr=False)  # each row's squared norm
-    _radius: float = field(repr=False)  # the largest row norm, times _HEADROOM
+    _radius: float = field(repr=False)  # the largest row norm
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
-        """``values`` holds every record's values end to end, in record order."""
+        """``values``: every record's values in record order, each in [0, 1] (else ValueError)."""
         variant_kind(variant, spec)
         ids, categories = tuple(ids), tuple(categories)
         lengths = np.array(lengths, dtype=np.intp)
@@ -102,6 +100,7 @@ class DescriptorDatabase:
         if (len(categories) != n or lengths.shape != (n,) or (lengths < 0).any()
                 or lengths.sum() != values.size):
             raise ValueError("ids, categories, lengths and values do not agree")
+        check_unit_range(values)
         width = int(lengths.max(initial=0))
         if n * width > MAX_DATABASE_VALUES:
             raise ValueError(f"{n} records x {width} values is above "
@@ -115,15 +114,12 @@ class DescriptorDatabase:
                 seen.add(rec_id)
         matrix = np.zeros((n, width), order="F")
         matrix[np.arange(width) < lengths[:, np.newaxis]] = values
-        # read by query's bound (see _candidates), which also handles their
-        # overflow and NaN, so neither warns here
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.einsum("ij,ij->i", matrix, matrix)
+        norms = np.einsum("ij,ij->i", matrix, matrix)  # read by query's bound
         for array in (matrix, lengths, norms):
             array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
                           lengths=lengths, matrix=matrix, _rows=rows, _norms=norms,
-                          _radius=math.sqrt(norms.max(initial=0.0)) * _HEADROOM)
+                          _radius=math.sqrt(norms.max(initial=0.0)))
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
@@ -251,7 +247,8 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     Why no row of the exact top k is dropped: pad every row ``r`` and ``q``
     with zeros to W = max(width, len(q)), and let u = 2^-53, R the largest
     row norm and M = (R + |q|)^2, which bounds every |r - q|^2 and every
-    term and partial sum below, whatever the row.
+    term and partial sum below, whatever the row. The bound relies on every
+    value lying in [0, 1]: then M <= 4 W, so nothing overflows or is NaN.
 
     - ``approx`` is the Gram form |r|^2 - 2 r.q, from the stored norms and
       one matrix-vector product with -2 q; it leaves out |q|^2, the same for
@@ -271,28 +268,19 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     and two squares 6 u apart already have distinct correctly rounded
     square roots. So a pruned row is strictly farther than k others, and no
     tie-break can bring it back.
-
-    R and |q| are taken times _HEADROOM = 2^8, so ``err`` overflows to inf
-    once M is above about 2^1008, before any kernel square can overflow;
-    with NaN in the database or in ``q`` it is NaN. Either way no row is
-    above the threshold and every row is kept, as NaN compares false. The
-    kernel therefore meets every value that raises a warning in a full
-    scan, and raises the same warnings; the bound arithmetic raises none.
     """
     n, width = db.matrix.shape
     if k >= n:
         return np.arange(n)
     head = q[:width]
-    with np.errstate(over="ignore", invalid="ignore"):
-        approx = db.matrix[:, :head.size] @ (head * -2)
-        approx += db._norms
-        reach = db._radius + math.sqrt(q @ q) * _HEADROOM
-        err = _SLACK * (max(width, q.size) + 2) * (
-            reach * reach * (_UNIT / _HEADROOM ** 2) + _TINY)
-        if excluded is not None:
-            approx[excluded] = np.inf
-        kth = float(np.partition(approx, k - 1)[k - 1])
-        return np.flatnonzero(~(approx > kth + 2 * err))
+    approx = db.matrix[:, :head.size] @ (head * -2)
+    approx += db._norms
+    reach = db._radius + math.sqrt(q @ q)
+    err = _SLACK * (max(width, q.size) + 2) * (reach * reach * _UNIT + _TINY)
+    if excluded is not None:
+        approx[excluded] = np.inf
+    kth = float(np.partition(approx, k - 1)[k - 1])
+    return np.flatnonzero(approx <= kth + 2 * err)
 
 
 def _header_line(spec: RasterSpec, variant: str) -> str:

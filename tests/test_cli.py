@@ -163,6 +163,16 @@ def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monke
         assert f"per_category must be >= 1, got {n}" in capsys.readouterr().err
 
 
+def test_occlude_bad_arguments_write_no_images(toy_dir, tmp_path, capsys):
+    for args, message in ((["--k", "0"], "k must be >= 1, got 0"),
+                          (["--variant", "circ_radial", "--seps", "0"],
+                           "separation_px must be a positive integer, got 0")):
+        out_dir = tmp_path / f"occluded{len(args)}"
+        assert main(["occlude", str(toy_dir), *args, "--out", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
+
 def test_occlude_fraction_zero_all_perfect(toy_dir, capsys):
     code = main(["occlude", str(toy_dir), "--fraction", "0"])
     assert code == 0

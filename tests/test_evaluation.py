@@ -137,6 +137,10 @@ def test_sweep_grid_and_cells(toy_corpus):
 def test_sweep_single_cell_and_duplicates(toy_corpus):
     report = sweep(toy_corpus, CIRC_RADIAL, separations=(8, 8), samples=(24,))
     assert len(report.cells) == 1
+    # specs that normalize to the same integers run once
+    report = sweep(toy_corpus, CIRC_RADIAL, separations=(8, 8.0, np.int64(8)), samples=(24,))
+    assert [(c.separation_px, c.samples_per_cycle) for c in report.cells] == [(8, 24)]
+    assert type(report.cells[0].separation_px) is int
 
 
 def test_sweep_trend_on_toy_corpus(toy_corpus):
@@ -243,6 +247,20 @@ def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
             sweep(toy_corpus, CIRC_RADIAL, k=k)
         with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             occlusion_experiment(toy_corpus, k=k)
+    assert calls == []
+
+
+def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatch):
+    calls = []
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: calls.append(a))
+    for seps, samples, bad in (((8, 8.5), (4,), "separation_px must be a positive integer, got 8.5"),
+                               ((8,), (4.9,), "samples_per_cycle must be a positive integer, got 4.9"),
+                               ((8,), (4, 0), "samples_per_cycle must be a positive integer, got 0")):
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            sweep(toy_corpus, CIRC_RADIAL, separations=seps, samples=samples)
+        configs = [(CIRC_RADIAL, d, s) for d in seps for s in samples]
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            occlusion_experiment(toy_corpus, configs)
     assert calls == []
 
 

@@ -46,7 +46,7 @@ def random_db(rng, n_records=200, categories=8, max_len=12):
 # ----------------------------------------------------------------- distance
 
 def test_distance_examples():
-    assert distance(vec([0, 0]), vec([3, 4])) == 5.0
+    assert distance(vec([0, 0]), vec([0.75, 1.0])) == 1.25
     assert distance(vec([0.25, 0.5]), vec([0.25, 0.5])) == 0.0
     assert distance(vec([1]), vec([1, 0, 0])) == 0.0
 
@@ -340,6 +340,25 @@ def test_database_columns():
         DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1", "b-1", "a-1"], ["a"] * 3, [0, 0, 0], [])
     with pytest.raises(ValueError, match="needs a spiral raster"):
         DescriptorDatabase(SPEC, SPIRAL_FULL, [], [], [], [])
+
+
+def test_values_outside_the_unit_interval_are_refused(tmp_path):
+    refused = r"^descriptor values must lie in \[0, 1\]$"
+    for bad in (np.nan, np.inf, -np.inf, -0.25, 1.000001, 12.0):
+        with pytest.raises(ValueError, match=refused):
+            vec([0.5, bad])
+        with pytest.raises(ValueError, match=refused):
+            DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1"], ["a"], [2], [0.5, bad])
+    # the extremes are accepted, and every one saves as a value load reads
+    edges = [0.0, 1.0, 6.9e-162, 0.9999996]
+    assert vec(edges).values.tolist() == edges
+    assert len(vec([])) == 0
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL, ["a-1", "b-1"], ["a", "b"], [3, 1], edges)
+    path = tmp_path / "edges.rdb"
+    save_database(db, path)
+    assert path.read_text().splitlines()[1:] == ["a-1\ta\t3\t0.000000,1.000000,0.000000",
+                                                 "b-1\tb\t1\t1.000000"]
+    assert load_database(path).matrix.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
