@@ -84,7 +84,7 @@ def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
     """Full pipeline: centroid, extent, cycle count, grid, then grouping."""
     variant_kind(variant, spec)
     c = centroid(shape)
-    n = cycle_count(spec, max_radius(shape, c))
+    n = cycle_count(spec, max_radius(shape))
     build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
     grid = build(c, spec, n)
     samples = spec.samples_per_cycle

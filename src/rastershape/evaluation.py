@@ -13,7 +13,7 @@ import contextlib
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +70,8 @@ class OcclusionReport:
     seed: int
     per_category: int
     cells: tuple[OcclusionCell, ...]
+    # the occluded query shapes; not part of the report's value or its CSV
+    queries: tuple[BinaryShape, ...] = field(default=(), compare=False, repr=False)
 
 
 def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec,
@@ -169,6 +171,8 @@ def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
     """
     if per_category < 1:
         raise ValueError(f"per_category must be >= 1, got {per_category}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     groups: dict[str, list[BinaryShape]] = {}
     for shape in dataset:
         groups.setdefault(shape.category, []).append(shape)
@@ -191,8 +195,8 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     """Retrieval efficiency of occluded queries against the clean database.
 
     The database holds every unoccluded shape; queries are the occluded
-    copies (absent from the database, so nothing is excluded). ``threads``
-    accepts only 1.
+    copies (absent from the database, so nothing is excluded), and the
+    report carries them as ``queries``. ``threads`` accepts only 1.
     """
     specs = [(variant, RasterSpec(variant_kind(variant), d, s))
              for variant, d, s in variant_specs]
@@ -212,7 +216,7 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
         cells.append(cell)
         if progress is not None:
             progress(cell)
-    return OcclusionReport(fraction, seed, per_category, tuple(cells))
+    return OcclusionReport(fraction, seed, per_category, tuple(cells), tuple(queries))
 
 
 @contextlib.contextmanager

@@ -6,9 +6,9 @@ converted first. A ``BinaryShape`` is built from its mask alone, and
 ``width`` and ``height`` are the mask's shape. All operations here are
 pure and masks are frozen after construction.
 
-Geometry is computed once per shape and kept on it: ``centroid`` from the
-row and column sums, ``max_radius`` from each row's leftmost and rightmost
-foreground pixel.
+Geometry is computed once per shape, in one pass over the foreground's
+bounding box, and kept on it: ``centroid`` from the row and column sums,
+``max_radius`` from each row's leftmost and rightmost foreground pixel.
 
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
@@ -65,9 +65,8 @@ class BinaryShape:
     mask: np.ndarray
     id: str = ""
     category: str = ""
-    # geometry, filled on first use by centroid() and max_radius()
-    _centroid: Centroid | None = field(default=None, init=False, repr=False)
-    _r_max: float | None = field(default=None, init=False, repr=False)
+    # (centroid, r_max), filled on first use by centroid() or max_radius()
+    _geometry: tuple[Centroid, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         mask = np.array(self.mask, dtype=bool)
@@ -210,50 +209,48 @@ def _empty(shape: BinaryShape) -> EmptyShapeError:
     return EmptyShapeError(f"shape {shape.id!r} has no foreground pixels")
 
 
-def centroid(shape: BinaryShape) -> Centroid:
-    """Arithmetic mean of the foreground pixel coordinates.
+def _geometry(shape: BinaryShape) -> tuple[Centroid, float]:
+    """(centroid, r_max) from one pass over the foreground's bounding box, kept on the shape.
 
-    Computed once per shape from the row and column sums: each coordinate
-    is an exact integer sum divided once by the pixel count.
+    The centroid divides exact integer sums once by the pixel count. r_max
+    measures only each row's leftmost and rightmost foreground pixel: along
+    a row the distance is convex and rounding is monotone, so one of the
+    two is the row's farthest pixel, bit for bit.
     """
-    if shape._centroid is None:
-        # a row or column holds at most MAX_PIXELS < 2**31 pixels
-        rows = shape.mask.sum(axis=1, dtype=np.int32)
-        cols = shape.mask.sum(axis=0, dtype=np.int32)
-        n = int(rows.sum())
-        if n == 0:
+    if shape._geometry is None:
+        ys = np.flatnonzero(shape.mask.any(axis=1))
+        if ys.size == 0:
             raise _empty(shape)
-        sx = int(cols @ np.arange(shape.width, dtype=np.int64))
-        sy = int(rows @ np.arange(shape.height, dtype=np.int64))
-        object.__setattr__(shape, "_centroid", Centroid(sx / n, sy / n))
-    return shape._centroid
+        y0, y1 = ys[0], ys[-1] + 1
+        band = shape.mask[y0:y1]
+        xs = np.flatnonzero(band.any(axis=0))
+        x0, x1 = xs[0], xs[-1] + 1
+        box = band[:, x0:x1]
+        # a row or column holds at most MAX_PIXELS < 2**31 pixels
+        rows = box.sum(axis=1, dtype=np.int32)
+        cols = box.sum(axis=0, dtype=np.int32)
+        n = int(rows.sum())
+        c = Centroid(int(cols @ np.arange(x0, x1, dtype=np.int64)) / n,
+                     int(rows @ np.arange(y0, y1, dtype=np.int64)) / n)
+        hit = rows > 0
+        lines = box[hit]
+        dy = np.arange(y0, y1)[hit] - c.cy
+        dy2 = dy * dy
+        left = lines.argmax(axis=1) + x0 - c.cx
+        right = (x1 - 1) - lines[:, ::-1].argmax(axis=1) - c.cx
+        r = float(np.sqrt(np.maximum(left * left + dy2, right * right + dy2).max()))
+        object.__setattr__(shape, "_geometry", (c, r))
+    return shape._geometry
 
 
-def max_radius(shape: BinaryShape, c: Centroid) -> float:
-    """Largest Euclidean distance from ``c`` to any foreground pixel.
+def centroid(shape: BinaryShape) -> Centroid:
+    """Arithmetic mean of the foreground pixel coordinates."""
+    return _geometry(shape)[0]
 
-    Only each row's leftmost and rightmost foreground pixel is measured:
-    along a row the distance is convex and rounding is monotone, so one of
-    the two is the row's farthest pixel, bit for bit. The result for the
-    shape's own centroid is kept on the shape; any other ``c`` is measured
-    afresh.
-    """
-    own = c == shape._centroid
-    if own and shape._r_max is not None:
-        return shape._r_max
-    mask = shape.mask
-    hit = mask.any(axis=1)
-    if not hit.any():
-        raise _empty(shape)
-    rows = mask[hit]
-    dy = np.arange(shape.height)[hit] - c.cy
-    dy2 = dy * dy
-    left = rows.argmax(axis=1) - c.cx
-    right = (shape.width - 1) - rows[:, ::-1].argmax(axis=1) - c.cx
-    r = float(np.sqrt(np.maximum(left * left + dy2, right * right + dy2).max()))
-    if own:
-        object.__setattr__(shape, "_r_max", r)
-    return r
+
+def max_radius(shape: BinaryShape) -> float:
+    """Largest Euclidean distance from the centroid to any foreground pixel."""
+    return _geometry(shape)[1]
 
 
 def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
@@ -274,11 +271,13 @@ def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
 def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     """Erase roughly ``fraction`` of the foreground with a half-plane cut.
 
-    A cut direction is drawn deterministically from ``seed``. Foreground
-    pixels are ranked by their projection onto that direction and the cut
-    line is placed so the erased far side holds as close as possible to
-    ceil(fraction * N) pixels; ties in projection stay on one side, so the
-    result is always an exact half-plane erase. At least one pixel is kept.
+    A cut direction is drawn deterministically from ``seed``. A clean cut
+    erases every foreground pixel whose projection onto it lies above some
+    level, so pixels that tie in projection stay on one side. Of the clean
+    cuts that keep a pixel, the one erasing the count nearest ceil(fraction
+    * N) wins, the smaller on a tie. With t the target-th largest
+    projection (one rank select), the two candidates erase every pixel
+    above t or every pixel at or above t.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
@@ -291,14 +290,11 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * math.pi)
     proj = xs * math.cos(angle) + ys * math.sin(angle)
-    order = np.argsort(-proj, kind="stable")
-    ranked = proj[order]
-    # erase counts achievable by a clean cut that keeps a pixel: strict drops
-    # in ranked projection
-    candidates = np.concatenate(([0], np.nonzero(ranked[:-1] > ranked[1:])[0] + 1))
-    m = int(candidates[np.argmin(np.abs(candidates - target))])
-
     mask = np.array(shape.mask)
-    erase = order[:m]
-    mask[ys[erase], xs[erase]] = False
+    if target:
+        t = np.partition(proj, n - target)[n - target]
+        above, at_or_above = proj > t, proj >= t
+        low, high = np.count_nonzero(above), np.count_nonzero(at_or_above)
+        erase = at_or_above if high < n and high - target < target - low else above
+        mask[ys[erase], xs[erase]] = False
     return BinaryShape(mask, id=shape.id + "-occ", category=shape.category)

@@ -95,6 +95,25 @@ def ref_extract(rows, width, height, variant, separation, samples):
     return ref_count_vector(rows, width, height, variant, samples, n, points)
 
 
+def ref_occlude(rows, fraction, cos, sin):
+    """Rows left by the half-plane cut along (cos, sin) that erases the clean
+    count nearest ceil(fraction * N), the smaller on a tie, keeping a pixel.
+
+    Full sort of the projections: a clean cut erases every pixel at or above
+    one projection level, so the counts it can erase are 0 and each rank
+    where the sorted projection strictly drops.
+    """
+    pixels = [(x, y) for y, row in enumerate(rows) for x, value in enumerate(row) if value]
+    n = len(pixels)
+    target = math.ceil(fraction * n)
+    levels = sorted((x * cos + y * sin for x, y in pixels), reverse=True)
+    sizes = [0] + [i for i in range(1, n) if levels[i - 1] > levels[i]]
+    m = min(sizes, key=lambda size: (abs(size - target), size))
+    cut = levels[m - 1] if m else math.inf
+    return [[bool(value) and x * cos + y * sin < cut for x, value in enumerate(row)]
+            for y, row in enumerate(rows)]
+
+
 def ref_distance(a, b) -> float:
     a = list(a)
     b = list(b)

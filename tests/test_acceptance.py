@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence():
         shape = blob_shape(4000 + trial, size=96)
         rows = shape.mask.tolist()
         c = centroid(shape)
-        r = max_radius(shape, c)
+        r = max_radius(shape)
         for variant in VARIANTS:
             for d in (8, 32):
                 for s in (4, 24):
@@ -150,7 +150,7 @@ def test_criterion_3_invariance_suite():
         shape = blob_shape(7000 + t, size=96)
         spec = RasterSpec("circular", 8, 12)
         c = centroid(shape)
-        n = cycle_count(spec, max_radius(shape, c))
+        n = cycle_count(spec, max_radius(shape))
         grid = circular_grid(c, spec, n)
         total = int(contains_points(shape, grid.xs, grid.ys).sum())
         radial = extract(shape, spec, CIRC_RADIAL).values

@@ -8,7 +8,7 @@ from rastershape.evaluation import (
     read_sweep_csv,
 )
 from rastershape.matcher import load_database
-from rastershape.shape_io import load_image, save_image
+from rastershape.shape_io import load_image, occlude, save_image
 
 from oracles import ref_topk
 
@@ -158,7 +158,7 @@ def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monke
         code = main(["occlude", str(toy_dir), "--per-category", n, "--out", str(out_dir)])
         assert code == 2
         assert f"per_category must be >= 1, got {n}" in capsys.readouterr().err
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
         assert main(["occlude", str(toy_dir), "--per-category", n]) == 2
         assert f"per_category must be >= 1, got {n}" in capsys.readouterr().err
 
@@ -170,7 +170,37 @@ def test_occlude_bad_arguments_write_no_images(toy_dir, tmp_path, capsys):
         out_dir = tmp_path / f"occluded{len(args)}"
         assert main(["occlude", str(toy_dir), *args, "--out", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
+
+
+def test_occlude_negative_seed_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    out_dir = tmp_path / "occluded"
+    assert main(["occlude", str(toy_dir), "--seed", "-1", "--out", str(out_dir)]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_occlude_out_naming_a_file_exits_2(toy_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    assert main(["occlude", str(toy_dir), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_text() == "a file"
+
+
+def test_occlude_occludes_each_query_once(toy_dir, tmp_path, capsys, monkeypatch):
+    occluded = []
+
+    def counting(shape, fraction, seed):
+        occluded.append(shape.id)
+        return occlude(shape, fraction, seed)
+
+    monkeypatch.setattr("rastershape.evaluation.occlude", counting)
+    out_dir = tmp_path / "occluded"
+    assert main(["occlude", str(toy_dir), "--out", str(out_dir)]) == 0
+    assert len(occluded) == len(set(occluded)) == 6
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{i}-occ.pgm" for i in occluded)
 
 
 def test_occlude_fraction_zero_all_perfect(toy_dir, capsys):

@@ -84,7 +84,7 @@ def test_lengths_per_variant():
     shape = blob_shape(41, size=128)
     for kind, d, s in [("circular", 8, 6), ("spiral", 16, 12)]:
         spec = RasterSpec(kind, d, s)
-        n = cycle_count(spec, max_radius(shape, centroid(shape)))
+        n = cycle_count(spec, max_radius(shape))
         if kind == "circular":
             assert len(extract(shape, spec, CIRC_RADIAL)) == n
             assert len(extract(shape, spec, CIRC_ANGULAR)) == s
@@ -193,7 +193,7 @@ def test_counting_identity_circular():
         shape = blob_shape(700 + trial, size=96)
         spec = RasterSpec("circular", 8, 12)
         c = centroid(shape)
-        n = cycle_count(spec, max_radius(shape, c))
+        n = cycle_count(spec, max_radius(shape))
         radial = extract(shape, spec, CIRC_RADIAL)
         angular = extract(shape, spec, CIRC_ANGULAR)
         from rastershape.shape_io import contains_points
@@ -228,7 +228,7 @@ def test_vectors_match_grid_point_oracle():
             d = int(rng.choice([8, 32]))
             s = int(rng.choice([4, 24]))
             spec = RasterSpec(kind, d, s)
-            n = cycle_count(spec, max_radius(shape, c))
+            n = cycle_count(spec, max_radius(shape))
             grid = (circular_grid if kind == "circular" else spiral_grid)(c, spec, n)
             expected = ref_count_vector(rows, shape.width, shape.height,
                                         variant, s, n, grid_points(grid))

@@ -239,6 +239,26 @@ def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
             occlusion_experiment(toy_corpus, per_category=n)
 
 
+def test_occlusion_negative_seed_is_refused(toy_corpus, monkeypatch):
+    # refused by name before any shape is occluded or extracted
+    monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        select_occlusion_queries(toy_corpus, 2, 0.2, -1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        occlusion_experiment(toy_corpus, seed=-1)
+
+
+def test_occlusion_report_carries_its_queries(toy_corpus):
+    report = occlusion_experiment(toy_corpus, [(CIRC_RADIAL, 8, 4)], fraction=0.3, seed=2)
+    expected = select_occlusion_queries(toy_corpus, 2, 0.3, 2)
+    assert [q.id for q in report.queries] == [q.id for q in expected]
+    assert all(np.array_equal(a.mask, b.mask) for a, b in zip(report.queries, expected))
+    # the shapes are no part of the report's value or its repr
+    assert report == OcclusionReport(0.3, 2, 2, report.cells)
+    assert "queries" not in repr(report)
+
+
 def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
     calls = []
     monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: calls.append(a))

@@ -1,0 +1,48 @@
+"""perfbench/tracing.py reaches into the program by name: each of those names
+still exists and takes the arguments perfbench passes.
+
+A rename would otherwise fail only in the benchmark's own run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from rastershape import evaluation
+from rastershape.descriptor import CIRC_RADIAL
+from rastershape.matcher import DescriptorDatabase
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_every_traced_name_resolves():
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"rastershape.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"rastershape.{layer}.{name}"
+    assert isinstance(DescriptorDatabase.records, property)
+
+
+def test_traced_run_counts_every_stage(toy_corpus):
+    # the spans and counters perfbench reads, on a one-cell sweep and occlusion run
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        sweep = evaluation.sweep(toy_corpus, CIRC_RADIAL, separations=(8,), samples=(4,),
+                                 threads=1)
+        occlusion = evaluation.occlusion_experiment(toy_corpus, [(CIRC_RADIAL, 8, 4)],
+                                                    threads=1)
+    assert len(sweep.cells) == len(occlusion.cells) == 1
+    assert not hasattr(evaluation.occlusion_experiment, "__wrapped__")  # restored
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, tracer.errors)
+    extracts = 2 * len(toy_corpus) + len(occlusion.queries)
+    assert metrics["descriptor.extract_calls"] == extracts
+    assert metrics["shape_io.geometry_calls"] == 2 * extracts
+    # the sweep runs its queries twice: an untimed warm-up, then the timed loop
+    assert metrics["matcher.query_calls"] == 2 * len(toy_corpus) + len(occlusion.queries)
+    assert metrics["matcher.distances"] > 0  # counted from each database's records
+    assert metrics["evaluation.timed_match_s"] > 0
+    assert metrics["shape_io.occlude_s"] > 0
+    assert all(metrics[f"{layer}.errors"] == 0 for layer in tracing.LAYERS)

@@ -9,13 +9,15 @@ database, so a run is reproducible and leaves no files behind.
 
 import contextlib
 import io
+import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,10 +35,10 @@ from rastershape.matcher import (
     save_database,
 )
 from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
+from rastershape import shape_io
 from rastershape.shape_io import (
     MAX_PIXELS,
     BinaryShape,
-    Centroid,
     centroid,
     load_image,
     max_radius,
@@ -45,7 +47,8 @@ from rastershape.shape_io import (
 )
 
 from conftest import grid_points
-from oracles import ref_centroid, ref_count_vector, ref_extract, ref_max_radius, ref_topk
+from oracles import (ref_centroid, ref_count_vector, ref_extract, ref_max_radius,
+                     ref_occlude, ref_topk)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -82,24 +85,22 @@ geometry_masks = st.one_of(
     plain_masks,
     st.tuples(plain_masks, st.tuples(*[st.integers(0, 6)] * 4)).map(lambda mp: _framed(*mp)),
 )
-points = st.builds(Centroid, st.floats(-40.0, 70.0), st.floats(-40.0, 70.0))
 
 
 @FIXED
-@given(mask=geometry_masks, c=points)
-def test_geometry_equals_oracle(mask, c):
+@given(mask=geometry_masks)
+def test_geometry_equals_oracle(mask):
     shape = BinaryShape(mask, id="g-1")
     rows = mask.tolist()
-    # any point first: it must not stand in for the centroid's r_max
-    assert max_radius(shape, c) == ref_max_radius(rows, c.cx, c.cy)
+    # r_max first: the one pass fills the centroid too
+    r_max = max_radius(shape)
     own = centroid(shape)
     assert (own.cx, own.cy) == ref_centroid(rows)
-    r_max = max_radius(shape, own)
     assert r_max == ref_max_radius(rows, own.cx, own.cy)
     # repeated calls, in either order, give the same values
-    assert centroid(shape) == own and max_radius(shape, own) == r_max
-    assert max_radius(shape, c) == ref_max_radius(rows, c.cx, c.cy)
-    assert max_radius(shape, centroid(shape)) == r_max
+    assert centroid(shape) == own and max_radius(shape) == r_max
+    fresh = BinaryShape(mask, id="g-1")
+    assert centroid(fresh) == own and max_radius(fresh) == r_max
 
 
 @FIXED
@@ -107,20 +108,55 @@ def test_geometry_equals_oracle(mask, c):
        seed=st.integers(0, 2**32 - 1))
 def test_occluded_shape_has_its_own_geometry(mask, fraction, seed):
     shape = BinaryShape(mask, id="g-1")
-    parent = centroid(shape), max_radius(shape, centroid(shape))
+    parent = centroid(shape), max_radius(shape)
     cut = occlude(shape, fraction, seed)
     assert cut.mask.any()
     rows = cut.mask.tolist()
     c = centroid(cut)
     assert (c.cx, c.cy) == ref_centroid(rows)
-    assert max_radius(cut, c) == ref_max_radius(rows, c.cx, c.cy)
-    assert (centroid(shape), max_radius(shape, centroid(shape))) == parent
+    assert max_radius(cut) == ref_max_radius(rows, c.cx, c.cy)
+    assert (centroid(shape), max_radius(shape)) == parent
+
+
+# [0, 1), with both ends the experiments use
+fractions = st.one_of(st.sampled_from((0.0, 0.99)), st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _direction(seed):
+    angle = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+    return math.cos(angle), math.sin(angle)
+
+
+@FIXED
+@given(mask=geometry_masks, fraction=fractions, seed=st.integers(0, 2**32 - 1))
+# the nearest clean cuts erase 2 of 2 and 3 of 3 pixels: a pixel is kept
+@example(mask=np.ones((1, 2), dtype=bool), fraction=0.75, seed=0)
+@example(mask=np.ones((3, 1), dtype=bool), fraction=0.9, seed=0)
+def test_occlude_equals_full_sort_oracle(mask, fraction, seed):
+    cut = occlude(BinaryShape(mask, id="o-1"), fraction, seed)
+    assert cut.mask.tolist() == ref_occlude(mask.tolist(), fraction, *_direction(seed))
+
+
+@FIXED
+@given(mask=geometry_masks, fraction=fractions,
+       direction=st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                                  (math.sqrt(0.5), math.sqrt(0.5)))))
+@example(mask=np.ones((1, 3), dtype=bool), fraction=0.9, direction=(0.0, 1.0))
+def test_occlude_with_tied_projections_equals_full_sort_oracle(mask, fraction, direction):
+    # a seeded angle almost never makes two projections equal; an axis or a
+    # diagonal makes whole rows, columns or anti-diagonals tie
+    cos, sin = direction
+    axis = SimpleNamespace(**{**vars(math), "cos": lambda angle: cos, "sin": lambda angle: sin})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shape_io, "math", axis)
+        cut = occlude(BinaryShape(mask, id="o-1"), fraction, 0)
+    assert cut.mask.tolist() == ref_occlude(mask.tolist(), fraction, cos, sin)
 
 
 def grid_for(shape, spec):
     c = centroid(shape)
     build = circular_grid if spec.kind == "circular" else spiral_grid
-    return build(c, spec, cycle_count(spec, max_radius(shape, c)))
+    return build(c, spec, cycle_count(spec, max_radius(shape)))
 
 
 def on_half_pixel(grid) -> bool:

@@ -341,7 +341,7 @@ def test_empty_shape_errors():
             with pytest.raises(EmptyShapeError):
                 centroid(empty)
             with pytest.raises(EmptyShapeError):
-                max_radius(empty, Centroid(1.0, 1.0))
+                max_radius(empty)
         with pytest.raises(EmptyShapeError):
             occlude(empty, 0.1, 0)
 
@@ -350,12 +350,12 @@ def test_max_radius_examples():
     mask = np.zeros((10, 10), dtype=bool)
     mask[7, 5] = True
     shape = BinaryShape(mask)
-    assert max_radius(shape, centroid(shape)) == 0.0
+    assert max_radius(shape) == 0.0
 
     mask = np.zeros((20, 20), dtype=bool)
     mask[10:12, 10:12] = True
     shape = BinaryShape(mask)
-    assert max_radius(shape, centroid(shape)) == math.sqrt(0.5)
+    assert max_radius(shape) == math.sqrt(0.5)
 
 
 def test_max_radius_disk_against_scan():
@@ -364,7 +364,7 @@ def test_max_radius_disk_against_scan():
     mask = (xx - 55) ** 2 + (yy - 55) ** 2 <= 50 ** 2
     shape = BinaryShape(mask, id="disk-1")
     c = centroid(shape)
-    r = max_radius(shape, c)
+    r = max_radius(shape)
     assert abs(r - 50.0) <= 1.0
     assert r == ref_max_radius(mask.tolist(), c.cx, c.cy)
 
@@ -432,9 +432,9 @@ def test_translation_equivariance_exact():
         if math.frexp(c1.cx)[1] == math.frexp(c2.cx)[1] and \
            math.frexp(c1.cy)[1] == math.frexp(c2.cy)[1]:
             # same binade: the subtractions cancel exactly
-            assert max_radius(moved, c2) == max_radius(shape, c1)
+            assert max_radius(moved) == max_radius(shape)
         else:
-            assert max_radius(moved, c2) == pytest.approx(max_radius(shape, c1), abs=1e-9)
+            assert max_radius(moved) == pytest.approx(max_radius(shape), abs=1e-9)
 
 
 # ---------------------------------------------------------------- occlusion
