@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .descriptor import VARIANT_KIND, VARIANTS, extract
@@ -26,19 +27,22 @@ from .evaluation import (
 )
 from .matcher import DescriptorDatabase, load_database, query, save_database
 from .raster import RasterSpec
-from .shape_io import load_directory, load_image, save_image
+from .shape_io import BinaryShape, iter_directory, load_image, save_image
 
-def _load_dataset(args) -> list:
-    shapes = load_directory(args.dir, threshold=args.threshold, invert=args.invert)
-    if not shapes:
+
+def _load_dataset(args) -> Iterator[BinaryShape]:
+    """The directory's shapes, each decoded when the stream reaches it."""
+    empty = True
+    for shape in iter_directory(args.dir, threshold=args.threshold, invert=args.invert):
+        empty = False
+        yield shape
+    if empty:
         raise RasterShapeError("no input images")
-    return shapes
 
 
 def cmd_index(args) -> int:
-    shapes = _load_dataset(args)
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
-    records = extract_records(shapes, spec, args.variant)
+    [records] = extract_records(_load_dataset(args), [(args.variant, spec)])
     db = DescriptorDatabase.from_records(spec, args.variant, records)
     save_database(db, args.out)
     print(f"indexed {len(records)} images -> {args.out}")
@@ -78,8 +82,6 @@ def _requested_spec(args, db) -> tuple | None:
 
 
 def cmd_sweep(args) -> int:
-    shapes = _load_dataset(args)
-
     def progress(cell):
         print(
             f"sep={cell.separation_px} samples={cell.samples_per_cycle} "
@@ -88,7 +90,7 @@ def cmd_sweep(args) -> int:
         )
 
     report = sweep(
-        shapes, args.variant, separations=args.seps, samples=args.samples,
+        _load_dataset(args), args.variant, separations=args.seps, samples=args.samples,
         k=args.k, dataset_label=Path(args.dir).name, progress=progress,
     )
     if args.out:
@@ -100,13 +102,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    shapes = _load_dataset(args)
     if args.variant:
         configs = [(args.variant, d, s) for d in args.seps for s in args.samples]
     else:
         configs = list(STANDARD_OCCLUSION_CONFIGS)
     report = occlusion_experiment(
-        shapes, configs, per_category=args.per_category, fraction=args.fraction,
+        _load_dataset(args), configs, per_category=args.per_category, fraction=args.fraction,
         seed=args.seed, k=args.k,
     )
     # --out is made only after the experiment has checked every argument

@@ -9,13 +9,15 @@ measures the matching loop only (extraction and I/O excluded).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .descriptor import extract, variant_kind
 from .errors import DatasetError, RasterShapeError
@@ -74,16 +76,23 @@ class OcclusionReport:
     queries: tuple[BinaryShape, ...] = field(default=(), compare=False, repr=False)
 
 
-def extract_records(shapes: Sequence[BinaryShape], spec: RasterSpec,
-                    variant: str) -> list[DescriptorRecord]:
-    """Descriptor records for ``shapes`` in input order; bad input raises DatasetError."""
-    def one(shape: BinaryShape) -> DescriptorRecord:
-        try:
-            return DescriptorRecord(shape.id, shape.category, extract(shape, spec, variant))
-        except (RasterShapeError, ValueError) as exc:
-            raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
+def extract_records(shapes: Iterable[BinaryShape], configs: Sequence[tuple[str, RasterSpec]]
+                    ) -> list[list[DescriptorRecord]]:
+    """One record list per ``(variant, spec)`` config, each in input order.
 
-    return [one(s) for s in shapes]
+    ``shapes`` is read once, and every config is extracted from a shape
+    before the next one is read, so a stream of shapes is held one at a
+    time. A shape that cannot be extracted raises DatasetError naming it.
+    """
+    out: list[list[DescriptorRecord]] = [[] for _ in configs]
+    for shape in shapes:
+        for (variant, spec), records in zip(configs, out):
+            try:
+                vector = extract(shape, spec, variant)
+            except (RasterShapeError, ValueError) as exc:
+                raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
+            records.append(DescriptorRecord(shape.id, shape.category, vector))
+    return out
 
 
 def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
@@ -136,8 +145,12 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
           progress: Callable[[SweepCell], None] | None = None) -> SweepReport:
     """Leave-self-out retrieval over every (separation, samples) pair.
 
-    Cells run sequentially, one thread throughout, so the timing columns
-    do not interfere. ``threads`` accepts only 1.
+    Every argument is checked before the first shape is read. ``dataset``
+    is then read once, each shape extracted under every cell's spec before
+    the next is read, so a stream of shapes is held one at a time while
+    every cell's vectors are kept. Cells are then scored sequentially, one
+    thread throughout, so the timing columns do not interfere. ``threads``
+    accepts only 1.
     """
     kind = variant_kind(variant)
     if threads != 1:  # perfbench/measure.py still passes threads=1
@@ -145,13 +158,14 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # every spec is checked before any extraction; equal specs run once
-    specs = dict.fromkeys(RasterSpec(kind, d, s) for d in separations for s in samples)
-    shapes = list(dataset)
-    if not shapes:
+    specs = list(dict.fromkeys(RasterSpec(kind, d, s) for d in separations for s in samples))
+    if not specs:
+        raise ValueError("sweep needs at least one separation and one sampling rate")
+    cell_records = extract_records(dataset, [(variant, spec) for spec in specs])
+    if not cell_records[0]:
         raise DatasetError("sweep needs a non-empty dataset")
     cells = []
-    for spec in specs:
-        records = extract_records(shapes, spec, variant)
+    for spec, records in zip(specs, cell_records):
         db = DescriptorDatabase.from_records(spec, variant, records)
         total, avg, efficiency = timed_retrieval(db, records, k)
         cell = SweepCell(spec.separation_px, spec.samples_per_cycle, efficiency, total, avg)
@@ -159,6 +173,15 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
         if progress is not None:
             progress(cell)
     return SweepReport(variant, dataset_label, tuple(cells))
+
+
+def _check_occlusion(per_category: int, fraction: float, seed: int) -> None:
+    if per_category < 1:
+        raise ValueError(f"per_category must be >= 1, got {per_category}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
 
 
 def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
@@ -169,10 +192,7 @@ def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
     cut direction derived from ``seed`` plus its position, so the whole set
     is reproducible from one seed.
     """
-    if per_category < 1:
-        raise ValueError(f"per_category must be >= 1, got {per_category}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_occlusion(per_category, fraction, seed)
     groups: dict[str, list[BinaryShape]] = {}
     for shape in dataset:
         groups.setdefault(shape.category, []).append(shape)
@@ -197,21 +217,39 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     The database holds every unoccluded shape; queries are the occluded
     copies (absent from the database, so nothing is excluded), and the
     report carries them as ``queries``. ``threads`` accepts only 1.
+
+    Every argument is checked before the first shape is read. ``dataset``
+    is then read once, each shape extracted under every config before the
+    next is read; of the shapes read, only the ``per_category`` smallest
+    ids of each category are kept, to be occluded once the stream ends. So
+    a stream of shapes is held one at a time, plus the kept ones. A
+    category with too few shapes is the one argument fault that can only
+    be found after the stream, once every shape has been extracted.
     """
-    specs = [(variant, RasterSpec(variant_kind(variant), d, s))
-             for variant, d, s in variant_specs]
+    configs = [(variant, RasterSpec(variant_kind(variant), d, s))
+               for variant, d, s in variant_specs]
     if threads != 1:  # perfbench/measure.py still passes threads=1
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    shapes = list(dataset)
-    queries = select_occlusion_queries(shapes, per_category, fraction, seed)
+    _check_occlusion(per_category, fraction, seed)
+    kept: dict[str, list[BinaryShape]] = {}
+
+    def keeping(shapes: Iterable[BinaryShape]) -> Iterator[BinaryShape]:
+        for shape in shapes:
+            members = kept.setdefault(shape.category, [])
+            bisect.insort(members, shape, key=lambda s: s.id)
+            del members[per_category:]
+            yield shape
+
+    records = extract_records(keeping(dataset), configs)
+    queries = select_occlusion_queries(itertools.chain.from_iterable(kept.values()),
+                                       per_category, fraction, seed)
+    query_records = extract_records(queries, configs)
     cells = []
-    for variant, spec in specs:
-        records = extract_records(shapes, spec, variant)
-        db = DescriptorDatabase.from_records(spec, variant, records)
-        query_records = extract_records(queries, spec, variant)
-        efficiency = retrieval_efficiency(db, query_records, k)
+    for (variant, spec), db_records, q_records in zip(configs, records, query_records):
+        db = DescriptorDatabase.from_records(spec, variant, db_records)
+        efficiency = retrieval_efficiency(db, q_records, k)
         cell = OcclusionCell(variant, spec.separation_px, spec.samples_per_cycle, efficiency)
         cells.append(cell)
         if progress is not None:

@@ -27,6 +27,7 @@ records, and the benchmark harness times exactly this scan.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -292,7 +293,10 @@ def save_database(db: DescriptorDatabase, path) -> None:
     """Write the database as RASTERDB v1 text, values at 6 decimals.
 
     An id or category holding a tab or a line break cannot be read back, so
-    it raises ValueError before anything is written.
+    it raises ValueError before anything is written. The text goes to a
+    temporary file beside ``path``, which then replaces ``path`` in one
+    step: a reader sees the old file or the new one, and a failed write
+    leaves the old file as it was and no temporary file behind.
     """
     lines = [_header_line(db.spec, db.variant)]
     for row, (rec_id, category, length) in enumerate(
@@ -302,7 +306,15 @@ def save_database(db: DescriptorDatabase, path) -> None:
                 raise ValueError(f"record {rec_id!r}: {what} holds a tab or line break")
         values = ",".join(f"{v:.6f}" for v in db.matrix[row, :length].tolist())
         lines.append(f"{rec_id}\t{category}\t{length}\t{values}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path = Path(path)
+    # os.urandom, not the secrets module: importing that loads OpenSSL, ~4 MB of memory
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        temp.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_database(path) -> DescriptorDatabase:

@@ -15,7 +15,8 @@ tokens, the size is checked against ``MAX_PIXELS`` before anything is
 allocated, and each raster is decoded as a whole (P1 as one byte array,
 P2 by streaming one ``int()`` per token into an array, P4/P5 from one
 ``np.frombuffer``). A PGM value is compared with the threshold scaled to
-the file's maxval.
+the file's maxval. ``iter_directory`` decodes a directory one file at a
+time, so a caller that drops each shape holds one image, not all of them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyShapeError, PnmFormatError
+from .errors import DatasetError, EmptyShapeError, PnmFormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # the header fields that follow each supported magic number
@@ -195,14 +197,28 @@ def save_image(shape: BinaryShape, path, format: str = "P5") -> None:
     path.write_bytes(header + body)
 
 
+def iter_directory(directory, threshold: int = 127,
+                   invert: bool = False) -> Iterator[BinaryShape]:
+    """Decode each .pbm/.pgm file in ``directory`` when it is reached, sorted by filename.
+
+    The directory is listed at the first step, before anything is decoded;
+    two files with one stem (``a-1.pgm`` and ``a-1.pbm``) would give two
+    shapes one id, so they raise DatasetError naming both.
+    """
+    paths = sorted(p for p in Path(directory).iterdir()
+                   if p.is_file() and p.suffix.lower() in (".pbm", ".pgm"))
+    seen: dict[str, Path] = {}
+    for p in paths:
+        if p.stem in seen:
+            raise DatasetError(f"{seen[p.stem].name} and {p.name} would share the id {p.stem!r}")
+        seen[p.stem] = p
+    for p in paths:
+        yield load_image(p, threshold=threshold, invert=invert)
+
+
 def load_directory(directory, threshold: int = 127, invert: bool = False) -> list[BinaryShape]:
-    """Load every .pbm/.pgm file in ``directory``, sorted by filename."""
-    directory = Path(directory)
-    paths = sorted(
-        p for p in directory.iterdir()
-        if p.is_file() and p.suffix.lower() in (".pbm", ".pgm")
-    )
-    return [load_image(p, threshold=threshold, invert=invert) for p in paths]
+    """Every shape ``iter_directory`` yields, as one list."""
+    return list(iter_directory(directory, threshold=threshold, invert=invert))
 
 
 def _empty(shape: BinaryShape) -> EmptyShapeError:

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from rastershape.cli import build_parser, main
@@ -8,7 +11,7 @@ from rastershape.evaluation import (
     read_sweep_csv,
 )
 from rastershape.matcher import load_database
-from rastershape.shape_io import load_image, occlude, save_image
+from rastershape.shape_io import BinaryShape, load_image, occlude, save_image
 
 from oracles import ref_topk
 
@@ -366,3 +369,96 @@ def test_main_calls_share_no_state(toy_dir, capsys, monkeypatch):
         ("occlude", STANDARD_OCCLUSION_CONFIGS, occlude),
         sweep,
     ]
+
+
+# ------------------------------------------------- streaming the directory
+
+COMMANDS = {
+    "index": lambda d, tmp: ["index", str(d), "--variant", "circ_radial",
+                             "--out", str(tmp / "t.rdb")],
+    "sweep": lambda d, tmp: ["sweep", str(d), "--variant", "circ_radial", "--seps", "32",
+                             "--samples", "4", "--out", str(tmp / "sweep.csv")],
+    "occlude": lambda d, tmp: ["occlude", str(d), "--variant", "circ_radial", "--seps", "32",
+                               "--samples", "4", "--report", str(tmp / "occ.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_stem_twice_exits_2_before_decoding(command, toy_dir, tmp_path, capsys, monkeypatch):
+    save_image(load_image(toy_dir / "disk-1.pgm"), toy_dir / "disk-1.pbm", format="P4")
+    monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
+    assert main(COMMANDS[command](toy_dir, tmp_path)) == 2
+    assert "disk-1.pbm and disk-1.pgm would share the id 'disk-1'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.*"))
+
+
+def _copies(directory, n, mask):
+    """``n`` copies of one mask as s-000.pgm, s-001.pgm, ..., all in category "s"."""
+    directory.mkdir()
+    save_image(BinaryShape(mask), directory / "s-000.pgm")
+    data = (directory / "s-000.pgm").read_bytes()
+    for i in range(1, n):
+        (directory / f"s-{i:03d}.pgm").write_bytes(data)
+    return directory
+
+
+def _peak_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_memory_does_not_grow_with_the_directory(command, tmp_path, capsys):
+    # one mask size throughout: the occlusion queries kept are then the same size
+    yy, xx = np.mgrid[0:256, 0:256]
+    mask = (xx - 120) ** 2 + (yy - 130) ** 2 < 90 ** 2
+    small = _copies(tmp_path / "small", 4, mask)
+    large = _copies(tmp_path / "large", 16, mask)
+    main(COMMANDS[command](small, tmp_path))  # fills the lattice and parser caches
+    peaks = [_peak_bytes(COMMANDS[command](d, tmp_path)) for d in (small, large)]
+    assert peaks[1] - peaks[0] < mask.size, peaks
+
+
+def test_corrupt_image_mid_directory_keeps_the_database(toy_dir, tmp_path, capsys):
+    out = tmp_path / "t.rdb"
+    assert main(COMMANDS["index"](toy_dir, tmp_path)) == 0
+    before = out.read_bytes()
+    (toy_dir / "disk-2.pgm").write_bytes(b"P5\n224 224\n255\n" + bytes(100))
+    assert main(COMMANDS["index"](toy_dir, tmp_path)) == 2
+    assert "disk-2.pgm: raster truncated" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.rdb", "toy"]
+    out.unlink()
+    assert main(COMMANDS["index"](toy_dir, tmp_path)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_first_bad_image_in_file_order_is_reported(command, tmp_path, capsys):
+    # each image is decoded and extracted before the next is read
+    d = tmp_path / "bad"
+    d.mkdir()
+    empty = BinaryShape(np.zeros((8, 8), dtype=bool))
+    save_image(empty, d / "a-1.pgm")
+    (d / "a-2.pgm").write_bytes(b"P9\nnope")
+    assert main(COMMANDS[command](d, tmp_path)) == 2
+    assert "'a-1' has no foreground pixels" in capsys.readouterr().err
+    save_image(empty, d / "a-3.pgm")
+    (d / "a-1.pgm").unlink()
+    assert main(COMMANDS[command](d, tmp_path)) == 2
+    assert "a-2.pgm: unsupported netpbm magic" in capsys.readouterr().err
+
+
+def test_occlude_bad_fraction_extracts_nothing(toy_dir, tmp_path, capsys, monkeypatch):
+    extracted = []
+    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: extracted.append(a))
+    out_dir = tmp_path / "occluded"
+    for fraction in ("1.0", "-0.1", "nan"):
+        assert main(["occlude", str(toy_dir), "--fraction", fraction, "--out", str(out_dir)]) == 2
+        assert "occlusion fraction must be in [0, 1)" in capsys.readouterr().err
+    assert extracted == []
+    assert not out_dir.exists()

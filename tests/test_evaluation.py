@@ -9,6 +9,7 @@ from rastershape.evaluation import (
     OcclusionReport,
     SweepCell,
     SweepReport,
+    extract_records,
     occlusion_experiment,
     read_sweep_csv,
     retrieval_efficiency,
@@ -282,6 +283,50 @@ def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatc
         with pytest.raises(ValueError, match=f"^{bad}$"):
             occlusion_experiment(toy_corpus, configs)
     assert calls == []
+
+
+def test_extract_records_reads_each_shape_once(toy_corpus):
+    read = []
+
+    def stream():
+        for shape in toy_corpus:
+            read.append(shape.id)
+            yield shape
+
+    configs = [(CIRC_RADIAL, SPEC), (SPIRAL_FULL, RasterSpec("spiral", 16, 8))]
+    lists = extract_records(stream(), configs)
+    assert read == [s.id for s in toy_corpus]
+    for (variant, spec), records in zip(configs, lists):
+        assert [r.id for r in records] == read
+        assert all(np.array_equal(r.vector.values, extract(s, spec, variant).values)
+                   for r, s in zip(records, toy_corpus))
+    assert extract_records(iter(()), configs) == [[], []]
+
+
+def test_experiments_stream_their_dataset(toy_corpus):
+    # a one-pass iterator gives the same report as the list, times apart
+    cells = dict(separations=(8, 32), samples=(4, 24))
+    streamed = sweep(iter(toy_corpus), SPIRAL_FULL, **cells)
+    listed = sweep(toy_corpus, SPIRAL_FULL, **cells)
+    assert ([(c.separation_px, c.samples_per_cycle, c.efficiency_pct) for c in streamed.cells]
+            == [(c.separation_px, c.samples_per_cycle, c.efficiency_pct) for c in listed.cells])
+    for order in (toy_corpus, toy_corpus[::-1]):
+        report = occlusion_experiment(iter(order), fraction=0.3, seed=4)
+        assert report == occlusion_experiment(toy_corpus, fraction=0.3, seed=4)
+        expected = select_occlusion_queries(toy_corpus, 2, 0.3, 4)
+        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(report.queries, expected))
+
+
+def test_checks_come_before_the_first_shape_is_read(toy_corpus):
+    never = (pytest.fail("dataset read") for _ in range(1))
+    for fraction in (1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^occlusion fraction must be in \[0, 1\)"):
+            occlusion_experiment(never, fraction=fraction)
+    with pytest.raises(ValueError, match="^sweep needs at least one separation"):
+        sweep(never, CIRC_RADIAL, separations=())
+    # too few shapes in a category is found only once the stream has been read
+    with pytest.raises(DatasetError, match="^category 'bar' has 4 shapes, need 5$"):
+        occlusion_experiment(iter(toy_corpus), per_category=5)
 
 
 def test_occlusion_fraction_zero_is_perfect(toy_corpus):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +389,38 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
         DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records[1:4] + pair)
 
 
+def _fail_half_way(self, data):
+    """Stands in for Path.write_bytes: writes half of ``data``, then fails."""
+    with open(self, "wb") as f:
+        f.write(data[:len(data) // 2])
+    raise OSError("No space left on device")
+
+
+def test_save_failed_write_keeps_the_existing_database(tmp_path, monkeypatch):
+    path = tmp_path / "t.rdb"
+    save_database(DescriptorDatabase.from_records(
+        SPEC, CIRC_RADIAL, (DescriptorRecord("a-1", "a", vec([0.5])),)), path)
+    before = path.read_bytes()
+    db = DescriptorDatabase.from_records(
+        SPEC, CIRC_RADIAL, (DescriptorRecord("b-1", "b", vec([0.25, 0.75] * 50)),))
+    monkeypatch.setattr(Path, "write_bytes", _fail_half_way)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_database(db, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.rdb"]
+
+
+def test_save_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    db = DescriptorDatabase.from_records(
+        SPEC, CIRC_RADIAL, (DescriptorRecord("b-1", "b", vec([0.25, 0.75] * 50)),))
+    monkeypatch.setattr(Path, "write_bytes", _fail_half_way)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_database(db, tmp_path / "t.rdb")
+    monkeypatch.undo()
+    assert not any(tmp_path.iterdir())
+
+
 def test_save_refuses_fields_that_would_split_a_line(tmp_path):
     path = tmp_path / "t.rdb"
     breaks = [chr(i) for i in range(0x3000) if len(f"a{chr(i)}b".splitlines()) > 1]
@@ -399,12 +432,12 @@ def test_save_refuses_fields_that_would_split_a_line(tmp_path):
                                     (DescriptorRecord(rec_id, category, vec([0.5])),))
             with pytest.raises(ValueError, match=f"record .*: {what} holds a tab or line break"):
                 save_database(db, path)
-            assert not path.exists()
+            assert not any(tmp_path.iterdir())
     # an id that is not UTF-8 (a lone surrogate from an undecodable file name)
     db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (DescriptorRecord("\udcff-1", "a", vec([0.5])),))
     with pytest.raises(UnicodeEncodeError):
         save_database(db, path)
-    assert not path.exists()
+    assert not any(tmp_path.iterdir())
     # other control characters and spaces round-trip
     db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("odd \x1f\x7fname-1", "odd \x1f", vec([0.5])),))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rastershape.errors import EmptyShapeError, PnmFormatError
+from rastershape.errors import DatasetError, EmptyShapeError, PnmFormatError
 from rastershape.shape_io import (
     MAX_PIXELS,
     BinaryShape,
@@ -14,6 +14,7 @@ from rastershape.shape_io import (
     category_of,
     centroid,
     contains_points,
+    iter_directory,
     load_directory,
     load_image,
     max_radius,
@@ -315,6 +316,24 @@ def test_load_directory_sorted(tmp_path):
     (tmp_path / "notes.txt").write_text("ignored")
     shapes = load_directory(tmp_path)
     assert [s.id for s in shapes] == ["a-1", "b-2", "c-1"]
+
+
+def test_iter_directory_decodes_one_file_per_step(tmp_path):
+    write(tmp_path / "a-1.pgm", "P2\n1 1\n255\n255\n")
+    write(tmp_path / "b-1.pgm", "P9\nnope")
+    shapes = iter_directory(tmp_path)
+    assert next(shapes).id == "a-1"
+    with pytest.raises(PnmFormatError, match="b-1.pgm"):
+        next(shapes)
+
+
+def test_load_directory_refuses_one_stem_twice_before_decoding(tmp_path, monkeypatch):
+    write(tmp_path / "a-1.pgm", "P2\n1 1\n255\n255\n")
+    write(tmp_path / "a-1.PBM", "P1\n1 1\n1\n")
+    write(tmp_path / "b-1.pgm", "P2\n1 1\n255\n255\n")
+    monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
+    with pytest.raises(DatasetError, match=r"^a-1\.PBM and a-1\.pgm would share the id 'a-1'$"):
+        load_directory(tmp_path)
 
 
 # ---------------------------------------------------------------- geometry
