@@ -9,6 +9,9 @@ pure and masks are frozen after construction.
 Geometry is computed once per shape, in one pass over the foreground's
 bounding box, and kept on it: ``centroid`` from the row and column sums,
 ``max_radius`` from each row's leftmost and rightmost foreground pixel.
+Pixels are looked up and erased by flat (row-major) index into the mask:
+``contains_points`` reads all its points with one ``take`` and
+``occlude`` lists the foreground with one ``flatnonzero``.
 
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
@@ -71,7 +74,7 @@ class BinaryShape:
     _geometry: tuple[Centroid, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mask = np.array(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool, order="C")
         if mask.ndim != 2 or mask.size == 0:
             raise ValueError(f"mask must be 2-D and at least 1x1, got shape {mask.shape}")
         mask.flags.writeable = False
@@ -272,16 +275,27 @@ def max_radius(shape: BinaryShape) -> float:
 def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
     """Mask value at the pixel nearest to each (x, y); False outside the frame.
 
-    Coordinates round to the nearest integer with halves away from zero.
+    Coordinates round to the nearest integer with halves away from zero:
+    adding ``copysign(0.5, x)`` moves x half a pixel away from zero and
+    ``trunc`` then drops the fraction toward zero, so halves go outward
+    (-0.5 to -1) and -0.0 goes to 0. The rounded coordinates are clamped
+    into the frame before they are cast to a flat index, so the cast never
+    meets NaN, +-inf or a value beyond int64. Clamping moves only points
+    outside the frame, and a point counts as inside only if clamping left
+    both its coordinates as they were, which NaN never is.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ix = np.where(xs >= 0, np.floor(xs + 0.5), np.ceil(xs - 0.5)).astype(np.int64)
-    iy = np.where(ys >= 0, np.floor(ys + 0.5), np.ceil(ys - 0.5)).astype(np.int64)
-    ok = (ix >= 0) & (iy >= 0) & (ix < shape.width) & (iy < shape.height)
-    out = np.zeros(xs.shape, dtype=bool)
-    out[ok] = shape.mask[iy[ok], ix[ok]]
-    return out
+    ix = np.trunc(xs + np.copysign(0.5, xs))
+    iy = np.trunc(ys + np.copysign(0.5, ys))
+    height, width = shape.mask.shape
+    # fmax and fmin take the bound where the other operand is NaN
+    cx = np.fmin(np.fmax(ix, 0.0), width - 1)
+    cy = np.fmin(np.fmax(iy, 0.0), height - 1)
+    inside = (cx == ix) & (cy == iy)
+    # exact in float64: every index is below MAX_PIXELS < 2**53
+    flat = (cy * width + cx).astype(np.intp)
+    return shape.mask.ravel().take(flat) & inside
 
 
 def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
@@ -293,24 +307,28 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     cuts that keep a pixel, the one erasing the count nearest ceil(fraction
     * N) wins, the smaller on a tie. With t the target-th largest
     projection (one rank select), the two candidates erase every pixel
-    above t or every pixel at or above t.
+    above t or every pixel at or above t. Pixels are found and erased by
+    flat index; ``divmod`` by the width gives their (y, x) for the
+    projection.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
-    ys, xs = np.nonzero(shape.mask)
-    n = xs.size
+    # foreground pixels by flat index, in the row-major order of np.nonzero
+    flat = np.flatnonzero(shape.mask)
+    n = flat.size
     if n == 0:
         raise _empty(shape)
     target = math.ceil(fraction * n)
 
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * math.pi)
+    ys, xs = np.divmod(flat, shape.width)
     proj = xs * math.cos(angle) + ys * math.sin(angle)
-    mask = np.array(shape.mask)
+    mask = shape.mask.copy()  # C order, so ravel() below is a view
     if target:
         t = np.partition(proj, n - target)[n - target]
         above, at_or_above = proj > t, proj >= t
         low, high = np.count_nonzero(above), np.count_nonzero(at_or_above)
         erase = at_or_above if high < n and high - target < target - low else above
-        mask[ys[erase], xs[erase]] = False
+        mask.ravel()[flat[erase]] = False
     return BinaryShape(mask, id=shape.id + "-occ", category=shape.category)

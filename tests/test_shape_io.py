@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -431,6 +432,50 @@ def test_contains_random_queries_match_oracle():
     got = contains_points(shape, xs, ys)
     for x, y, g in zip(xs, ys, got):
         assert bool(g) == ref_contains(rows, 64, 64, x, y)
+
+
+def test_contains_edge_coordinates_match_oracle():
+    # values a uniform draw almost never hits, on a frame that is not square,
+    # every x paired with every y: exact half pixels k +- 0.5, signed zeros,
+    # the largest double below 0.5, the far edges and points far outside
+    height, width = 9, 13
+    mask = np.random.default_rng(5).random((height, width)) < 0.5
+    shape = BinaryShape(mask)
+    rows = mask.tolist()
+    below_half = 0.49999999999999994
+
+    def edges(size):
+        halves = [k + h for k in range(-3, size + 3) for h in (-0.5, 0.5)]
+        return halves + [0.0, -0.0, below_half, -below_half, size - 1 + below_half,
+                         size - 0.5, size - 1.0, 1e9, -1e9, 1e18, -1e18]
+
+    xs, ys = (np.array(a).ravel() for a in np.meshgrid(edges(width), edges(height)))
+    got = contains_points(shape, xs, ys)
+    assert got.dtype == bool and got.shape == xs.shape
+    for x, y, g in zip(xs.tolist(), ys.tolist(), got.tolist()):
+        assert g == ref_contains(rows, width, height, x, y), (x, y)
+
+
+def test_contains_non_finite_and_huge_points_fall_outside():
+    # an all-foreground frame, so a point cast into it by accident reads True;
+    # casting NaN, inf or |x| >= 2**63 to int64 warns and is undefined in C
+    shape = BinaryShape(np.ones((4, 5), dtype=bool))
+    bad = [math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 2.0**63, -(2.0**63)]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for xs, ys in ((bad, [1.0] * len(bad)), ([1.0] * len(bad), bad), (bad, bad)):
+            assert contains_points(shape, xs, ys).tolist() == [False] * len(bad)
+        # in-frame points beside them are still read
+        assert contains_points(shape, [math.nan, 2.0], [0.0, 3.0]).tolist() == [False, True]
+
+
+def test_flat_index_kernels_ignore_the_input_memory_order():
+    rng = np.random.default_rng(41)
+    mask = random_blob_mask(rng, 48)[:, :40]
+    c_order, f_order = BinaryShape(mask, id="m-1"), BinaryShape(np.asfortranarray(mask), id="m-1")
+    xs, ys = rng.uniform(-2, 50, size=500), rng.uniform(-2, 50, size=500)
+    assert np.array_equal(contains_points(f_order, xs, ys), contains_points(c_order, xs, ys))
+    assert np.array_equal(occlude(f_order, 0.3, 2).mask, occlude(c_order, 0.3, 2).mask)
 
 
 def test_translation_equivariance_exact():
