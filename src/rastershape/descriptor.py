@@ -1,24 +1,26 @@
 """The four raster shape vectors.
 
 Each is a normalized count of lattice samples on foreground pixels.
-``extract`` is the one way from a shape and a spec to a ShapeVector: it sums
-the (cycle, angle) hits per row (radial / full-cycle) or per column
-(angular), or keeps them all (fixed-angle, one per spiral arc segment).
+``extract_all`` is the one way from a shape and its specs to ShapeVectors
+(``extract`` is its one-config case): it sums each lattice's (cycle, angle)
+hits per row (radial / full-cycle) or per column (angular), or keeps them
+all (fixed-angle, one per spiral arc segment).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .raster import (
     KIND_CIRCULAR,
     KIND_SPIRAL,
+    MAX_LATTICE_POINTS,
     RasterSpec,
-    circular_grid,
+    _offsets,
     cycle_count,
-    spiral_grid,
 )
 from .shape_io import BinaryShape, centroid, contains_points, max_radius
 
@@ -81,18 +83,54 @@ def variant_kind(variant: str, spec: RasterSpec | None = None) -> str:
 
 
 def extract(shape: BinaryShape, spec: RasterSpec, variant: str) -> ShapeVector:
-    """Full pipeline: centroid, extent, cycle count, grid, then grouping."""
-    variant_kind(variant, spec)
+    """Full pipeline: centroid, extent, cycle count, lattice, membership, grouping."""
+    return extract_all(shape, [(variant, spec)])[0]
+
+
+def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
+                ) -> list[ShapeVector]:
+    """One vector per ``(variant, spec)`` config of ``shape``, in order.
+
+    Every config is checked first. The shape's geometry is read once, and
+    the lattice points of every config are looked up together, in as few
+    ``contains_points`` calls as keep each under ``MAX_LATTICE_POINTS``
+    points, so one extract's memory bound holds for any number of configs.
+    """
+    configs = list(configs)
+    for variant, spec in configs:
+        variant_kind(variant, spec)
+    if not configs:
+        return []
     c = centroid(shape)
-    n = cycle_count(spec, max_radius(shape))
-    build = circular_grid if spec.kind == KIND_CIRCULAR else spiral_grid
-    grid = build(c, spec, n)
-    samples = spec.samples_per_cycle
-    inside = contains_points(shape, grid.xs, grid.ys).reshape(n, samples)
-    if variant in (CIRC_RADIAL, SPIRAL_FULL):
-        values = inside.sum(axis=1) / samples
-    elif variant == CIRC_ANGULAR:
-        values = inside.sum(axis=0) / n
-    else:
-        values = inside.ravel().astype(float)
-    return ShapeVector(variant, spec, values)
+    r_max = max_radius(shape)
+    tables = [_offsets(spec, cycle_count(spec, r_max)) for _, spec in configs]
+    # consecutive configs share one lookup while their points fit under the cap
+    batches: list[list[int]] = []
+    points = 0
+    for i, (dx, _) in enumerate(tables):
+        if not batches or points + dx.size > MAX_LATTICE_POINTS:
+            batches.append([])
+            points = 0
+        batches[-1].append(i)
+        points += dx.size
+    vectors = []
+    for batch in batches:
+        # the same elementwise sums as c.cx + dx: each vector is bit for bit a lone extract's
+        xs = np.concatenate([tables[i][0].ravel() for i in batch])
+        ys = np.concatenate([tables[i][1].ravel() for i in batch])
+        xs += c.cx
+        ys += c.cy
+        hits = contains_points(shape, xs, ys)
+        at = 0
+        for i in batch:
+            (variant, spec), (n, samples) = configs[i], tables[i][0].shape
+            inside = hits[at:at + n * samples].reshape(n, samples)
+            at += n * samples
+            if variant in (CIRC_RADIAL, SPIRAL_FULL):
+                values = inside.sum(axis=1) / samples
+            elif variant == CIRC_ANGULAR:
+                values = inside.sum(axis=0) / n
+            else:
+                values = inside.ravel().astype(float)
+            vectors.append(ShapeVector(variant, spec, values))
+    return vectors

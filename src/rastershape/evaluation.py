@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .descriptor import extract, variant_kind
+from .descriptor import extract_all, variant_kind
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, query
 from .raster import RasterSpec
@@ -80,17 +80,18 @@ def extract_records(shapes: Iterable[BinaryShape], configs: Sequence[tuple[str, 
                     ) -> list[list[DescriptorRecord]]:
     """One record list per ``(variant, spec)`` config, each in input order.
 
-    ``shapes`` is read once, and every config is extracted from a shape
-    before the next one is read, so a stream of shapes is held one at a
-    time. A shape that cannot be extracted raises DatasetError naming it.
+    ``shapes`` is read once, and every config is extracted from a shape, in
+    one ``extract_all`` call, before the next one is read, so a stream of
+    shapes is held one at a time. A shape that cannot be extracted raises
+    DatasetError naming it.
     """
     out: list[list[DescriptorRecord]] = [[] for _ in configs]
     for shape in shapes:
-        for (variant, spec), records in zip(configs, out):
-            try:
-                vector = extract(shape, spec, variant)
-            except (RasterShapeError, ValueError) as exc:
-                raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
+        try:
+            vectors = extract_all(shape, configs)
+        except (RasterShapeError, ValueError) as exc:
+            raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
+        for vector, records in zip(vectors, out):
             records.append(DescriptorRecord(shape.id, shape.category, vector))
     return out
 

@@ -155,7 +155,7 @@ def test_occlude_standard_configs(toy_dir, tmp_path, capsys):
 
 
 def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
     for n in ("-1", "0"):
         out_dir = tmp_path / f"occluded{n}"
         code = main(["occlude", str(toy_dir), "--per-category", n, "--out", str(out_dir)])
@@ -177,7 +177,7 @@ def test_occlude_bad_arguments_write_no_images(toy_dir, tmp_path, capsys):
 
 
 def test_occlude_negative_seed_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
     out_dir = tmp_path / "occluded"
     assert main(["occlude", str(toy_dir), "--seed", "-1", "--out", str(out_dir)]) == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
@@ -315,10 +315,10 @@ def test_query_oversized_database_exits_2(tmp_path, toy_dir, capsys):
 
 def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypatch):
     # extract_records turns only bad input into DatasetError (exit 2); a fault propagates
-    def broken(shape, spec, variant):
+    def broken(shape, configs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr("rastershape.evaluation.extract", broken)
+    monkeypatch.setattr("rastershape.evaluation.extract_all", broken)
     code = main(["index", str(toy_dir), "--variant", "circ_radial",
                  "--out", str(tmp_path / "t.rdb")])
     assert code == 1
@@ -455,7 +455,7 @@ def test_first_bad_image_in_file_order_is_reported(command, tmp_path, capsys):
 
 def test_occlude_bad_fraction_extracts_nothing(toy_dir, tmp_path, capsys, monkeypatch):
     extracted = []
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: extracted.append(a))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: extracted.append(a))
     out_dir = tmp_path / "occluded"
     for fraction in ("1.0", "-0.1", "nan"):
         assert main(["occlude", str(toy_dir), "--fraction", fraction, "--out", str(out_dir)]) == 2

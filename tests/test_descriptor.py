@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from rastershape import descriptor
 from rastershape.descriptor import (
     CIRC_ANGULAR,
     CIRC_RADIAL,
@@ -9,10 +12,13 @@ from rastershape.descriptor import (
     VARIANTS,
     ShapeVector,
     extract,
+    extract_all,
 )
-from rastershape.errors import EmptyShapeError
-from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
-from rastershape.shape_io import BinaryShape, centroid, max_radius
+from rastershape.errors import DatasetError, EmptyShapeError
+from rastershape.evaluation import extract_records
+from rastershape.raster import (MAX_LATTICE_POINTS, RasterSpec, circular_grid, cycle_count,
+                               spiral_grid)
+from rastershape.shape_io import BinaryShape, centroid, contains_points, max_radius
 
 from conftest import blob_shape, coprime6_blob_mask, grid_points
 from oracles import ref_count_vector, ref_extract
@@ -247,3 +253,56 @@ def test_extract_matches_straight_line_reimplementation():
                 "circular" if variant.startswith("circ") else "spiral", d, s), variant)
             expected = ref_extract(rows, shape.width, shape.height, variant, d, s)
             assert got.values.tolist() == expected
+
+
+# ---------------------------------------------------------- many configs at once
+
+def far_pair_shape(r):
+    """Two pixels 2r apart on a 1 x (2r+1) mask: r_max is r, with almost no image."""
+    mask = np.zeros((1, 2 * r + 1), dtype=bool)
+    mask[0, [0, -1]] = True
+    return BinaryShape(mask, id="pair-1")
+
+
+def test_extract_all_lookups_stay_under_the_cap(monkeypatch):
+    shape = far_pair_shape(800)
+    circular, spiral = RasterSpec("circular", 1, 1000), RasterSpec("spiral", 1, 1000)
+    configs = [(CIRC_RADIAL, circular), (SPIRAL_FIXED, spiral), (CIRC_ANGULAR, circular)]
+    expected = [extract(shape, spec, variant) for variant, spec in configs]
+    sizes = []
+
+    def recording(shape, xs, ys):
+        sizes.append(len(xs))
+        return contains_points(shape, xs, ys)
+
+    monkeypatch.setattr(descriptor, "contains_points", recording)
+    got = extract_all(shape, configs)
+    # 800 x 1000, 801 x 1000 and 800 x 1000 points: only the first two fit together
+    assert sizes == [1_601_000, 800_000]
+    assert max(sizes) <= MAX_LATTICE_POINTS < sum(sizes)
+    assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in expected]
+
+
+REFUSALS = {
+    "wrong kind": (far_pair_shape(800), (SPIRAL_FULL, RasterSpec("circular", 8, 4)), ValueError,
+                   "variant spiral_full needs a spiral raster, got a circular one"),
+    "above the cap": (far_pair_shape(800), (CIRC_RADIAL, RasterSpec("circular", 1, 4096)),
+                      ValueError, f"lattice of 800 cycles x 4096 samples is above the cap "
+                                  f"of {MAX_LATTICE_POINTS} points"),
+    "empty shape": (BinaryShape(np.zeros((5, 5), dtype=bool), id="void-1"),
+                    (CIRC_RADIAL, RasterSpec("circular", 8, 4)), EmptyShapeError,
+                    "shape 'void-1' has no foreground pixels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_extract_all_refuses_before_any_lookup(case, monkeypatch):
+    # a valid config ahead of the bad one is not looked up either
+    shape, bad, error, message = REFUSALS[case]
+    configs = [(CIRC_RADIAL, RasterSpec("circular", 8, 4)), bad]
+    monkeypatch.setattr(descriptor, "contains_points", lambda *a: pytest.fail("looked up"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        extract_all(shape, configs)
+    with pytest.raises(DatasetError, match=f"^extracting {re.escape(repr(shape.id))}: "
+                                           f"{re.escape(message)}$"):
+        extract_records([shape], configs)

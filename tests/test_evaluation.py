@@ -232,7 +232,7 @@ def test_occlusion_query_selection(toy_corpus):
 def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
     # refused before any shape is occluded or extracted
     monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
     for n in (-1, 0):
         with pytest.raises(ValueError, match=f"^per_category must be >= 1, got {n}$"):
             select_occlusion_queries(toy_corpus, n, 0.2, 0)
@@ -243,7 +243,7 @@ def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
 def test_occlusion_negative_seed_is_refused(toy_corpus, monkeypatch):
     # refused by name before any shape is occluded or extracted
     monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         select_occlusion_queries(toy_corpus, 2, 0.2, -1)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -262,7 +262,7 @@ def test_occlusion_report_carries_its_queries(toy_corpus):
 
 def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
     calls = []
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: calls.append(a))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: calls.append(a))
     for k in (-1, 0):
         with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             sweep(toy_corpus, CIRC_RADIAL, k=k)
@@ -273,7 +273,7 @@ def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
 
 def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatch):
     calls = []
-    monkeypatch.setattr("rastershape.evaluation.extract", lambda *a: calls.append(a))
+    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: calls.append(a))
     for seps, samples, bad in (((8, 8.5), (4,), "separation_px must be a positive integer, got 8.5"),
                                ((8,), (4.9,), "samples_per_cycle must be a positive integer, got 4.9"),
                                ((8,), (4, 0), "samples_per_cycle must be a positive integer, got 0")):

@@ -11,6 +11,8 @@ from pathlib import Path
 from rastershape import evaluation
 from rastershape.descriptor import CIRC_RADIAL
 from rastershape.matcher import DescriptorDatabase
+from rastershape.raster import RasterSpec, cycle_count
+from rastershape.shape_io import max_radius
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
@@ -37,9 +39,14 @@ def test_traced_run_counts_every_stage(toy_corpus):
     assert len(sweep.cells) == len(occlusion.cells) == 1
     assert not hasattr(evaluation.occlusion_experiment, "__wrapped__")  # restored
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, tracer.errors)
-    extracts = 2 * len(toy_corpus) + len(occlusion.queries)
-    assert metrics["descriptor.extract_calls"] == extracts
-    assert metrics["shape_io.geometry_calls"] == 2 * extracts
+    # each shape read is extracted in one extract_all call: the sweep and the
+    # occlusion database read the corpus, the occlusion queries are read once
+    shapes = 2 * len(toy_corpus) + len(occlusion.queries)
+    assert metrics["shape_io.geometry_calls"] == 2 * shapes  # one centroid, one max_radius
+    spec = RasterSpec("circular", 8, 4)
+    cycles = (2 * sum(cycle_count(spec, max_radius(s)) for s in toy_corpus)
+              + sum(cycle_count(spec, max_radius(q)) for q in occlusion.queries))
+    assert metrics["shape_io.points"] == 4 * cycles
     # the sweep runs its queries twice: an untimed warm-up, then the timed loop
     assert metrics["matcher.query_calls"] == 2 * len(toy_corpus) + len(occlusion.queries)
     assert metrics["matcher.distances"] > 0  # counted from each database's records

@@ -21,7 +21,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract
+from rastershape import descriptor
+from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract, extract_all
 from rastershape.cli import main
 from rastershape.errors import DatabaseFormatError, EmptyDatabaseError, PnmFormatError
 from rastershape.matcher import (
@@ -34,7 +35,8 @@ from rastershape.matcher import (
     query,
     save_database,
 )
-from rastershape.raster import RasterSpec, circular_grid, cycle_count, spiral_grid
+from rastershape.raster import (MAX_LATTICE_POINTS, RasterSpec, circular_grid, cycle_count,
+                               spiral_grid)
 from rastershape import shape_io
 from rastershape.shape_io import (
     MAX_PIXELS,
@@ -191,6 +193,28 @@ def test_extract_equals_straight_line_oracle(mask, cell):
     assume(not on_half_pixel(grid_for(shape, spec)))
     expected = ref_extract(mask.tolist(), shape.width, shape.height, variant, d, s)
     assert extract(shape, spec, variant).values.tolist() == expected
+
+
+@FIXED
+@given(mask=masks, cell_list=st.lists(cells, min_size=1, max_size=6),
+       repeat=st.integers(0, 5), cap=st.sampled_from((MAX_LATTICE_POINTS, 64, 1)))
+@example(mask=np.ones((5, 3), dtype=bool), cell_list=[(v, 2, 4) for v in VARIANTS],
+         repeat=1, cap=64)
+def test_extract_all_equals_lone_extracts(mask, cell_list, repeat, cap):
+    # every variant, circular and spiral specs mixed, one config repeated
+    # with its own spec object and the first spelled again as an equal spec;
+    # a small cap splits the lookups over several contains_points calls
+    shape = BinaryShape(mask, id="h-1")
+    configs = [(v, RasterSpec(VARIANT_KIND[v], d, s)) for v, d, s in cell_list]
+    configs.append(configs[repeat % len(configs)])
+    variant, spec = configs[0]
+    configs.append((variant, RasterSpec(spec.kind, spec.separation_px, spec.samples_per_cycle)))
+    expected = [extract(shape, spec, variant) for variant, spec in configs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(descriptor, "MAX_LATTICE_POINTS", cap)
+        got = extract_all(shape, configs)
+    assert [(g.variant, id(g.spec)) for g in got] == [(v, id(spec)) for v, spec in configs]
+    assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in expected]
 
 
 @pytest.fixture(scope="module")
