@@ -12,12 +12,11 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .descriptor import extract_all, variant_kind
 from .errors import DatasetError, RasterShapeError
@@ -76,15 +75,16 @@ class OcclusionReport:
     queries: tuple[BinaryShape, ...] = field(default=(), compare=False, repr=False)
 
 
-def extract_records(shapes: Iterable[BinaryShape], configs: Sequence[tuple[str, RasterSpec]]
+def extract_records(shapes: Iterable[BinaryShape], configs: Iterable[tuple[str, RasterSpec]]
                     ) -> list[list[DescriptorRecord]]:
     """One record list per ``(variant, spec)`` config, each in input order.
 
-    ``shapes`` is read once, and every config is extracted from a shape, in
-    one ``extract_all`` call, before the next one is read, so a stream of
-    shapes is held one at a time. A shape that cannot be extracted raises
-    DatasetError naming it.
+    ``configs`` and ``shapes`` are each read once, and every config is
+    extracted from a shape, in one ``extract_all`` call, before the next one
+    is read, so a stream of shapes is held one at a time. A shape that
+    cannot be extracted raises DatasetError naming it.
     """
+    configs = list(configs)
     out: list[list[DescriptorRecord]] = [[] for _ in configs]
     for shape in shapes:
         try:
@@ -138,6 +138,13 @@ def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
     return total, total / len(queries), efficiency
 
 
+def _check_run(k: int, threads: int) -> None:
+    if threads != 1:  # perfbench/measure.py still passes threads=1
+        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def sweep(dataset: Iterable[BinaryShape], variant: str,
           separations: Sequence[int] = DEFAULT_SEPARATIONS,
           samples: Sequence[int] = DEFAULT_SAMPLES,
@@ -154,10 +161,7 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     accepts only 1.
     """
     kind = variant_kind(variant)
-    if threads != 1:  # perfbench/measure.py still passes threads=1
-        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_run(k, threads)
     # every spec is checked before any extraction; equal specs run once
     specs = list(dict.fromkeys(RasterSpec(kind, d, s) for d in separations for s in samples))
     if not specs:
@@ -176,35 +180,32 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     return SweepReport(variant, dataset_label, tuple(cells))
 
 
-def _check_occlusion(per_category: int, fraction: float, seed: int) -> None:
+def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
+                             fraction: float, seed: int) -> list[BinaryShape]:
+    """Occluded copies of the first ``per_category`` shapes of each category.
+
+    Every argument is checked before the first shape is read. ``dataset``
+    is then read once, keeping only the ``per_category`` smallest ids of
+    each category, so a stream is held one shape at a time plus the kept
+    ones. Each copy gets its own cut direction derived from ``seed`` plus
+    its position, so the whole set is reproducible from one seed.
+    """
     if per_category < 1:
         raise ValueError(f"per_category must be >= 1, got {per_category}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
-
-
-def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
-                             fraction: float, seed: int) -> list[BinaryShape]:
-    """Occluded copies of the first ``per_category`` shapes of each category.
-
-    Selection is by id order within each category; each copy gets its own
-    cut direction derived from ``seed`` plus its position, so the whole set
-    is reproducible from one seed.
-    """
-    _check_occlusion(per_category, fraction, seed)
-    groups: dict[str, list[BinaryShape]] = {}
+    kept: dict[str, list[BinaryShape]] = {}
     for shape in dataset:
-        groups.setdefault(shape.category, []).append(shape)
+        members = kept.setdefault(shape.category, [])
+        bisect.insort(members, shape, key=lambda s: s.id)
+        del members[per_category:]
     selected = []
-    for cat in sorted(groups):
-        members = sorted(groups[cat], key=lambda s: s.id)
-        if len(members) < per_category:
-            raise DatasetError(
-                f"category {cat!r} has {len(members)} shapes, need {per_category}"
-            )
-        selected.extend(members[:per_category])
+    for cat in sorted(kept):
+        if len(kept[cat]) < per_category:
+            raise DatasetError(f"category {cat!r} has {len(kept[cat])} shapes, need {per_category}")
+        selected += kept[cat]
     return [occlude(shape, fraction, seed + i) for i, shape in enumerate(selected)]
 
 
@@ -220,32 +221,27 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     report carries them as ``queries``. ``threads`` accepts only 1.
 
     Every argument is checked before the first shape is read. ``dataset``
-    is then read once, each shape extracted under every config before the
-    next is read; of the shapes read, only the ``per_category`` smallest
-    ids of each category are kept, to be occluded once the stream ends. So
-    a stream of shapes is held one at a time, plus the kept ones. A
-    category with too few shapes is the one argument fault that can only
-    be found after the stream, once every shape has been extracted.
+    is then read once, by select_occlusion_queries, each shape extracted
+    under every config as it passes, so a stream is held as that function
+    holds it. A category with too few shapes is the one argument fault
+    found only after the stream, once every shape has been extracted.
     """
     configs = [(variant, RasterSpec(variant_kind(variant), d, s))
                for variant, d, s in variant_specs]
-    if threads != 1:  # perfbench/measure.py still passes threads=1
-        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_occlusion(per_category, fraction, seed)
-    kept: dict[str, list[BinaryShape]] = {}
+    _check_run(k, threads)
+    if not configs:
+        raise ValueError("occlusion experiment needs at least one configuration")
+    records: list[list[DescriptorRecord]] = [[] for _ in configs]
 
-    def keeping(shapes: Iterable[BinaryShape]) -> Iterator[BinaryShape]:
+    def extracted(shapes: Iterable[BinaryShape]) -> Iterable[BinaryShape]:
         for shape in shapes:
-            members = kept.setdefault(shape.category, [])
-            bisect.insort(members, shape, key=lambda s: s.id)
-            del members[per_category:]
+            for out, [record] in zip(records, extract_records([shape], configs)):
+                out.append(record)
             yield shape
 
-    records = extract_records(keeping(dataset), configs)
-    queries = select_occlusion_queries(itertools.chain.from_iterable(kept.values()),
-                                       per_category, fraction, seed)
+    queries = select_occlusion_queries(extracted(dataset), per_category, fraction, seed)
+    if not queries:
+        raise DatasetError("occlusion experiment needs a non-empty dataset")
     query_records = extract_records(queries, configs)
     cells = []
     for (variant, spec), db_records, q_records in zip(configs, records, query_records):

@@ -229,21 +229,18 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
             f"query is {q.variant}/{q.spec}, database is {db.variant}/{db.spec}"
         )
     excluded = db._rows.get(exclude_id)
+    if len(db) == (excluded is not None):  # no record, or only the excluded one
+        raise EmptyDatabaseError("no records to query (database empty after exclusion)")
     rows = _candidates(db, q.values, k, excluded)
     dists = _distances(db.matrix[rows], q.values)
-    order = np.argsort(dists, kind="stable")
-    if excluded is not None:
-        order = order[rows[order] != excluded]
-    if not order.size:
-        raise EmptyDatabaseError("no records to query (database empty after exclusion)")
-    order = order[:k]
+    order = np.argsort(dists, kind="stable")[:k]
     return [Match(db.ids[i], db.categories[i], d)
             for i, d in zip(rows[order].tolist(), dists[order].tolist())]
 
 
 def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
                 excluded: int | None) -> np.ndarray:
-    """The rows, ascending, that can be among the k nearest to ``q``.
+    """The rows but ``excluded``, ascending, that can be among the k nearest to ``q``.
 
     Why no row of the exact top k is dropped: pad every row ``r`` and ``q``
     with zeros to W = max(width, len(q)), and let u = 2^-53, R the largest
@@ -272,7 +269,8 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     """
     n, width = db.matrix.shape
     if k >= n:
-        return np.arange(n)
+        rows = np.arange(n)
+        return rows if excluded is None else np.delete(rows, excluded)
     head = q[:width]
     approx = db.matrix[:, :head.size] @ (head * -2)
     approx += db._norms
@@ -397,25 +395,31 @@ def load_database(path) -> DescriptorDatabase:
             except ValueError as exc:
                 fault = f"{lineno}: bad record: {exc}"
                 break
-            texts.append(values_text)
             fault = (f"{lineno}: declared {length} values, found {found}" if length != found
                      else f"{lineno}: bad record: length {length_text!r} is not canonical")
-            break
+        # a length fault's line is read too: a bad value on it is reported first
         texts.append(values_text)
-        categories.append(rec_category)
         lengths.append(found)
+        if fault is not None:
+            break
+        categories.append(rec_category)
 
-    linenos = list(first_line.values())
-    micro = _micro_units(path, linenos, texts)
+    def line_of(value: int) -> int:  # the line holding the file's value-th value, from 0
+        row = int(np.searchsorted(np.cumsum(lengths), value, side="right"))
+        return list(first_line.values())[row]
+
+    micro, bad = _micro_units(texts)
+    if bad is not None:
+        raise DatabaseFormatError(f"{path.name}:{line_of(bad[0])}: bad record: "
+                                  f"value {bad[1]!r} is not fixed 6-decimal notation")
     if fault is not None:
         raise DatabaseFormatError(f"{path.name}:{fault}")
     # one range check over every value in the file
     over = micro > _MICRO
     if over.any():
         at = int(np.argmax(over))
-        row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise DatabaseFormatError(
-            f"{path.name}:{linenos[row]}: value {float(micro[at] / _MICRO)} outside [0, 1]"
+            f"{path.name}:{line_of(at)}: value {float(micro[at] / _MICRO)} outside [0, 1]"
         )
     try:
         return DescriptorDatabase(spec, variant, first_line, categories, lengths, micro / _MICRO)
@@ -423,18 +427,18 @@ def load_database(path) -> DescriptorDatabase:
         raise DatabaseFormatError(f"{path.name}: {exc}") from exc
 
 
-def _micro_units(path: Path, linenos: list[int], texts: list[str]) -> np.ndarray:
+def _micro_units(texts: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
     """Every comma-separated value of ``texts`` in millionths, as exact floats.
 
     A value is a digit, a dot and six digits, so with its comma it is one
     row of 9 bytes, and the file's values are checked and read as one array
     of such rows. ``micro / 1e6`` is then float(token) exactly: both are
-    exact doubles and IEEE division rounds correctly. The first token of
-    any other form is named with its line.
+    exact doubles and IEEE division rounds correctly. Else the second item
+    is the index and text of the first token of any other form.
     """
     joined = ",".join(filter(None, texts))
     if not joined:
-        return np.empty(0)
+        return np.empty(0), None
     data = (joined + ",").encode()
     data += bytes(-len(data) % 9)
     rows = (np.frombuffer(data, np.uint8) - ord("0")).reshape(-1, 9)
@@ -443,12 +447,6 @@ def _micro_units(path: Path, linenos: list[int], texts: list[str]) -> np.ndarray
     if bad.any() or rows.max() > 9:
         # the rows before the first bad one are canonical tokens, so it
         # starts the first bad token, at the same offset in ``joined``
-        at = 9 * int(np.argmax(bad | (rows > 9).any(axis=1)))
-        token = joined[at:].split(",", 1)[0]
-        end = 0
-        for lineno, text in zip(linenos, texts):
-            end += len(text) + 1 if text else 0
-            if at < end:
-                raise DatabaseFormatError(f"{path.name}:{lineno}: bad record: "
-                                          f"value {token!r} is not fixed 6-decimal notation")
-    return rows.astype(float) @ _PLACE_VALUE
+        at = int(np.argmax(bad | (rows > 9).any(axis=1)))
+        return np.empty(0), (at, joined[9 * at:].split(",", 1)[0])
+    return rows.astype(float) @ _PLACE_VALUE, None

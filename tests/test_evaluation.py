@@ -154,6 +154,8 @@ def test_sweep_trend_on_toy_corpus(toy_corpus):
 def test_sweep_rejects_empty_and_broken_datasets():
     with pytest.raises(DatasetError):
         sweep([], CIRC_RADIAL)
+    with pytest.raises(DatasetError, match="^occlusion experiment needs a non-empty dataset$"):
+        occlusion_experiment([])
     empty = BinaryShape(np.zeros((4, 4), dtype=bool), id="void-7")
     with pytest.raises(DatasetError, match="void-7"):
         sweep([blob_shape(1, id="b-1"), empty], CIRC_RADIAL,
@@ -301,6 +303,11 @@ def test_extract_records_reads_each_shape_once(toy_corpus):
         assert all(np.array_equal(r.vector.values, extract(s, spec, variant).values)
                    for r, s in zip(records, toy_corpus))
     assert extract_records(iter(()), configs) == [[], []]
+    # a one-pass iterable of configs gives the same records
+    again = extract_records(toy_corpus, (config for config in configs))
+    assert [[r.id for r in records] for records in again] == [read, read]
+    assert all(a.vector.spec == b.vector.spec and np.array_equal(a.vector.values, b.vector.values)
+               for new, old in zip(again, lists) for a, b in zip(new, old))
 
 
 def test_experiments_stream_their_dataset(toy_corpus):
@@ -310,11 +317,14 @@ def test_experiments_stream_their_dataset(toy_corpus):
     listed = sweep(toy_corpus, SPIRAL_FULL, **cells)
     assert ([(c.separation_px, c.samples_per_cycle, c.efficiency_pct) for c in streamed.cells]
             == [(c.separation_px, c.samples_per_cycle, c.efficiency_pct) for c in listed.cells])
+    expected = select_occlusion_queries(toy_corpus, 2, 0.3, 4)
     for order in (toy_corpus, toy_corpus[::-1]):
         report = occlusion_experiment(iter(order), fraction=0.3, seed=4)
         assert report == occlusion_experiment(toy_corpus, fraction=0.3, seed=4)
-        expected = select_occlusion_queries(toy_corpus, 2, 0.3, 4)
         assert all(np.array_equal(a.mask, b.mask) for a, b in zip(report.queries, expected))
+        selected = select_occlusion_queries(iter(order), 2, 0.3, 4)
+        assert [q.id for q in selected] == [q.id for q in expected]
+        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(selected, expected))
 
 
 def test_checks_come_before_the_first_shape_is_read(toy_corpus):
@@ -322,6 +332,15 @@ def test_checks_come_before_the_first_shape_is_read(toy_corpus):
     for fraction in (1.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match=r"^occlusion fraction must be in \[0, 1\)"):
             occlusion_experiment(never, fraction=fraction)
+        with pytest.raises(ValueError, match=r"^occlusion fraction must be in \[0, 1\)"):
+            select_occlusion_queries(never, 2, fraction, 0)
+    with pytest.raises(ValueError, match="^per_category must be >= 1, got 0$"):
+        select_occlusion_queries(never, 0, 0.2, 0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        select_occlusion_queries(never, 2, 0.2, -1)
+    # an empty configuration list is refused as sweep refuses an empty grid
+    with pytest.raises(ValueError, match="^occlusion experiment needs at least one configuration$"):
+        occlusion_experiment(never, [])
     with pytest.raises(ValueError, match="^sweep needs at least one separation"):
         sweep(never, CIRC_RADIAL, separations=())
     # too few shapes in a category is found only once the stream has been read
