@@ -5,6 +5,12 @@ Each is a normalized count of lattice samples on foreground pixels.
 (``extract`` is its one-config case): it sums each lattice's (cycle, angle)
 hits per row (radial / full-cycle) or per column (angular), or keeps them
 all (fixed-angle, one per spiral arc segment).
+
+``extract_all`` builds its vectors through one private path, ``_counted``,
+which skips the public constructor's checks: the config was checked on the
+way in, and each value is a count of hits over a positive sample count, so
+it lies in [0, 1] by construction. The public ``ShapeVector(...)`` still
+checks everything it is given, and a database range-checks its values once.
 """
 
 from __future__ import annotations
@@ -64,6 +70,15 @@ class ShapeVector:
         return int(self.values.size)
 
 
+def _counted(variant: str, spec: RasterSpec, values: np.ndarray) -> ShapeVector:
+    """A ShapeVector of ``values``, a fresh 1-D float array of hit counts over
+    a positive sample count, made read-only in place; nothing is re-checked."""
+    values.flags.writeable = False
+    vector = object.__new__(ShapeVector)
+    vars(vector).update(variant=variant, spec=spec, values=values)
+    return vector
+
+
 def check_unit_range(values: np.ndarray) -> None:
     """ValueError unless every value lies in [0, 1]; NaN fails both tests."""
     # compared as Python floats, which never warn; initial=0 accepts an empty array
@@ -95,6 +110,8 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     the lattice points of every config are looked up together, in as few
     ``contains_points`` calls as keep each under ``MAX_LATTICE_POINTS``
     points, so one extract's memory bound holds for any number of configs.
+    Each vector is built by ``_counted``: its values are hits over a positive
+    sample count, so they lie in [0, 1] and need no re-check.
     """
     configs = list(configs)
     for variant, spec in configs:
@@ -132,5 +149,5 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
                 values = inside.sum(axis=0) / n
             else:
                 values = inside.ravel().astype(float)
-            vectors.append(ShapeVector(variant, spec, values))
+            vectors.append(_counted(variant, spec, values))
     return vectors

@@ -100,14 +100,14 @@ def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
            warm_up: bool = False) -> tuple[float, float]:
     """(seconds of the matching loop, efficiency_pct) for one query pass.
 
-    Arguments are checked before any query runs. With ``warm_up``, one
-    untimed pass runs first.
+    Arguments are checked before any query runs. With ``warm_up``, the first
+    query runs once untimed before the pass, so the timed loop starts warm;
+    a whole untimed pass would double the matching work and time no better.
     """
     if not queries:
         raise ValueError("no queries given")
     if warm_up:
-        for q in queries:
-            query(db, q.vector, k, exclude_id=q.id)
+        query(db, queries[0].vector, k, exclude_id=queries[0].id)
     start = time.perf_counter()
     results = [query(db, q.vector, k, exclude_id=q.id) for q in queries]
     total = time.perf_counter() - start
@@ -131,8 +131,9 @@ def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
                     k: int = DEFAULT_K) -> tuple[float, float, float]:
     """(total_time_s, avg_time_s, efficiency_pct) for the full query loop.
 
-    Runs one untimed warm-up pass, then times the query loop alone,
-    single-threaded. Efficiency is scored from the timed results afterward.
+    Runs the first query once, untimed, as a warm-up, then times the whole
+    query loop alone, single-threaded. So ``len(queries) + 1`` queries run.
+    Efficiency is scored from the timed results afterward.
     """
     total, efficiency = _score(db, queries, k, warm_up=True)
     return total, total / len(queries), efficiency

@@ -128,7 +128,9 @@ class DescriptorDatabase:
         """The database of ``records``, each extracted under ``spec`` and ``variant``."""
         records = tuple(records)
         for rec in records:
-            if rec.vector.variant != variant or rec.vector.spec != spec:
+            vector = rec.vector
+            # an extracted vector holds the very spec object it was extracted under
+            if vector.variant != variant or (vector.spec is not spec and vector.spec != spec):
                 raise ValueError(
                     f"record {rec.id!r} was extracted under a different spec/variant"
                 )

@@ -19,7 +19,7 @@ from rastershape.evaluation import (
     write_occlusion_csv,
     write_sweep_csv,
 )
-from rastershape.matcher import DescriptorDatabase, DescriptorRecord
+from rastershape.matcher import DescriptorDatabase, DescriptorRecord, query
 from rastershape.raster import RasterSpec
 from rastershape.shape_io import BinaryShape
 
@@ -104,6 +104,31 @@ def test_timed_retrieval_accounting():
 
     total1, avg1, _ = timed_retrieval(db, recs[:1], k=3)
     assert avg1 == total1
+
+
+def test_timed_retrieval_warms_up_with_one_query(monkeypatch):
+    # one untimed warm-up query, the first, then the timed pass; the
+    # untimed efficiency runs no warm-up at all
+    rng = np.random.default_rng(9)
+    recs = records_from([(f"c{i % 3}-{i}", f"c{i % 3}", rng.random(5)) for i in range(12)])
+    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, tuple(recs))
+    calls = []
+
+    def counting(db, q, k, exclude_id=None):
+        calls.append(exclude_id)
+        return query(db, q, k, exclude_id=exclude_id)
+
+    monkeypatch.setattr("rastershape.evaluation.query", counting)
+    _, _, timed_eff = timed_retrieval(db, recs, k=3)
+    assert calls == [recs[0].id] + [r.id for r in recs]
+    calls.clear()
+    assert retrieval_efficiency(db, recs, k=3) == timed_eff
+    assert calls == [r.id for r in recs]
+    calls.clear()
+    # one query: its warm-up is that same query
+    total, avg, eff = timed_retrieval(db, recs[-1:], k=3)
+    assert calls == [recs[-1].id] * 2
+    assert avg == total and eff == retrieval_efficiency(db, recs[-1:], k=3)
 
 
 def test_efficiency_invariant_to_record_order():

@@ -217,6 +217,49 @@ def test_extract_all_equals_lone_extracts(mask, cell_list, repeat, cap):
     assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in expected]
 
 
+@FIXED
+@given(mask=geometry_masks, cell_list=st.lists(cells, min_size=1, max_size=4))
+@example(mask=np.ones((1, 1), dtype=bool), cell_list=[(v, 1, 1) for v in VARIANTS])
+@example(mask=np.ones((3, 7), dtype=bool), cell_list=[(v, 2, 24) for v in VARIANTS])
+def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
+    # extract_all skips ShapeVector's checks; every vector it returns is still
+    # one the public constructor accepts and builds the same, and read-only
+    shape = BinaryShape(mask, id="h-1")
+    configs = [(v, RasterSpec(VARIANT_KIND[v], d, s)) for v, d, s in cell_list]
+    got = extract_all(shape, configs)
+    assert len(got) == len(configs)
+    for (variant, spec), vector in zip(configs, got):
+        public = ShapeVector(variant, spec, vector.values)
+        assert type(vector) is ShapeVector
+        assert vector.variant == public.variant and vector.spec is spec
+        assert vector.values.dtype == public.values.dtype
+        assert vector.values.shape == public.values.shape
+        assert vector.values.tobytes() == public.values.tobytes()
+        assert not vector.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector.values[...] = 0
+
+
+@FIXED
+@given(bad=st.floats().filter(lambda x: not 0 <= x <= 1), at=st.integers(0, 3))
+@example(bad=math.nan, at=0)
+@example(bad=math.inf, at=3)
+@example(bad=-math.inf, at=1)
+def test_database_refuses_values_its_vectors_did_not_check(bad, at):
+    # a vector built by extract_all's private path is never range-checked
+    # itself; the database still checks every value it is given
+    spec = RasterSpec("circular", 8, 4)
+    values = np.linspace(0, 1, 4)
+    values[at] = bad
+    vector = descriptor._counted("circ_radial", spec, values.copy())
+    with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
+        DescriptorDatabase.from_records(spec, "circ_radial", [DescriptorRecord("a-1", "a", vector)])
+    with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
+        DescriptorDatabase(spec, "circ_radial", ["a-1"], ["a"], [4], values)
+    with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
+        ShapeVector("circ_radial", spec, values)
+
+
 @pytest.fixture(scope="module")
 def rdb(tmp_path_factory):
     """A scratch path and the bytes of a small valid RASTERDB file."""
