@@ -1,5 +1,9 @@
 """Command-line front end: index, query, sweep, occlude, report.
 
+``index``, ``sweep`` and ``occlude`` stream a directory through
+``shape_io.iter_directory``; ``query`` refuses spec flags that the database
+does not match before it reads the image.
+
 Exit codes: 0 success, 1 internal error, 2 bad input or arguments.
 """
 
@@ -8,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 from .descriptor import VARIANT_KIND, VARIANTS, extract
@@ -27,22 +30,13 @@ from .evaluation import (
 )
 from .matcher import DescriptorDatabase, load_database, query, save_database
 from .raster import RasterSpec
-from .shape_io import BinaryShape, iter_directory, load_image, save_image
-
-
-def _load_dataset(args) -> Iterator[BinaryShape]:
-    """The directory's shapes, each decoded when the stream reaches it."""
-    empty = True
-    for shape in iter_directory(args.dir, threshold=args.threshold, invert=args.invert):
-        empty = False
-        yield shape
-    if empty:
-        raise RasterShapeError("no input images")
+from .shape_io import iter_directory, load_image, save_image
 
 
 def cmd_index(args) -> int:
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
-    [records] = extract_records(_load_dataset(args), [(args.variant, spec)])
+    shapes = iter_directory(args.dir, threshold=args.threshold, invert=args.invert)
+    [records] = extract_records(shapes, [(args.variant, spec)])
     db = DescriptorDatabase.from_records(spec, args.variant, records)
     save_database(db, args.out)
     print(f"indexed {len(records)} images -> {args.out}")
@@ -51,9 +45,11 @@ def cmd_index(args) -> int:
 
 def cmd_query(args) -> int:
     db = load_database(args.db)
-    requested = _requested_spec(args, db)
-    if requested is not None and (requested != (db.spec, db.variant)):
-        spec, variant = requested
+    variant = args.variant or db.variant
+    sep = db.spec.separation_px if args.sep is None else args.sep
+    samples = db.spec.samples_per_cycle if args.samples is None else args.samples
+    spec = RasterSpec(VARIANT_KIND[variant], sep, samples)
+    if (spec, variant) != (db.spec, db.variant):
         print(
             f"error: requested extraction {variant} {spec} does not match "
             f"database {db.variant} {db.spec}",
@@ -72,15 +68,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _requested_spec(args, db) -> tuple | None:
-    if args.variant is None and args.sep is None and args.samples is None:
-        return None
-    variant = args.variant or db.variant
-    sep = args.sep if args.sep is not None else db.spec.separation_px
-    samples = args.samples if args.samples is not None else db.spec.samples_per_cycle
-    return RasterSpec(VARIANT_KIND[variant], sep, samples), variant
-
-
 def cmd_sweep(args) -> int:
     def progress(cell):
         print(
@@ -90,14 +77,13 @@ def cmd_sweep(args) -> int:
         )
 
     report = sweep(
-        _load_dataset(args), args.variant, separations=args.seps, samples=args.samples,
-        k=args.k, dataset_label=Path(args.dir).name, progress=progress,
+        iter_directory(args.dir, threshold=args.threshold, invert=args.invert),
+        args.variant, separations=args.seps, samples=args.samples, k=args.k,
+        dataset_label=Path(args.dir).name, progress=progress,
     )
+    write_sweep_csv(report, args.out or sys.stdout)
     if args.out:
-        write_sweep_csv(report, args.out)
         print(f"wrote {len(report.cells)} cells -> {args.out}")
-    else:
-        write_sweep_csv(report, sys.stdout)
     return 0
 
 
@@ -107,8 +93,8 @@ def cmd_occlude(args) -> int:
     else:
         configs = list(STANDARD_OCCLUSION_CONFIGS)
     report = occlusion_experiment(
-        _load_dataset(args), configs, per_category=args.per_category, fraction=args.fraction,
-        seed=args.seed, k=args.k,
+        iter_directory(args.dir, threshold=args.threshold, invert=args.invert),
+        configs, per_category=args.per_category, fraction=args.fraction, seed=args.seed, k=args.k,
     )
     # --out is made only after the experiment has checked every argument
     if args.out:
@@ -117,11 +103,9 @@ def cmd_occlude(args) -> int:
         for q in report.queries:
             save_image(q, out_dir / f"{q.id}.pgm")
         print(f"wrote {len(report.queries)} occluded images -> {out_dir}", file=sys.stderr)
+    write_occlusion_csv(report, args.report or sys.stdout)
     if args.report:
-        write_occlusion_csv(report, args.report)
         print(f"wrote {len(report.cells)} rows -> {args.report}")
-    else:
-        write_occlusion_csv(report, sys.stdout)
     return 0
 
 

@@ -267,12 +267,10 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     as W + 2 >= 2, over 50 u times the larger square (or 54 subnormals),
     and two squares 6 u apart already have distinct correctly rounded
     square roots. So a pruned row is strictly farther than k others, and no
-    tie-break can bring it back.
+    tie-break can bring it back. With k at or above the rows left, ``kth`` is
+    the largest finite ``approx``, so every row but the excluded one is kept.
     """
     n, width = db.matrix.shape
-    if k >= n:
-        rows = np.arange(n)
-        return rows if excluded is None else np.delete(rows, excluded)
     head = q[:width]
     approx = db.matrix[:, :head.size] @ (head * -2)
     approx += db._norms
@@ -280,7 +278,8 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     err = _SLACK * (max(width, q.size) + 2) * (reach * reach * _UNIT + _TINY)
     if excluded is not None:
         approx[excluded] = np.inf
-    kth = float(np.partition(approx, k - 1)[k - 1])
+    at = min(k, n - (excluded is not None)) - 1
+    kth = float(np.partition(approx, at)[at])
     return np.flatnonzero(approx <= kth + 2 * err)
 
 

@@ -205,11 +205,14 @@ def iter_directory(directory, threshold: int = 127,
     """Decode each .pbm/.pgm file in ``directory`` when it is reached, sorted by filename.
 
     The directory is listed at the first step, before anything is decoded;
-    two files with one stem (``a-1.pgm`` and ``a-1.pbm``) would give two
+    a listing with no .pbm/.pgm file raises DatasetError naming ``directory``,
+    and two files with one stem (``a-1.pgm`` and ``a-1.pbm``) would give two
     shapes one id, so they raise DatasetError naming both.
     """
     paths = sorted(p for p in Path(directory).iterdir()
                    if p.is_file() and p.suffix.lower() in (".pbm", ".pgm"))
+    if not paths:
+        raise DatasetError(f"no input images (.pbm/.pgm) in '{directory}'")
     seen: dict[str, Path] = {}
     for p in paths:
         if p.stem in seen:

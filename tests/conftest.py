@@ -1,9 +1,23 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from rastershape.shape_io import BinaryShape
+
+# Hypothesis's failure report imports this module, which imports libcst when
+# it is installed; some libcst versions import mypy_extensions.TypedDict,
+# which raises a DeprecationWarning. Under -W error that warning, raised in
+# the report hook, ends the session before the failing test is named, so the
+# module is imported here once with DeprecationWarning ignored. Without
+# libcst the import fails and Hypothesis reports failures without it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def pytest_addoption(parser):

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,37 @@ def test_query_spec_mismatch_prints_both(toy_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "separation_px=16" in err and "separation_px=8" in err
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--variant", "circ_angular"], ["requested extraction circ_angular", "database circ_radial"]),
+    (["--samples", "12"], ["samples_per_cycle=12", "samples_per_cycle=24"]),
+    (["--sep", "0"], ["separation_px must be a positive integer, got 0"]),
+])
+def test_query_flag_the_database_does_not_match_exits_2_before_reading(
+        flags, expected, toy_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "toy.rdb"
+    main(["index", str(toy_dir), "--variant", "circ_radial",
+          "--sep", "8", "--samples", "24", "--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr("rastershape.cli.load_image", lambda *a, **kw: pytest.fail("read"))
+    code = main(["query", str(out), str(toy_dir / "disk-1.pgm"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(e in err for e in expected), err
+
+
+def test_query_flags_equal_to_the_database_change_nothing(toy_dir, tmp_path, capsys):
+    out = tmp_path / "toy.rdb"
+    main(["index", str(toy_dir), "--variant", "circ_radial",
+          "--sep", "8", "--samples", "24", "--out", str(out)])
+    capsys.readouterr()
+    argv = ["query", str(out), str(toy_dir / "ring-2.pgm"), "--k", "5"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--variant", "circ_radial", "--sep", "8", "--samples", "24"]) == 0
+    assert capsys.readouterr() == plain
+    assert len(plain.out.splitlines()) == 5
 
 
 def test_query_matches_oracle_ordering(toy_dir, tmp_path, capsys):
@@ -389,6 +421,19 @@ def test_one_stem_twice_exits_2_before_decoding(command, toy_dir, tmp_path, caps
     monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
     assert main(COMMANDS[command](toy_dir, tmp_path)) == 2
     assert "disk-1.pbm and disk-1.pgm would share the id 'disk-1'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.*"))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_directory_exits_2_naming_it(command, tmp_path, capsys, monkeypatch):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not an image")
+    assert main(COMMANDS[command](empty, tmp_path)) == 2
+    assert f"no input images (.pbm/.pgm) in '{empty}'" in capsys.readouterr().err
+    monkeypatch.chdir(empty)
+    assert main(COMMANDS[command](Path("."), tmp_path)) == 2
+    assert "no input images (.pbm/.pgm) in '.'" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.*"))
 
 

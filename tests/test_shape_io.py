@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -326,6 +327,20 @@ def test_iter_directory_decodes_one_file_per_step(tmp_path):
     assert next(shapes).id == "a-1"
     with pytest.raises(PnmFormatError, match="b-1.pgm"):
         next(shapes)
+
+
+def test_directory_without_images_raises_at_the_first_step(tmp_path, monkeypatch):
+    write(tmp_path / "notes.txt", "ignored")
+    (tmp_path / "sub.pgm").mkdir()  # a directory is not an image, whatever its name
+    monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
+    shapes = iter_directory(tmp_path)
+    with pytest.raises(DatasetError, match=r"^no input images \(\.pbm/\.pgm\) in '.+'$"):
+        next(shapes)
+    with pytest.raises(DatasetError, match=re.escape(f"in '{tmp_path}'")):
+        load_directory(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DatasetError, match=r"in '\.'$"):
+        load_directory(".")
 
 
 def test_load_directory_refuses_one_stem_twice_before_decoding(tmp_path, monkeypatch):
