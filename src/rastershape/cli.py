@@ -76,10 +76,12 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
 
+    # "." or "a/.." names its directory only once resolved; the root has no name
+    directory = Path(args.dir).resolve()
     report = sweep(
         iter_directory(args.dir, threshold=args.threshold, invert=args.invert),
         args.variant, separations=args.seps, samples=args.samples, k=args.k,
-        dataset_label=Path(args.dir).name, progress=progress,
+        dataset_label=directory.name or str(directory), progress=progress,
     )
     write_sweep_csv(report, args.out or sys.stdout)
     if args.out:

@@ -17,11 +17,15 @@ margin per query, set by the largest row norm R and the query's norm. The
 bound relies on ShapeVector and DescriptorDatabase refusing values outside
 [0, 1]: so R <= sqrt(L_max), and no NaN, inf or overflow reaches a ranking.
 Only the rows within twice that margin of the k-th smallest estimate go
-through the exact distance kernel, which sums each row the same way
-whatever rows it is given. So a query returns the same matches, bit for
-bit, as ranking every row with that kernel, in a fraction of the time when
-the vectors are long. Datasets here are a few hundred to a few thousand
-records, and the benchmark harness times exactly this scan.
+through the exact distance kernel. It squares the differences in place in
+the copy of those rows that indexing makes and reads each row's sum from
+the last column of a ``cumsum``, which adds strictly left to right: each
+row is summed the same way whatever rows it is given with. One stable
+sort by distance then ranks the candidates, ties in insertion order.
+So a query returns the same matches, bit for bit, as ranking every row
+with that kernel, in a fraction of the time when the vectors are long.
+Datasets here are a few hundred to a few thousand records, and the
+benchmark harness times exactly this scan.
 """
 
 from __future__ import annotations
@@ -173,38 +177,38 @@ class Match:
 
 
 def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ``q`` to each row of the ``(n, width)`` matrix.
+    """Euclidean distance from ``q`` to each row of ``rows``, an ``(n, width)``
+    array the kernel owns: it is overwritten with the squared differences.
 
     Implicit zero-padding: missing trailing cycles hold no shape samples, so
-    ``q`` and the rows are both padded with zeros to the longer width. The
-    differences sit in a column-major array of at least two rows, so numpy
-    adds each row's squares strictly left to right (it sums pairwise only
-    along the contiguous axis). Extra zero columns then add exact zeros, and
-    a record's distance does not depend on the width of the matrix it is in.
+    ``q`` and the rows are both padded with zeros to the longer width. Each
+    row's sum is the last column of ``cumsum(axis=1)``, which adds strictly
+    left to right, whatever the array's layout or number of rows. Extra zero
+    columns then add exact zeros, and a record's distance does not depend on
+    the width of the matrix it is in or on the other rows it is given with.
 
     The part of ``q`` beyond the matrix adds the same squares to every row.
     Those go in column blocks of at most ``_BLOCK_VALUES`` values, each
     block holding the running sums in its first column, so every row is
     still summed left to right and a long query allocates no more than the
-    matrix and one block.
+    rows and one block.
     """
     n, width = rows.shape
-    m = max(n, 2)
-    diff = np.zeros((m, width), order="F")
-    diff[:n] = rows
     head = q[:width]
-    diff[:n, :head.size] -= head
-    diff *= diff
-    sums = diff.sum(axis=1)
-    tail = q[width:] ** 2
-    step = max(1, _BLOCK_VALUES // m - 1)
-    for start in range(0, tail.size, step):
-        part = tail[start:start + step]
-        block = np.empty((m, 1 + part.size), order="F")
-        block[:, 0] = sums
-        block[:, 1:] = part
-        sums = block.sum(axis=1)
-    return np.sqrt(sums[:n])
+    rows[:, :head.size] -= head
+    rows *= rows
+    sums = rows.cumsum(axis=1)[:, -1] if width else np.zeros(n)
+    tail = q[width:]
+    if tail.size:
+        tail = tail * tail
+        step = max(1, _BLOCK_VALUES // max(n, 1) - 1)
+        for start in range(0, tail.size, step):
+            part = tail[start:start + step]
+            block = np.empty((n, 1 + part.size))
+            block[:, 0] = sums
+            block[:, 1:] = part
+            sums = block.cumsum(axis=1)[:, -1]
+    return np.sqrt(sums)
 
 
 def distance(a: ShapeVector, b: ShapeVector) -> float:
@@ -213,7 +217,7 @@ def distance(a: ShapeVector, b: ShapeVector) -> float:
         raise IncompatibleVectorError(
             f"cannot compare {a.variant}/{a.spec} with {b.variant}/{b.spec}"
         )
-    return float(_distances(b.values[np.newaxis], a.values)[0])
+    return float(_distances(b.values[np.newaxis].copy(), a.values)[0])
 
 
 def query(db: DescriptorDatabase, q: ShapeVector, k: int,
@@ -226,7 +230,8 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if q.variant != db.variant or q.spec != db.spec:
+    # a query extracted under the database's spec holds that very spec object
+    if q.variant != db.variant or (q.spec is not db.spec and q.spec != db.spec):
         raise IncompatibleVectorError(
             f"query is {q.variant}/{q.spec}, database is {db.variant}/{db.spec}"
         )
@@ -234,10 +239,11 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
     if len(db) == (excluded is not None):  # no record, or only the excluded one
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
     rows = _candidates(db, q.values, k, excluded)
-    dists = _distances(db.matrix[rows], q.values)
-    order = np.argsort(dists, kind="stable")[:k]
-    return [Match(db.ids[i], db.categories[i], d)
-            for i, d in zip(rows[order].tolist(), dists[order].tolist())]
+    dists = _distances(db.matrix[rows], q.values).tolist()
+    rows = rows.tolist()
+    # the rows ascend, so a stable sort by distance keeps ties in insertion order
+    return [Match(db.ids[rows[j]], db.categories[rows[j]], dists[j])
+            for j in sorted(range(len(rows)), key=dists.__getitem__)[:k]]
 
 
 def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
@@ -254,8 +260,8 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
       one matrix-vector product with -2 q; it leaves out |q|^2, the same for
       every row. In any summation order, BLAS's included, it is within
       about (W + 2) u M of the exact |r - q|^2 - |q|^2.
-    - _distances sums (r_i - q_i)^2 left to right, so its square is within
-      (W + 2) u M of the exact one too.
+    - _distances sums (r_i - q_i)^2 left to right, as ``cumsum`` adds, so
+      its square is within (W + 2) u M of the exact one too.
     - Underflow adds at most about W + 2 smallest subnormals to either.
 
     So e = (W + 2) (u M + 2^-1074) bounds both errors for every row, and
@@ -280,7 +286,7 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
         approx[excluded] = np.inf
     at = min(k, n - (excluded is not None)) - 1
     kth = float(np.partition(approx, at)[at])
-    return np.flatnonzero(approx <= kth + 2 * err)
+    return (approx <= kth + 2 * err).nonzero()[0]
 
 
 def _header_line(spec: RasterSpec, variant: str) -> str:

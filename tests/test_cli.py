@@ -163,6 +163,30 @@ def test_sweep_single_cell_to_stdout(toy_dir, capsys):
     assert len([l for l in lines if l.startswith("circ_radial,")]) == 1
 
 
+def test_sweep_of_the_working_directory_names_it(toy_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    monkeypatch.chdir(toy_dir)
+    assert main(["sweep", ".", "--variant", "circ_radial", "--seps", "8",
+                 "--samples", "4", "--out", str(out)]) == 0
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["toy"]
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "circ_radial on toy (efficiency_pct)"
+
+
+def test_sweep_of_the_filesystem_root_names_its_path(monkeypatch, capsys):
+    labels = []
+
+    def grab(shapes, variant, dataset_label, **kwargs):
+        labels.append(dataset_label)
+        return SweepReport(variant, dataset_label, ())
+
+    monkeypatch.setattr("rastershape.cli.sweep", grab)
+    root = Path("/").resolve()
+    assert main(["sweep", str(root), "--variant", "circ_radial"]) == 0
+    assert labels == [str(root)]
+
+
 def test_sweep_requires_variant(toy_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(toy_dir)])

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rastershape.descriptor import CIRC_RADIAL, SPIRAL_FULL, ShapeVector
 from rastershape.errors import (
@@ -17,6 +20,7 @@ from rastershape.matcher import (
     DescriptorDatabase,
     DescriptorRecord,
     Match,
+    _distances,
     distance,
     load_database,
     query,
@@ -24,6 +28,7 @@ from rastershape.matcher import (
 )
 from rastershape.raster import RasterSpec
 
+from conftest import regimes
 from oracles import ref_distance, ref_topk
 
 SPEC = RasterSpec("circular", 8, 24)
@@ -285,6 +290,57 @@ def test_distances_bit_identical_to_one_array_kernel(monkeypatch):
             got = {m.id: m.distance for m in query(db, vec(q), len(db))}
             expected = one_array_distances(db.matrix, q)
             assert np.array([got[i] for i in db.ids]).tobytes() == expected.tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """Rows and a query from one value regime: one row (as distance() passes),
+    zero width, an empty query and queries longer than the rows all occur."""
+    values = draw(regimes)
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(0, 16))
+    rows = draw(arrays(float, (n, width), elements=values))
+    q = draw(arrays(float, draw(st.integers(0, 30)), elements=values))
+    return rows, q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=kernel_cases(), block=st.sampled_from((2, 3, 7, 64, 1 << 20)),
+       order=st.sampled_from("CF"))
+@example(case=(np.zeros((1, 0)), np.empty(0)), block=2, order="C")
+@example(case=(np.full((1, 3), 0.5), np.empty(0)), block=2, order="C")
+@example(case=(np.zeros((3, 0)), np.full(9, 0.25)), block=3, order="F")
+@example(case=(np.full((1, 2), 0.75), np.linspace(0, 1, 20)), block=2, order="C")
+def test_distances_equal_the_one_array_kernel_bit_for_bit(case, block, order):
+    rows, q = case
+    expected = one_array_distances(rows, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rastershape.matcher._BLOCK_VALUES", block)
+        got = _distances(rows.copy(order=order), q)
+        if len(rows) == 1:
+            assert np.float64(distance(vec(q), vec(rows[0]))).tobytes() == expected.tobytes()
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_ties_at_the_kth_distance_keep_insertion_order():
+    # five distinct vectors, each exactly 0.25 from the query; the ids'
+    # text order (r-10 before r-2) is not their insertion order
+    tied = ([0.5, 0.25], [0.0, 0.25], [0.25, 0.5], [0.25, 0.0], [0.25, 0.25, 0.25])
+    db = db_of(*(tied[i % 5] for i in range(60)))
+    q = vec([0.25, 0.25])
+    for k in (3, len(db)):
+        assert query(db, q, k) == [Match(f"r-{i}", f"c{i % 3}", 0.25) for i in range(k)]
+    got = query(db, q, len(db), exclude_id="r-1")
+    assert [m.id for m in got] == [f"r-{i}" for i in range(60) if i != 1]
+
+
+def test_query_accepts_an_equal_spec_and_refuses_another():
+    db = db_of([0.1, 0.2], [0.9], [0.3, 0.3, 0.3])
+    equal = RasterSpec("circular", 8, 24)
+    assert equal == db.spec and equal is not db.spec
+    assert query(db, vec([0.3, 0.3], spec=equal), 2) == query(db, vec([0.3, 0.3]), 2)
+    with pytest.raises(IncompatibleVectorError, match="query is circ_radial/"):
+        query(db, vec([0.3, 0.3], spec=RasterSpec("circular", 8, 12)), 2)
 
 
 def test_long_query_memory_bounded():

@@ -48,7 +48,7 @@ from rastershape.shape_io import (
     save_image,
 )
 
-from conftest import grid_points
+from conftest import dyadic, grid_points, regimes
 from oracles import (ref_centroid, ref_count_vector, ref_extract, ref_max_radius,
                      ref_occlude, ref_topk)
 
@@ -392,10 +392,6 @@ def test_non_canonical_value_is_a_bad_record(db_path, lines, at, junk, crlf):
         assert str(info.value) == f"{prefix}value {junk!r} is not fixed 6-decimal notation"
 
 
-# Multiples of 1/64 have six decimals, so a save/load round trip is exact,
-# and their squares and sums are exact, so ties in exact arithmetic are
-# ties in floating point too and the oracle's ranking is the only one.
-dyadic = st.integers(0, 64).map(lambda i: i / 64)
 dyadic_vectors = st.lists(dyadic, max_size=8)
 
 
@@ -432,9 +428,9 @@ def test_query_equals_oracle_before_and_after_round_trip(db_path, rows, q, copy,
 
 
 def full_scan(db, q, k, exclude_id=None):
-    """query() as an unpruned scan: the exact kernel over every row, one
-    stable argsort, then the exclusion."""
-    dists = _distances(db.matrix, q.values)
+    """query() as an unpruned scan: the exact kernel over a copy of every
+    row, one stable argsort, then the exclusion."""
+    dists = _distances(db.matrix.copy(), q.values)
     order = np.argsort(dists, kind="stable")
     if exclude_id in db.ids:
         order = order[order != db.ids.index(exclude_id)]
@@ -452,13 +448,6 @@ def scan_outcome(scan, db, q, k, exclude_id):
                     for m in scan(db, q, k, exclude_id=exclude_id)]
         except EmptyDatabaseError as exc:
             return type(exc), str(exc)
-
-
-# Each example draws its values from one regime of [0, 1], the only values a
-# ShapeVector holds: unit floats, dyadic fractions (exact ties), or tiny ones
-# (whose squares are subnormal or underflow to 0).
-regimes = st.sampled_from([st.floats(0, 1), dyadic,
-                           st.floats(0, 1e-155), st.floats(0, 1e-161)])
 
 
 @st.composite
