@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .descriptor import extract_all, variant_kind
 from .errors import DatasetError, RasterShapeError
@@ -79,13 +79,22 @@ def extract_records(shapes: Iterable[BinaryShape], configs: Iterable[tuple[str, 
                     ) -> list[list[DescriptorRecord]]:
     """One record list per ``(variant, spec)`` config, each in input order.
 
-    ``configs`` and ``shapes`` are each read once, and every config is
-    extracted from a shape, in one ``extract_all`` call, before the next one
-    is read, so a stream of shapes is held one at a time. A shape that
-    cannot be extracted raises DatasetError naming it.
+    ``configs`` and ``shapes`` are each read once, through _extracted, so a
+    stream of shapes is held one at a time.
     """
     configs = list(configs)
     out: list[list[DescriptorRecord]] = [[] for _ in configs]
+    for _ in _extracted(shapes, configs, out):
+        pass
+    return out
+
+
+def _extracted(shapes: Iterable[BinaryShape], configs: Sequence[tuple[str, RasterSpec]],
+               out: Sequence[list[DescriptorRecord]]) -> Iterator[BinaryShape]:
+    """Each shape of ``shapes``, yielded after one ``extract_all`` call has
+    appended its record under each config to that config's list in ``out``.
+    A shape that cannot be extracted raises DatasetError naming it.
+    """
     for shape in shapes:
         try:
             vectors = extract_all(shape, configs)
@@ -93,21 +102,18 @@ def extract_records(shapes: Iterable[BinaryShape], configs: Iterable[tuple[str, 
             raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
         for vector, records in zip(vectors, out):
             records.append(DescriptorRecord(shape.id, shape.category, vector))
-    return out
+        yield shape
 
 
-def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord], k: int,
-           warm_up: bool = False) -> tuple[float, float]:
+def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
+           k: int) -> tuple[float, float]:
     """(seconds of the matching loop, efficiency_pct) for one query pass.
 
-    Arguments are checked before any query runs. With ``warm_up``, the first
-    query runs once untimed before the pass, so the timed loop starts warm;
-    a whole untimed pass would double the matching work and time no better.
+    Each query runs with its own id excluded. An empty ``queries`` is
+    refused before any query runs.
     """
     if not queries:
         raise ValueError("no queries given")
-    if warm_up:
-        query(db, queries[0].vector, k, exclude_id=queries[0].id)
     start = time.perf_counter()
     results = [query(db, q.vector, k, exclude_id=q.id) for q in queries]
     total = time.perf_counter() - start
@@ -131,11 +137,12 @@ def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
                     k: int = DEFAULT_K) -> tuple[float, float, float]:
     """(total_time_s, avg_time_s, efficiency_pct) for the full query loop.
 
-    Runs the first query once, untimed, as a warm-up, then times the whole
-    query loop alone, single-threaded. So ``len(queries) + 1`` queries run.
-    Efficiency is scored from the timed results afterward.
+    Scores the first query alone, untimed, so the timed loop starts warm,
+    then times the whole loop alone, single-threaded: ``len(queries) + 1``
+    queries run. Efficiency is scored from the timed results afterward.
     """
-    total, efficiency = _score(db, queries, k, warm_up=True)
+    _score(db, queries[:1], k)
+    total, efficiency = _score(db, queries, k)
     return total, total / len(queries), efficiency
 
 
@@ -219,7 +226,8 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
 
     The database holds every unoccluded shape; queries are the occluded
     copies (absent from the database, so nothing is excluded), and the
-    report carries them as ``queries``. ``threads`` accepts only 1.
+    report carries them as ``queries``. A repeated configuration runs once,
+    as equal cells do in sweep. ``threads`` accepts only 1.
 
     Every argument is checked before the first shape is read. ``dataset``
     is then read once, by select_occlusion_queries, each shape extracted
@@ -227,20 +235,15 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     holds it. A category with too few shapes is the one argument fault
     found only after the stream, once every shape has been extracted.
     """
-    configs = [(variant, RasterSpec(variant_kind(variant), d, s))
-               for variant, d, s in variant_specs]
+    # every spec is checked before any extraction; equal configs run once
+    configs = list(dict.fromkeys((variant, RasterSpec(variant_kind(variant), d, s))
+                                 for variant, d, s in variant_specs))
     _check_run(k, threads)
     if not configs:
         raise ValueError("occlusion experiment needs at least one configuration")
     records: list[list[DescriptorRecord]] = [[] for _ in configs]
-
-    def extracted(shapes: Iterable[BinaryShape]) -> Iterable[BinaryShape]:
-        for shape in shapes:
-            for out, [record] in zip(records, extract_records([shape], configs)):
-                out.append(record)
-            yield shape
-
-    queries = select_occlusion_queries(extracted(dataset), per_category, fraction, seed)
+    queries = select_occlusion_queries(_extracted(dataset, configs, records),
+                                       per_category, fraction, seed)
     if not queries:
         raise DatasetError("occlusion experiment needs a non-empty dataset")
     query_records = extract_records(queries, configs)

@@ -8,8 +8,8 @@ line, lines separated by line feeds alone) straight into the columns,
 building no per-record objects. It reads values only in the fixed
 6-decimal notation save_database writes, a digit, a dot and six digits:
 every value of the file is checked and converted at once, as integer
-millionths, and any other token is a bad record. ``records`` builds the
-record objects when they are read.
+millionths, and any other token is a bad record. A database is the
+sequence of its records, each built when it is read.
 
 Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
 product gives every row's squared distance to the query up to one rounding
@@ -54,6 +54,8 @@ _BLOCK_VALUES = 1 << 20
 _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a tab or any line boundary would split a record line
 _FIELD_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
+# a lone surrogate, as os.fsdecode gives for a file name's undecodable bytes
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # A value and its comma, "d.dddddd,", are 9 bytes. Less ord("0"), wrapping
 # as uint8, a digit is 0-9 and any other byte is above 9, the dot and the
 # comma become _DOT and _COMMA, and each byte is worth _PLACE_VALUE millionths.
@@ -75,13 +77,14 @@ class DescriptorRecord:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class DescriptorDatabase:
+class DescriptorDatabase(Sequence):
     """Immutable labeled vectors sharing one spec and variant, stored by column.
 
     Record i is ``ids[i]``, ``categories[i]`` and the first ``lengths[i]``
     values of row i of ``matrix``, the read-only, zero-padded, column-major
-    ``(N, L_max)`` array. ``records`` shows the same data as
-    DescriptorRecord objects, each built when it is read.
+    ``(N, L_max)`` array. The database is also the sequence of its records,
+    in insertion order: indexing builds a DescriptorRecord when it is read,
+    len() builds none, and ``records`` is the database itself.
     """
 
     spec: RasterSpec
@@ -145,28 +148,17 @@ class DescriptorDatabase:
 
     @property
     def records(self) -> Sequence[DescriptorRecord]:
-        return _Records(self)
+        return self
 
     def __len__(self) -> int:
         return len(self.ids)
 
-
-class _Records(Sequence):
-    """A database's records in insertion order; len() builds none of them."""
-
-    def __init__(self, db: DescriptorDatabase) -> None:
-        self._db = db
-
-    def __len__(self) -> int:
-        return len(self._db)
-
     def __getitem__(self, i: int | slice) -> DescriptorRecord | list[DescriptorRecord]:
-        db = self._db
-        i = range(len(db))[i]
+        i = range(len(self))[i]
         if isinstance(i, range):  # a slice
             return [self[j] for j in i]
-        return DescriptorRecord(db.ids[i], db.categories[i],
-                                ShapeVector(db.variant, db.spec, db.matrix[i, :db.lengths[i]]))
+        vector = ShapeVector(self.variant, self.spec, self.matrix[i, :self.lengths[i]])
+        return DescriptorRecord(self.ids[i], self.categories[i], vector)
 
 
 @dataclass(frozen=True)
@@ -297,11 +289,12 @@ def _header_line(spec: RasterSpec, variant: str) -> str:
 def save_database(db: DescriptorDatabase, path) -> None:
     """Write the database as RASTERDB v1 text, values at 6 decimals.
 
-    An id or category holding a tab or a line break cannot be read back, so
-    it raises ValueError before anything is written. The text goes to a
-    temporary file beside ``path``, which then replaces ``path`` in one
-    step: a reader sees the old file or the new one, and a failed write
-    leaves the old file as it was and no temporary file behind.
+    An id or category holding a tab or a line break cannot be read back, and
+    one holding a lone surrogate cannot be written as UTF-8, so either raises
+    ValueError before anything is written. The text goes to a temporary file
+    beside ``path``, which then replaces ``path`` in one step: a reader sees
+    the old file or the new one, and a failed write leaves the old file as
+    it was and no temporary file behind.
     """
     lines = [_header_line(db.spec, db.variant)]
     for row, (rec_id, category, length) in enumerate(
@@ -309,6 +302,8 @@ def save_database(db: DescriptorDatabase, path) -> None:
         for what, text in (("id", rec_id), ("category", category)):
             if _FIELD_BREAK.search(text):
                 raise ValueError(f"record {rec_id!r}: {what} holds a tab or line break")
+            if _SURROGATE.search(text):
+                raise ValueError(f"record {rec_id!r}: {what} is not UTF-8 text")
         values = ",".join(f"{v:.6f}" for v in db.matrix[row, :length].tolist())
         lines.append(f"{rec_id}\t{category}\t{length}\t{values}")
     path = Path(path)
@@ -326,10 +321,10 @@ def load_database(path) -> DescriptorDatabase:
     """Read a RASTERDB v1 file written by save_database().
 
     One pass over the lines checks their structure; then every value in the
-    file is read at once, as micro-units, range-checked at once and placed
-    in the matrix by length. Lines are separated by line feeds alone, the
-    header and each length are spelled exactly as save_database writes them,
-    and each value is fixed 6-decimal notation. Where a file has several
+    file is read at once, as micro-units, and placed in the matrix by length,
+    which range-checks them all at once. Lines are separated by line feeds
+    alone, the header and each length are spelled exactly as save_database
+    writes them, and each value is fixed 6-decimal notation. Where a file has several
     faults, the first in file order is reported, as when each line was
     parsed on its own; bad records and structural faults come before values
     out of range.
@@ -421,16 +416,15 @@ def load_database(path) -> DescriptorDatabase:
                                   f"value {bad[1]!r} is not fixed 6-decimal notation")
     if fault is not None:
         raise DatabaseFormatError(f"{path.name}:{fault}")
-    # one range check over every value in the file
-    over = micro > _MICRO
-    if over.any():
-        at = int(np.argmax(over))
-        raise DatabaseFormatError(
-            f"{path.name}:{line_of(at)}: value {float(micro[at] / _MICRO)} outside [0, 1]"
-        )
     try:
+        # the database refuses values outside [0, 1] before the size cap
         return DescriptorDatabase(spec, variant, first_line, categories, lengths, micro / _MICRO)
     except ValueError as exc:
+        over = micro > _MICRO
+        if over.any():  # the range fault: name the first bad value's line
+            at = int(np.argmax(over))
+            raise DatabaseFormatError(f"{path.name}:{line_of(at)}: "
+                                      f"value {float(micro[at] / _MICRO)} outside [0, 1]") from exc
         raise DatabaseFormatError(f"{path.name}: {exc}") from exc
 
 

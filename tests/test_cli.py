@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -356,6 +357,19 @@ def test_index_refuses_id_that_would_split_a_line(toy_dir, tmp_path, capsys):
     assert code == 2
     assert "record 'odd\\x0cname-1': id holds a tab or line break" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_index_refuses_a_file_name_that_is_not_utf8(toy_dir, tmp_path, capsys):
+    # byte 0xff decodes to the lone surrogate U+DCFF, which UTF-8 cannot encode
+    try:
+        (toy_dir / os.fsdecode(b"odd\xff-1.pgm")).write_bytes((toy_dir / "disk-1.pgm").read_bytes())
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "t.rdb"
+    code = main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)])
+    assert code == 2
+    assert "record 'odd\\udcff-1': id is not UTF-8 text" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["toy"]
 
 
 def test_query_oversized_database_exits_2(tmp_path, toy_dir, capsys):

@@ -169,6 +169,16 @@ def test_sweep_single_cell_and_duplicates(toy_corpus):
     assert type(report.cells[0].separation_px) is int
 
 
+def test_occlusion_repeated_configs_run_once(toy_corpus):
+    configs = [(CIRC_RADIAL, 8, 4), (CIRC_RADIAL, 8, 4), (CIRC_RADIAL, 8.0, np.int64(4)),
+               (SPIRAL_FULL, 8, 4), (CIRC_RADIAL, 8, 4)]
+    report = occlusion_experiment(toy_corpus, configs, per_category=1)
+    assert [(c.variant, c.separation_px, c.samples_per_cycle) for c in report.cells] == \
+        [(CIRC_RADIAL, 8, 4), (SPIRAL_FULL, 8, 4)]
+    assert type(report.cells[0].separation_px) is int
+    assert report == occlusion_experiment(toy_corpus, configs[2:4], per_category=1)
+
+
 def test_sweep_trend_on_toy_corpus(toy_corpus):
     report = sweep(toy_corpus, CIRC_RADIAL, separations=(8, 32), samples=(4, 24))
     grid = {(c.separation_px, c.samples_per_cycle): c.efficiency_pct
@@ -185,6 +195,8 @@ def test_sweep_rejects_empty_and_broken_datasets():
     with pytest.raises(DatasetError, match="void-7"):
         sweep([blob_shape(1, id="b-1"), empty], CIRC_RADIAL,
               separations=(8,), samples=(4,))
+    with pytest.raises(DatasetError, match="^extracting 'void-7': "):
+        occlusion_experiment([blob_shape(1, id="b-1"), empty])
 
 
 def test_sweep_deterministic_except_times(toy_corpus):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,26 @@ def test_database_columns():
         DescriptorDatabase(SPEC, SPIRAL_FULL, [], [], [], [])
 
 
+def test_database_is_the_sequence_of_its_records():
+    db = db_of([0.25, 0.5], [], [1.0, 0.0, 0.75], [0.125])
+    assert isinstance(db, Sequence)
+    assert db.records is db
+    assert [(r.id, r.category, r.vector.values.tolist()) for r in db] == \
+        [(r.id, r.category, r.vector.values.tolist()) for r in list(db.records)]
+    assert (db[-1].id, db[-1].vector.values.tolist()) == ("r-3", [0.125])
+    assert [r.id for r in db[1:3]] == ["r-1", "r-2"]
+    assert [r.id for r in db[::-2]] == ["r-3", "r-1"]
+    assert db[7:] == []
+    for at in (4, -5):
+        with pytest.raises(IndexError):
+            db[at]
+    rebuilt = DescriptorDatabase.from_records(db.spec, db.variant, db)
+    assert rebuilt.ids == db.ids and rebuilt.categories == db.categories
+    assert rebuilt.lengths.tolist() == db.lengths.tolist()
+    assert rebuilt.matrix.tobytes(order="A") == db.matrix.tobytes(order="A")
+    assert rebuilt.matrix.flags.f_contiguous
+
+
 def test_values_outside_the_unit_interval_are_refused(tmp_path):
     refused = r"^descriptor values must lie in \[0, 1\]$"
     for bad in (np.nan, np.inf, -np.inf, -0.25, 1.000001, 12.0):
@@ -443,6 +464,12 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
     assert len(DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records[1:3] + pair)) == 3
     with pytest.raises(ValueError, match="4 records x 2 values is above the cap of 6"):
         DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, records[1:4] + pair)
+    # a file both out of range and over the cap: the range fault names its line
+    path.write_text("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+                    "a-1\ta\t4\t0.500000,0.500000,0.500000,0.500000\n"
+                    "b-1\tb\t4\t0.500000,0.500000,2.500000,0.500000\n")
+    with pytest.raises(DatabaseFormatError, match=r"wide\.rdb:3: value 2\.5 outside \[0, 1\]$"):
+        load_database(path)
 
 
 def _fail_half_way(self, data):
@@ -489,11 +516,14 @@ def test_save_refuses_fields_that_would_split_a_line(tmp_path):
             with pytest.raises(ValueError, match=f"record .*: {what} holds a tab or line break"):
                 save_database(db, path)
             assert not any(tmp_path.iterdir())
-    # an id that is not UTF-8 (a lone surrogate from an undecodable file name)
-    db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL, (DescriptorRecord("\udcff-1", "a", vec([0.5])),))
-    with pytest.raises(UnicodeEncodeError):
-        save_database(db, path)
-    assert not any(tmp_path.iterdir())
+    # a field that is not UTF-8 (a lone surrogate from an undecodable file name)
+    for ch in ("\ud800", "\udcff", "\udfff"):
+        for rec_id, category, what in ((f"odd{ch}-1", "a", "id"), ("odd-1", f"a{ch}", "category")):
+            db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
+                                                 (DescriptorRecord(rec_id, category, vec([0.5])),))
+            with pytest.raises(ValueError, match=re.escape(f"record {rec_id!r}: {what} is not UTF-8 text")):
+                save_database(db, path)
+            assert not any(tmp_path.iterdir())
     # other control characters and spaces round-trip
     db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("odd \x1f\x7fname-1", "odd \x1f", vec([0.5])),))

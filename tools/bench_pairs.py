@@ -1,7 +1,19 @@
 """Summarise paired parent/change benchmark runs as one BENCH_<n>.json file.
 
-Run the benchmark on the parent commit and on the change, each from its own
-checkout, with one seed per pair and the order alternating from pair to pair:
+Make both checkouts the same way, as sibling directories extracted from
+their commits (a working tree's uncommitted change can be made a commit
+object, without touching any branch, with ``git stash create``):
+
+    mkdir parent change
+    git archive <parent commit> | tar -x -C parent
+    git archive <change commit> | tar -x -C change
+
+A checkout made another way, such as the working tree itself, can differ in
+file layout and in where its corpus cache lies; pairs run that way have
+read setup time and peak memory apart where the code they time had not
+changed. Each checkout then builds its own .perfbench-cache. Run the
+benchmark in each, with one seed per pair and the order alternating from
+pair to pair:
 
     for seed in 301 302 ... 310; do
         # odd seeds: parent first; even seeds: change first
