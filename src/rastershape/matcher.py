@@ -4,11 +4,13 @@ A database is stored by column: record ids, categories, vector lengths and
 one read-only, zero-padded, column-major ``(N, L_max)`` matrix of values.
 DescriptorDatabase.from_records builds one from extracted records;
 load_database reads a RASTERDB v1 file (UTF-8 text, one labeled vector per
-line, lines separated by line feeds alone) straight into the columns,
-building no per-record objects. It reads values only in the fixed
+line, lines separated by line feeds alone, at most MAX_DATABASE_BYTES)
+straight into the columns, in one columnar pass with no loop over the
+lines and no per-record objects. It reads values only in the fixed
 6-decimal notation save_database writes, a digit, a dot and six digits:
 every value of the file is checked and converted at once, as integer
-millionths, and any other token is a bad record. A database is the
+millionths, and any other token is a bad record. Only a file that pass
+refuses is read line by line, to name its first fault. A database is the
 sequence of its records, each built when it is read.
 
 Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
@@ -48,6 +50,10 @@ FORMAT_VERSION = "v1"
 HEADER_FIELDS = ("kind", "variant", "sep", "samples")
 # largest N x L_max matrix a database may hold (512 MiB of float64), checked before allocating
 MAX_DATABASE_VALUES = 1 << 26
+# largest RASTERDB file read: 9 bytes ("d.dddddd," or with a line feed) for
+# each value at MAX_DATABASE_VALUES, and one more per value (64 MiB in all)
+# for the header, ids, categories and lengths: 640 MiB
+MAX_DATABASE_BYTES = 10 * MAX_DATABASE_VALUES
 # largest array a query beyond the matrix width sums at once (8 MiB of float64)
 _BLOCK_VALUES = 1 << 20
 # the line boundaries str.splitlines() knows besides "\n"
@@ -57,11 +63,12 @@ _FIELD_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
 # a lone surrogate, as os.fsdecode gives for a file name's undecodable bytes
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # A value and its comma, "d.dddddd,", are 9 bytes. Less ord("0"), wrapping
-# as uint8, a digit is 0-9 and any other byte is above 9, the dot and the
-# comma become _DOT and _COMMA, and each byte is worth _PLACE_VALUE millionths.
+# as uint8, a digit is 0-9 and any other byte is above 9, and the dot and
+# the comma become _DOT and _COMMA.
 _DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
-_PLACE_VALUE = np.array([1e6, 0, 1e5, 1e4, 1e3, 1e2, 1e1, 1, 0])
 _MICRO = 1_000_000
+# 10, 100, ..., 10^18: a count has one digit more than these it is not below
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 # query()'s pruning margin, derived in _candidates: its slack over the worst
 # rounding error, the unit roundoff and the smallest subnormal
 _SLACK = 16
@@ -320,36 +327,33 @@ def save_database(db: DescriptorDatabase, path) -> None:
 def load_database(path) -> DescriptorDatabase:
     """Read a RASTERDB v1 file written by save_database().
 
-    One pass over the lines checks their structure; then every value in the
-    file is read at once, as micro-units, and placed in the matrix by length,
-    which range-checks them all at once. Lines are separated by line feeds
-    alone, the header and each length are spelled exactly as save_database
-    writes them, and each value is fixed 6-decimal notation. Where a file has several
-    faults, the first in file order is reported, as when each line was
-    parsed on its own; bad records and structural faults come before values
-    out of range.
+    Lines are separated by line feeds alone, blank lines are skipped, the
+    header and each length are spelled exactly as save_database writes
+    them, and each value is fixed 6-decimal notation. After the header, one
+    columnar pass, _columns, reads every record with no loop over the
+    lines. Only a file it refuses is read again, line by line, by
+    _first_fault, to name the fault: the first in file order, as when each
+    line was parsed on its own; bad records and structural faults come
+    before values out of range, and those before the size cap.
     """
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = _read_capped(path).decode("utf-8")
     except UnicodeDecodeError:
         raise DatabaseFormatError(f"{path.name}: not UTF-8 text") from None
     if not text:
         raise DatabaseFormatError(f"{path.name}: empty file")
-    lines = text.split("\n")
-    head = lines[0].split()
+    first = text.partition("\n")[0]
+    head = first.split()
     if not head or head[0] != FORMAT_NAME:
-        raise DatabaseFormatError(f"{path.name}: not a descriptor database: {lines[0][:60]!r}")
+        raise DatabaseFormatError(f"{path.name}: not a descriptor database: {first[:60]!r}")
     if len(head) < 2 or head[1] != FORMAT_VERSION:
         version = head[1] if len(head) > 1 else "(missing)"
         raise DatabaseFormatError(
             f"{path.name}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
-    # save_database writes no line boundary but "\n", so the first line
-    # holding another one, which str.splitlines() would split, is refused
-    cut = min((at for at in map(text.find, _LINE_BREAKS) if at >= 0), default=-1)
-    broken = text.count("\n", 0, cut) + 1 if cut >= 0 else 0
-    if broken == 1:
+    cut = _line_break(text)
+    if 0 <= cut < len(first):
         raise DatabaseFormatError(f"{path.name}:1: bad header: line break {text[cut]!r}")
     fields = {}
     for part in head[2:]:
@@ -366,15 +370,114 @@ def load_database(path) -> DescriptorDatabase:
     # only the header save_database writes: no other spacing, field order or
     # number notation (int() also takes "+8", "08" and other scripts' digits)
     header = _header_line(spec, variant)
-    if lines[0] != header:
+    if first != header:
         raise DatabaseFormatError(f"{path.name}:1: bad header: expected {header!r}")
+    refusal = None
+    try:
+        db = _columns(spec, variant, text) if cut < 0 else None
+    except ValueError as exc:  # a duplicate id, a value out of range or the size cap
+        db, refusal = None, exc
+    if db is not None:
+        return db
+    fault = _first_fault(text)
+    raise DatabaseFormatError(f"{path.name}:{fault}" if fault else f"{path.name}: {refusal}")
 
+
+def _read_capped(path: Path) -> bytes:
+    """The bytes of ``path``; DatabaseFormatError past MAX_DATABASE_BYTES.
+
+    At most the cap and one byte are read. A read comes back short only at
+    the end of the input, so a regular file comes whole in the first read,
+    while a pipe or a device, which reports size 0, comes in reads that
+    double in size.
+    """
+    cap = MAX_DATABASE_BYTES
+    chunks = []
+    size = 0
+    with open(path, "rb") as f:
+        want = min(os.fstat(f.fileno()).st_size, cap) + 1
+        while want:
+            chunks.append(f.read(want))
+            size += len(chunks[-1])
+            want = min(size, cap + 1 - size) if len(chunks[-1]) == want else 0
+    if size > cap:
+        raise DatabaseFormatError(f"{path.name}: longer than {cap} bytes, "
+                                  f"the cap of a database file")
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def _line_break(text: str) -> int:
+    """Where ``text`` first holds a line boundary other than "\n", or -1.
+
+    save_database writes no other one, and str.splitlines() would split there.
+    """
+    return min((at for at in map(text.find, _LINE_BREAKS) if at >= 0), default=-1)
+
+
+def _columns(spec: RasterSpec, variant: str, text: str) -> DescriptorDatabase | None:
+    """The database of ``text``, a file with a valid header and no line
+    break but "\n"; None if a record is malformed.
+
+    Tabs and line feeds are single bytes in UTF-8, so their positions in
+    the UTF-8 bytes check the structure: after the header, every line that
+    is not blank holds exactly three tabs, so its first tab comes after the
+    line feed before it and its third before its own. A value and its
+    separator are 9 bytes, so a line's value count is the bytes after its
+    third tab, its line feed included, over 9. Each length field must spell
+    its count as str() does: as many bytes as the count has digits, each
+    the count's digit of its place. _micro_units then checks every value;
+    ValueError from the constructor is a duplicate id, a value outside
+    [0, 1] or the size cap.
+    """
+    if not text.endswith("\n"):  # the last line may end without one
+        text += "\n"
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts, ends = ends[:-1] + 1, ends[1:]  # every line after the header
+    blank = starts == ends
+    if blank.any():
+        starts, ends = starts[~blank], ends[~blank]
+    tabs = np.flatnonzero(raw == ord("\t"))
+    if tabs.size != 3 * ends.size:
+        return None
+    tabs = tabs.reshape(-1, 3)
+    if (tabs[:, 0] < starts).any() or (tabs[:, 2] >= ends).any():
+        return None
+    found = (ends - tabs[:, 2]) // 9
+    width = tabs[:, 2] - tabs[:, 1] - 1
+    if (width != np.searchsorted(_TENS, found, side="right") + 1).any():
+        return None
+    for place in range(int(width.max(initial=0))):
+        has = place < width
+        if (raw[tabs[has, 2] - 1 - place] - ord("0") != found[has] // 10 ** place % 10).any():
+            return None
+    del raw  # each copy of the file goes once read, which keeps the load's peak low
+    if blank.any():
+        text = "\n".join(filter(None, text.split("\n"))) + "\n"
+    # [header, id, category, length, values, id, ..., values]
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()  # after the last line feed
+    micro, bad = _micro_units(fields[4::4])
+    if bad is not None:
+        return None
+    micro /= _MICRO
+    return DescriptorDatabase(spec, variant, fields[1::4], fields[2::4], found, micro)
+
+
+def _first_fault(text: str) -> str | None:
+    """The first fault of a RASTERDB file with a valid header, as
+    ``"<line>: <what>"``, or None if its records hold no fault but the size cap.
+
+    It reads the records line by line and builds no database: the loader
+    runs it only to name the fault of a file its columnar pass refused.
+    """
+    cut = _line_break(text)
+    broken = text.count("\n", 0, cut) + 1 if cut >= 0 else 0
     first_line: dict[str, int] = {}  # record id -> its line, in file order
-    categories: list[str] = []
     lengths: list[int] = []
     texts: list[str] = []
-    fault = None  # the first structural fault, raised after earlier values parse
-    for lineno, line in enumerate(lines[1:], start=2):
+    fault = None  # the first structural fault, returned after earlier values parse
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
         if not line:
             continue
         if lineno == broken:
@@ -384,7 +487,7 @@ def load_database(path) -> DescriptorDatabase:
         if len(parts) != 4:
             fault = f"{lineno}: expected 4 fields, got {len(parts)}"
             break
-        rec_id, rec_category, length_text, values_text = parts
+        rec_id, _, length_text, values_text = parts
         if rec_id in first_line:
             fault = (f"{lineno}: duplicate record id {rec_id!r} "
                      f"(first on line {first_line[rec_id]})")
@@ -404,7 +507,6 @@ def load_database(path) -> DescriptorDatabase:
         lengths.append(found)
         if fault is not None:
             break
-        categories.append(rec_category)
 
     def line_of(value: int) -> int:  # the line holding the file's value-th value, from 0
         row = int(np.searchsorted(np.cumsum(lengths), value, side="right"))
@@ -412,20 +514,15 @@ def load_database(path) -> DescriptorDatabase:
 
     micro, bad = _micro_units(texts)
     if bad is not None:
-        raise DatabaseFormatError(f"{path.name}:{line_of(bad[0])}: bad record: "
-                                  f"value {bad[1]!r} is not fixed 6-decimal notation")
+        return (f"{line_of(bad[0])}: bad record: "
+                f"value {bad[1]!r} is not fixed 6-decimal notation")
     if fault is not None:
-        raise DatabaseFormatError(f"{path.name}:{fault}")
-    try:
-        # the database refuses values outside [0, 1] before the size cap
-        return DescriptorDatabase(spec, variant, first_line, categories, lengths, micro / _MICRO)
-    except ValueError as exc:
-        over = micro > _MICRO
-        if over.any():  # the range fault: name the first bad value's line
-            at = int(np.argmax(over))
-            raise DatabaseFormatError(f"{path.name}:{line_of(at)}: "
-                                      f"value {float(micro[at] / _MICRO)} outside [0, 1]") from exc
-        raise DatabaseFormatError(f"{path.name}: {exc}") from exc
+        return fault
+    over = micro > _MICRO
+    if over.any():  # the range fault: name the first bad value's line
+        at = int(np.argmax(over))
+        return f"{line_of(at)}: value {float(micro[at] / _MICRO)} outside [0, 1]"
+    return None
 
 
 def _micro_units(texts: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
@@ -433,21 +530,33 @@ def _micro_units(texts: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
 
     A value is a digit, a dot and six digits, so with its comma it is one
     row of 9 bytes, and the file's values are checked and read as one array
-    of such rows. ``micro / 1e6`` is then float(token) exactly: both are
-    exact doubles and IEEE division rounds correctly. Else the second item
-    is the index and text of the first token of any other form.
+    of such rows. Its seven digit columns are read one at a time into one
+    integer array, and each buffer is dropped once read, so no array is
+    larger than the values. Each value is its integer count of millionths,
+    so ``micro / 1e6`` is float(token) exactly: both are exact doubles and
+    IEEE division rounds correctly. Else the second item is the index and
+    text of the first token of any other form.
     """
-    joined = ",".join(filter(None, texts))
-    if not joined:
+    data = ",".join(filter(None, texts)).encode()
+    if not data:
         return np.empty(0), None
-    data = (joined + ",").encode()
-    data += bytes(-len(data) % 9)
-    rows = (np.frombuffer(data, np.uint8) - ord("0")).reshape(-1, 9)
+    # the bytes less ord("0"), then a final comma and NUL padding to whole rows
+    rows = np.empty(-(-(len(data) + 1) // 9) * 9, np.uint8)
+    np.subtract(np.frombuffer(data, np.uint8), ord("0"), out=rows[:len(data)])
+    rows[len(data)] = _COMMA
+    rows[len(data) + 1:] = -ord("0") % 256
+    rows = rows.reshape(-1, 9)
+    del data
     bad = (rows[:, 1] != _DOT) | (rows[:, 8] != _COMMA)
-    rows[:, 1] = rows[:, 8] = 0
-    if bad.any() or rows.max() > 9:
+    if bad.any() or rows[:, 0].max() > 9 or rows[:, 2:8].max() > 9:
         # the rows before the first bad one are canonical tokens, so it
-        # starts the first bad token, at the same offset in ``joined``
-        at = int(np.argmax(bad | (rows > 9).any(axis=1)))
-        return np.empty(0), (at, joined[9 * at:].split(",", 1)[0])
-    return rows.astype(float) @ _PLACE_VALUE, None
+        # starts the first bad token, 9 bytes per row into the joined text
+        at = int(np.argmax(bad | (rows[:, 0] > 9) | (rows[:, 2:8] > 9).any(axis=1)))
+        token = (rows.ravel()[9 * at:] + ord("0")).tobytes().split(b",", 1)[0]
+        return np.empty(0), (at, token.decode())
+    micro = rows[:, 0].astype(np.uint32)
+    for col in range(2, 8):
+        micro *= 10
+        micro += rows[:, col]
+    del rows
+    return micro.astype(float), None

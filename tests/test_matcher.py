@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 from collections.abc import Sequence
@@ -17,6 +18,7 @@ from rastershape.errors import (
     IncompatibleVectorError,
 )
 from rastershape.matcher import (
+    MAX_DATABASE_BYTES,
     MAX_DATABASE_VALUES,
     DescriptorDatabase,
     DescriptorRecord,
@@ -472,6 +474,58 @@ def test_database_size_capped_before_allocation(tmp_path, monkeypatch):
         load_database(path)
 
 
+def test_database_file_capped_in_bytes(tmp_path, monkeypatch):
+    # 9 bytes per value at the values cap, and one more for ids and the rest
+    assert MAX_DATABASE_BYTES == 10 * MAX_DATABASE_VALUES == 671_088_640
+    text = "RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\na-1\ta\t1\t0.500000\n"
+    monkeypatch.setattr("rastershape.matcher.MAX_DATABASE_BYTES", len(text))
+    refused = f": longer than {len(text)} bytes, the cap of a database file$"
+    path = tmp_path / "cap.rdb"
+    for extra, loads in (("", True), ("\n", False)):
+        path.write_text(text + extra)
+        # a regular file, and the same bytes through a pipe, which reports size 0
+        read, write = os.pipe()
+        os.write(write, (text + extra).encode())
+        os.close(write)
+        try:
+            for source, name in ((path, "cap.rdb"), (f"/dev/fd/{read}", str(read))):
+                if loads:
+                    assert load_database(source).matrix.tolist() == [[0.5]]
+                else:
+                    with pytest.raises(DatabaseFormatError, match=f"^{name}{refused}"):
+                        load_database(source)
+        finally:
+            os.close(read)
+    # an input with no end is read only to the cap
+    with pytest.raises(DatabaseFormatError, match=f"^zero{refused}"):
+        load_database("/dev/zero")
+
+
+def test_large_database_loads_in_memory_near_its_matrix(tmp_path):
+    # 64 records of 2^14 values each: a 9 MiB file and an 8 MiB matrix
+    n, width = 64, 1 << 14
+    micro = np.random.default_rng(26).integers(0, 10**6 + 1, n * width)
+    rows = np.full((micro.size, 9), ord(","), np.uint8)
+    rows[:, 1] = ord(".")
+    rows[:, [0, 2, 3, 4, 5, 6, 7]] = micro[:, np.newaxis] // 10 ** np.arange(6, -1, -1) % 10 + ord("0")
+    values = rows.reshape(n, -1)
+    path = tmp_path / "large.rdb"
+    path.write_bytes(b"RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n" + b"".join(
+        f"r-{i}\tr\t{width}\t".encode() + values[i, :-1].tobytes() + b"\n" for i in range(n)))
+    del rows, values
+    tracemalloc.start()
+    try:
+        db = load_database(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert db.matrix.tobytes() == (micro.reshape(n, width) / 1e6).tobytes()
+    # one copy of the file at a time, the values as text, bytes, millionths
+    # and the matrix: 4.5 times the matrix here, where a float array of
+    # every byte of the values alone is 9 times it
+    assert peak < 6 * db.matrix.nbytes
+
+
 def _fail_half_way(self, data):
     """Stands in for Path.write_bytes: writes half of ``data``, then fails."""
     with open(self, "wb") as f:
@@ -605,6 +659,10 @@ def test_load_rejects_malformed(tmp_path):
          "a-1\ta\t2\t0.100000\n", "declared 2"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\n", "4 fields"),
+        # five fields, then three: eight fields in all, each in its place
+        # were the line feed a tab
+        ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
+         "a-1\ta\t1\t0.500000\tc-1\nc\t0\t\n", r"\.rdb:2: expected 4 fields, got 5$"),
         ("RASTERDB v1 kind=circular variant=circ_radial sep=8 samples=24\n"
          "a-1\ta\t1\t0.500000\nb-1\tb\t2\t0.100000,x\n",
          r"\.rdb:3: bad record: value 'x' is not fixed 6-decimal notation$"),

@@ -30,6 +30,8 @@ from rastershape.matcher import (
     DescriptorRecord,
     Match,
     _distances,
+    _first_fault,
+    _LINE_BREAKS,
     distance,
     load_database,
     query,
@@ -296,6 +298,20 @@ def test_damaged_database_loads_or_raises_format_error(rdb, cut, noise, changes)
     loads_or_format_error(path, edited(valid, changes))
 
 
+@FIXED
+@given(changes=edits)
+def test_columnar_pass_accepts_only_files_with_no_fault(rdb, changes):
+    # a database is returned only by the columnar pass, so every file that
+    # loads must be one the line-by-line reading finds no fault in
+    path, valid = rdb
+    path.write_bytes(edited(valid, changes))
+    try:
+        load_database(path)
+    except DatabaseFormatError:
+        return
+    assert _first_fault(path.read_bytes().decode()) is None
+
+
 def edited(data: bytes, changes) -> bytes:
     """``data`` with each (at, drop, insert) edit applied in turn."""
     data = bytearray(data)
@@ -390,6 +406,51 @@ def test_non_canonical_value_is_a_bad_record(db_path, lines, at, junk, crlf):
         assert str(info.value) == f"{prefix}line break {brk!r}"
     else:
         assert str(info.value) == f"{prefix}value {junk!r} is not fixed 6-decimal notation"
+
+
+# an id or category: anything but a tab, a line break or a lone surrogate
+field_text = st.text(st.characters(exclude_characters="\t\n" + _LINE_BREAKS,
+                                   exclude_categories=("Cs",)), max_size=5)
+
+
+def reference_parse(text: str):
+    """ids, categories and value lists of a valid RASTERDB text, read plainly."""
+    ids, categories, values = [], [], []
+    for line in text.split("\n")[1:]:
+        if line:
+            rec_id, category, _, tokens = line.split("\t")
+            ids.append(rec_id)
+            categories.append(category)
+            values.append([float(token) for token in tokens.split(",")] if tokens else [])
+    return ids, categories, values
+
+
+@FIXED
+@given(records=st.lists(st.tuples(field_text, field_text, st.lists(canonical, max_size=12)),
+                        max_size=6, unique_by=lambda record: record[0]),
+       blanks=st.lists(st.integers(0, 2), min_size=7, max_size=7), final_lf=st.booleans())
+@example(records=[("", "", []), ("\u00e9\x00\x1f-1", "\u00e9", ["1.000000", "0.000001"]),
+                  ("b-1", "", ["0.500000"])], blanks=[1, 2, 0, 0, 0, 0, 1], final_lf=False)
+def test_every_valid_form_loads_as_a_plain_parse(db_path, records, blanks, final_lf):
+    # blank lines before, between and after the records, no final line feed,
+    # empty ids and categories, zero-length records, other scripts and
+    # control characters in ids, and mixed widths, up to two-digit lengths
+    lines = [HEADER]
+    for (rec_id, category, tokens), gap in zip(records, blanks):
+        lines += [""] * gap + [f"{rec_id}\t{category}\t{len(tokens)}\t{','.join(tokens)}"]
+    lines += [""] * blanks[-1]
+    text = "\n".join(lines) + "\n" * final_lf
+    db_path.write_bytes(text.encode())
+    loaded = load_database(db_path)
+    ids, categories, values = reference_parse(text)
+    expected = np.zeros((len(values), max(map(len, values), default=0)), order="F")
+    for row, vector in enumerate(values):
+        expected[row, :len(vector)] = vector
+    assert (loaded.ids, loaded.categories) == (tuple(ids), tuple(categories))
+    assert loaded.lengths.tolist() == list(map(len, values))
+    assert loaded.matrix.shape == expected.shape
+    assert loaded.matrix.tobytes(order="F") == expected.tobytes(order="F")
+    assert _first_fault(text) is None
 
 
 dyadic_vectors = st.lists(dyadic, max_size=8)
