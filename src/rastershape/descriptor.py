@@ -11,11 +11,18 @@ which skips the public constructor's checks: the config was checked on the
 way in, and each value is a count of hits over a positive sample count, so
 it lies in [0, 1] by construction. The public ``ShapeVector(...)`` still
 checks everything it is given, and a database range-checks its values once.
+
+Every variant but ``circ_angular`` divides its counts by one denominator,
+``count_denominator``: the sample count for the per-cycle variants, 1 for
+``spiral_fixed``. A vector whose values are such counts, with a squared
+count norm of at most ``EXACT_NORM``, is compared in exact integer
+arithmetic (see ``matcher``). ``_counted`` marks extracted vectors so for
+free; the public constructor checks its values once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +49,14 @@ VARIANT_KIND = {
     SPIRAL_FULL: KIND_SPIRAL,
     SPIRAL_FIXED: KIND_SPIRAL,
 }
+# Largest squared norm of a count vector compared exactly. A count is at
+# most its denominator s, and an extract has n cycles x s samples <=
+# MAX_LATTICE_POINTS = 2^21, so an extracted vector's squared count norm is
+# at most n s^2 <= 2^21 s <= 2^42 (2^21 for spiral_fixed). With both norms
+# at most 2^42, every term and partial sum of |c|^2, c.q and |c|^2 - 2 c.q
+# + |q|^2 lies below 2^44 < 2^53 in magnitude, so each is an exact integer
+# in float64, whatever the summation order.
+EXACT_NORM = 1 << 42
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +71,9 @@ class ShapeVector:
     variant: str
     spec: RasterSpec
     values: np.ndarray
+    # whether the values are whole counts over count_denominator() with a
+    # squared count norm of at most EXACT_NORM: compared exactly if so
+    _exact: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         variant_kind(self.variant, self.spec)
@@ -64,7 +82,11 @@ class ShapeVector:
             raise ValueError("values must be one-dimensional")
         check_unit_range(values)
         values.flags.writeable = False
+        den = count_denominator(self.variant, self.spec)
+        counts = None if den is None else whole_counts(values, den)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_exact",
+                           counts is not None and bool(counts @ counts <= EXACT_NORM))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -72,11 +94,31 @@ class ShapeVector:
 
 def _counted(variant: str, spec: RasterSpec, values: np.ndarray) -> ShapeVector:
     """A ShapeVector of ``values``, a fresh 1-D float array of hit counts over
-    a positive sample count, made read-only in place; nothing is re-checked."""
+    a positive sample count, made read-only in place; nothing is re-checked.
+    An extract of every variant but circ_angular holds whole counts over
+    count_denominator() within EXACT_NORM, so it is marked exact."""
     values.flags.writeable = False
     vector = object.__new__(ShapeVector)
-    vars(vector).update(variant=variant, spec=spec, values=values)
+    vars(vector).update(variant=variant, spec=spec, values=values,
+                        _exact=variant != CIRC_ANGULAR)
     return vector
+
+
+def count_denominator(variant: str, spec: RasterSpec) -> int | None:
+    """The one denominator of every value of ``variant`` under ``spec``:
+    samples per cycle (circ_radial, spiral_full), 1 (spiral_fixed), or None
+    for circ_angular, whose shapes each divide by their own cycle count."""
+    if variant == CIRC_ANGULAR:
+        return None
+    return 1 if variant == SPIRAL_FIXED else spec.samples_per_cycle
+
+
+def whole_counts(values: np.ndarray, den: int) -> np.ndarray | None:
+    """``rint(values * den)``, in the layout of ``values``, if every value
+    is that count over ``den``, ``rint(v * den) / den == v``; else None."""
+    counts = values * den
+    np.rint(counts, out=counts)
+    return counts if np.array_equal(counts / den, values) else None
 
 
 def check_unit_range(values: np.ndarray) -> None:

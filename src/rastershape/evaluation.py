@@ -36,6 +36,13 @@ STANDARD_OCCLUSION_CONFIGS = (
     ("circ_angular", 16, 8),
 )
 
+# a sweep CSV read back holds at most MAX_CSV_LINES lines, the header
+# included, of at most MAX_CSV_LINE characters each, line break included:
+# a 256 x 256 grid with a dataset label of several hundred characters fits,
+# and the rows read stay within about 64 MiB of text, whatever the input
+MAX_CSV_LINES = 1 << 16
+MAX_CSV_LINE = 1024
+
 SWEEP_CSV_COLUMNS = ("variant", "dataset", "separation", "samples",
                      "efficiency_pct", "total_time_s", "avg_time_s")
 OCCLUSION_CSV_COLUMNS = ("variant", "separation", "samples", "efficiency_pct")
@@ -284,12 +291,16 @@ def write_sweep_csv(report: SweepReport, dest) -> None:
 
 
 def read_sweep_csv(source) -> SweepReport:
-    """Parse a CSV written by write_sweep_csv(); errors name the row and file."""
+    """Parse a CSV written by write_sweep_csv(); errors name the row and file.
+
+    At most MAX_CSV_LINES lines of MAX_CSV_LINE characters are read; an
+    input beyond either cap is refused, so an endless one is not read on.
+    """
     rows = []
     with _opened(source, "r") as f:
         where = "" if f is source else f"{Path(source).name}: "
         try:
-            for row in csv.reader(f):
+            for row in csv.reader(_bounded_lines(f, where)):
                 rows.append(row)
         except csv.Error as exc:
             raise ValueError(f"{where}sweep report CSV row {len(rows) + 1}: {exc}") from None
@@ -323,6 +334,23 @@ def read_sweep_csv(source) -> SweepReport:
     if len({(row[0], row[1]) for _, row in body}) != 1:
         raise ValueError(f"{where}sweep report CSV mixes variants or datasets")
     return SweepReport(body[0][1][0], body[0][1][1], tuple(cells))
+
+
+def _bounded_lines(f, where: str) -> Iterator[str]:
+    """The lines of the text file ``f``; ValueError, after ``where``, at a
+    line longer than MAX_CSV_LINE or more lines than MAX_CSV_LINES. A row
+    is named by its line, which is its row in any CSV write_sweep_csv
+    writes, unless a dataset label holds a line break."""
+    for n in range(1, MAX_CSV_LINES + 2):
+        line = f.readline(MAX_CSV_LINE + 1)
+        if not line:
+            return
+        if n > MAX_CSV_LINES:
+            raise ValueError(f"{where}sweep report CSV is longer than {MAX_CSV_LINES} lines")
+        if len(line) > MAX_CSV_LINE:
+            raise ValueError(f"{where}sweep report CSV row {n}: longer than "
+                             f"{MAX_CSV_LINE} characters")
+        yield line
 
 
 def write_occlusion_csv(report: OcclusionReport, dest) -> None:

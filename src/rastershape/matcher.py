@@ -13,21 +13,40 @@ millionths, and any other token is a bad record. Only a file that pass
 refuses is read line by line, to name its first fault. A database is the
 sequence of its records, each built when it is read.
 
-Retrieval is an exact scan, pruned by a proven bound. One matrix-vector
-product gives every row's squared distance to the query up to one rounding
-margin per query, set by the largest row norm R and the query's norm. The
-bound relies on ShapeVector and DescriptorDatabase refusing values outside
-[0, 1]: so R <= sqrt(L_max), and no NaN, inf or overflow reaches a ranking.
-Only the rows within twice that margin of the k-th smallest estimate go
-through the exact distance kernel. It squares the differences in place in
-the copy of those rows that indexing makes and reads each row's sum from
-the last column of a ``cumsum``, which adds strictly left to right: each
-row is summed the same way whatever rows it is given with. One stable
-sort by distance then ranks the candidates, ties in insertion order.
-So a query returns the same matches, bit for bit, as ranking every row
-with that kernel, in a fraction of the time when the vectors are long.
-Datasets here are a few hundred to a few thousand records, and the
-benchmark harness times exactly this scan.
+Retrieval takes one of two scans.
+
+A count database is one whose every value is a whole count over its
+variant's one denominator (descriptor.count_denominator: the sample count
+for circ_radial and spiral_full, 1 for spiral_fixed), with every squared
+count norm at most descriptor.EXACT_NORM, so every database extracted in
+this package is one. It keeps a second matrix, of the counts as float64.
+A query known to hold such counts (ShapeVector's ``_exact`` flag, set by
+extraction for free) is ranked in integer arithmetic: one matrix-vector
+product gives each row's |c|^2 - 2 c.q, exact in float64 under that norm
+bound, so records at equal exact distance tie exactly and ties keep
+insertion order. The reported distance is sqrt(|c - q|^2 / den^2) from the
+exact integer |c - q|^2: the correctly rounded root of the correctly
+rounded squared distance, and bit for bit the float kernel's distance
+whenever that kernel's sum is exact (any power-of-two denominator).
+
+Every other database (circ_angular, whose shapes each divide by their own
+cycle count, loaded RASTERDB v1 files whose 6-decimal values are not such
+counts, or values built by hand) and every other query take the float
+scan, pruned by a proven bound. One matrix-vector product gives every
+row's squared distance to the query up to one rounding margin per query,
+set by the largest row norm R and the query's norm. The bound relies on
+ShapeVector and DescriptorDatabase refusing values outside [0, 1]: so R <=
+sqrt(L_max), and no NaN, inf or overflow reaches a ranking. Only the rows
+within twice that margin of the k-th smallest estimate go through the
+exact distance kernel. It squares the differences in place in the copy of
+those rows that indexing makes and reads each row's sum from the last
+column of a ``cumsum``, which adds strictly left to right: each row is
+summed the same way whatever rows it is given with. One stable sort by
+distance then ranks the candidates. So a query returns the same matches,
+bit for bit, as ranking every row with that kernel; ties keep insertion
+order among records at equal floating-point distance, which records at
+equal exact distance need not be. Datasets here are a few hundred to a few
+thousand records, and the benchmark harness times exactly these scans.
 """
 
 from __future__ import annotations
@@ -41,9 +60,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor import ShapeVector, check_unit_range, variant_kind
+from .descriptor import (
+    EXACT_NORM,
+    ShapeVector,
+    check_unit_range,
+    count_denominator,
+    variant_kind,
+    whole_counts,
+)
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
+from .shape_io import read_bounded
 
 FORMAT_NAME = "RASTERDB"
 FORMAT_VERSION = "v1"
@@ -91,7 +118,10 @@ class DescriptorDatabase(Sequence):
     values of row i of ``matrix``, the read-only, zero-padded, column-major
     ``(N, L_max)`` array. The database is also the sequence of its records,
     in insertion order: indexing builds a DescriptorRecord when it is read,
-    len() builds none, and ``records`` is the database itself.
+    len() builds none, and ``records`` is the database itself. A count
+    database (see the module docstring) also keeps ``_counts``, the values
+    times their denominator ``_den`` in the same layout, and their squared
+    norms; any other database keeps None there.
     """
 
     spec: RasterSpec
@@ -103,6 +133,9 @@ class DescriptorDatabase(Sequence):
     _rows: dict[str, int] = field(repr=False)
     _norms: np.ndarray = field(repr=False)  # each row's squared norm
     _radius: float = field(repr=False)  # the largest row norm
+    _den: int | None = field(repr=False)  # the values' one denominator, if any
+    _counts: np.ndarray | None = field(repr=False)  # matrix * _den, for a count database
+    _count_norms: np.ndarray | None = field(repr=False)  # each row of _counts' squared norm
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
@@ -130,11 +163,23 @@ class DescriptorDatabase(Sequence):
         matrix = np.zeros((n, width), order="F")
         matrix[np.arange(width) < lengths[:, np.newaxis]] = values
         norms = np.einsum("ij,ij->i", matrix, matrix)  # read by query's bound
-        for array in (matrix, lengths, norms):
-            array.flags.writeable = False
+        den = count_denominator(variant, spec)
+        counts = count_norms = None
+        # the first row first: a loaded file's 6-decimal values fail there at once
+        first = values[:lengths[0]] if n else values
+        if den is not None and whole_counts(first, den) is not None:
+            counts = whole_counts(matrix, den)
+        if counts is not None:
+            count_norms = np.einsum("ij,ij->i", counts, counts)
+            if count_norms.max(initial=0.0) > EXACT_NORM:
+                counts = count_norms = None
+        for array in (matrix, lengths, norms, counts, count_norms):
+            if array is not None:
+                array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
                           lengths=lengths, matrix=matrix, _rows=rows, _norms=norms,
-                          _radius=math.sqrt(norms.max(initial=0.0)))
+                          _radius=math.sqrt(norms.max(initial=0.0)), _den=den,
+                          _counts=counts, _count_norms=count_norms)
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
@@ -211,11 +256,24 @@ def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def distance(a: ShapeVector, b: ShapeVector) -> float:
-    """Euclidean distance; the shorter vector is zero-padded to the longer."""
+    """Euclidean distance; the shorter vector is zero-padded to the longer.
+
+    Two vectors that both hold exact counts are compared as query() compares
+    them in a count database, from the exact integer squared distance, so a
+    match there reports the very distance this returns; any other pair goes
+    through the float kernel.
+    """
     if a.variant != b.variant or a.spec != b.spec:
         raise IncompatibleVectorError(
             f"cannot compare {a.variant}/{a.spec} with {b.variant}/{b.spec}"
         )
+    if a._exact and b._exact:
+        den = count_denominator(a.variant, a.spec)
+        if a.values.size < b.values.size:
+            a, b = b, a
+        diff = np.rint(a.values * den)
+        diff[:b.values.size] -= np.rint(b.values * den)
+        return math.sqrt(float(diff @ diff) / (den * den))
     return float(_distances(b.values[np.newaxis].copy(), a.values)[0])
 
 
@@ -223,7 +281,9 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
           exclude_id: str | None = None) -> list[Match]:
     """The k records nearest to ``q``, ascending by distance.
 
-    Ties keep database insertion order. ``exclude_id`` drops one record
+    Ties keep database insertion order: ties at equal exact distance in a
+    count database, ties at equal floating-point distance otherwise (see
+    the module docstring). ``exclude_id`` drops one record
     (used for leave-self-out evaluation). Returns fewer than k matches only
     when the database, after exclusion, is smaller than k.
     """
@@ -237,12 +297,46 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
     excluded = db._rows.get(exclude_id)
     if len(db) == (excluded is not None):  # no record, or only the excluded one
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
+    if q._exact and db._counts is not None:
+        return _exact_matches(db, q.values, k, excluded)
     rows = _candidates(db, q.values, k, excluded)
     dists = _distances(db.matrix[rows], q.values).tolist()
     rows = rows.tolist()
     # the rows ascend, so a stable sort by distance keeps ties in insertion order
     return [Match(db.ids[rows[j]], db.categories[rows[j]], dists[j])
             for j in sorted(range(len(rows)), key=dists.__getitem__)[:k]]
+
+
+def _exact_matches(db: DescriptorDatabase, q: np.ndarray, k: int,
+                   excluded: int | None) -> list[Match]:
+    """query() in a count database for ``q``, whole counts over its denominator.
+
+    With c a row's counts and q the query's, |c - q|^2 = |c|^2 - 2 c.q + |q|^2
+    and every term is an exact integer (descriptor.EXACT_NORM), so ``gram``,
+    |c|^2 - 2 c.q from one matrix-vector product, ranks the rows exactly.
+    The rows at or below its k-th value, the excluded one set to inf, are
+    taken in insertion order, so one stable sort ranks exact ties in that
+    order too. Doubling is exact, so ``rint(q * -2 den)`` is -2 times the
+    query's counts.
+    """
+    den = db._den
+    q = q * (-2 * den)
+    np.rint(q, out=q)
+    counts = db._counts
+    head = q[:counts.shape[1]]
+    gram = counts[:, :head.size] @ head
+    gram += db._count_norms
+    if excluded is not None:
+        gram[excluded] = np.inf
+    at = min(k, gram.size - (excluded is not None)) - 1
+    rows = (gram <= np.partition(gram, at)[at]).nonzero()[0]
+    grams = gram[rows].tolist()
+    rows = rows.tolist()
+    q_norm = float(q @ q) / 4
+    scale = den * den
+    return [Match(db.ids[rows[j]], db.categories[rows[j]],
+                  math.sqrt((grams[j] + q_norm) / scale))
+            for j in sorted(range(len(rows)), key=grams.__getitem__)[:k]]
 
 
 def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
@@ -384,26 +478,14 @@ def load_database(path) -> DescriptorDatabase:
 
 
 def _read_capped(path: Path) -> bytes:
-    """The bytes of ``path``; DatabaseFormatError past MAX_DATABASE_BYTES.
-
-    At most the cap and one byte are read. A read comes back short only at
-    the end of the input, so a regular file comes whole in the first read,
-    while a pipe or a device, which reports size 0, comes in reads that
-    double in size.
-    """
-    cap = MAX_DATABASE_BYTES
-    chunks = []
-    size = 0
+    """The bytes of ``path``; DatabaseFormatError past MAX_DATABASE_BYTES,
+    of which at most one more byte is read."""
     with open(path, "rb") as f:
-        want = min(os.fstat(f.fileno()).st_size, cap) + 1
-        while want:
-            chunks.append(f.read(want))
-            size += len(chunks[-1])
-            want = min(size, cap + 1 - size) if len(chunks[-1]) == want else 0
-    if size > cap:
-        raise DatabaseFormatError(f"{path.name}: longer than {cap} bytes, "
+        data = read_bounded(f, MAX_DATABASE_BYTES + 1)
+    if len(data) > MAX_DATABASE_BYTES:
+        raise DatabaseFormatError(f"{path.name}: longer than {MAX_DATABASE_BYTES} bytes, "
                                   f"the cap of a database file")
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    return data
 
 
 def _line_break(text: str) -> int:

@@ -17,9 +17,14 @@ Pixels are looked up and erased by flat (row-major) index into the mask:
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
 allocated, and each raster is decoded as a whole (P1 as one byte array,
 P2 by streaming one ``int()`` per token into an array, P4/P5 from one
-``np.frombuffer``). A PGM value is compared with the threshold scaled to
-the file's maxval. ``iter_directory`` decodes a directory one file at a
-time, so a caller that drops each shape holds one image, not all of them.
+``np.frombuffer``). It reads no more than the format needs, whatever the
+input: the header, which must end within ``MAX_HEADER_BYTES``, then for
+P4/P5 only the raster bytes the header declares (trailing bytes stay
+unread), and for P1/P2 at most ``MAX_PLAIN_BYTES`` in all, so an endless
+input such as ``/dev/zero`` is refused, not read until memory runs out.
+A PGM value is compared with the threshold scaled to the file's maxval.
+``iter_directory`` decodes a directory one file at a time, so a caller
+that drops each shape holds one image, not all of them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -47,6 +53,12 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 _TOKEN = re.compile(rb"\S+")
 # largest width x height accepted (8192 x 8192), checked before any raster is allocated
 MAX_PIXELS = 1 << 26
+# the bytes within which a netpbm header, its comments included, must end
+MAX_HEADER_BYTES = 1 << 20
+# largest P1/P2 file read: four bytes per pixel at MAX_PIXELS, enough for a
+# P2 value of up to three digits and one separator, and MAX_HEADER_BYTES
+# for the header and comments: 257 MiB
+MAX_PLAIN_BYTES = 4 * MAX_PIXELS + MAX_HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -107,29 +119,9 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
         raise ValueError(f"threshold must be in [0, 255], got {threshold}")
     path = Path(path)
     name = path.name
-    data = path.read_bytes()
-    magic = data[:2]
-    if magic not in _HEADER_FIELDS:
-        raise PnmFormatError(f"{name}: unsupported netpbm magic {magic!r} "
-                             "(need one of P1/P2/P4/P5)")
-    header, pos = [], 2
-    for what in _HEADER_FIELDS[magic]:
-        token = _HEADER_TOKEN.match(data, pos)
-        pos = token.end()
-        try:
-            header.append(int(token[1]))
-        except ValueError:
-            raise PnmFormatError(f"{name}: bad {what} token {token[1]!r}" if token[1]
-                                 else f"{name}: truncated header") from None
-    width, height, maxval = (*header, 1)[:3]  # PBM headers carry no maxval
+    with open(path, "rb") as f:
+        magic, (width, height, maxval), data, pos = _read_netpbm(f, name)
     count = width * height
-    if width < 1 or height < 1:
-        raise PnmFormatError(f"{name}: bad dimensions {width}x{height}")
-    if count > MAX_PIXELS:
-        raise PnmFormatError(f"{name}: header declares {width}x{height} pixels, "
-                             f"above the cap of {MAX_PIXELS}")
-    if not 1 <= maxval <= 255:
-        raise PnmFormatError(f"{name}: maxval {maxval} out of supported range 1..255")
 
     if magic in (b"P1", b"P2"):
         # each plain-format pixel takes at least one byte; check before allocating
@@ -180,6 +172,100 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
 
     return BinaryShape(foreground.reshape(height, width), id=path.stem,
                        category=category_of(path.stem))
+
+
+def _left(f) -> int:
+    """The bytes fstat says the regular file ``f`` holds past its position;
+    0 for a pipe, a device or a file object with no descriptor."""
+    try:
+        return max(os.fstat(f.fileno()).st_size - f.tell(), 0)
+    except OSError:  # no descriptor (io.UnsupportedOperation), or not seekable
+        return 0
+
+
+def read_bounded(f, limit: int) -> bytes:
+    """Up to ``limit`` bytes from the binary file ``f``: its reads go on until
+    ``limit`` bytes or an empty read, which marks the end of the input.
+
+    No read asks for much more than the input holds: the first asks for what
+    a regular file still holds, plus one byte, and then an input that
+    reports no size, or that grew, is read in reads that double in size.
+    """
+    want = min(_left(f) + 1, limit)
+    chunks = []
+    size = 0
+    while want:
+        chunk = f.read(want)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+        want = min(max(size, want), limit - size)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def _read_netpbm(f, name: str) -> tuple[bytes, tuple[int, int, int], bytes, int]:
+    """(magic, (width, height, maxval), data, where the raster starts in
+    data) of the netpbm file ``f``; PnmFormatError naming ``name`` on a bad
+    header or an input beyond the format's caps.
+
+    ``data`` holds every byte read. The first read takes a regular file
+    whole, up to MAX_HEADER_BYTES, and any other input's first 64 bytes;
+    reads that double in size follow until the header ends, which it must
+    within MAX_HEADER_BYTES, or a read comes back empty at the end of the
+    input. The size is then checked, and only then is the raster read: for
+    P4/P5 only the bytes the header declares, for P1/P2 the rest of the
+    file, refused past MAX_PLAIN_BYTES in all.
+    """
+    left = _left(f)
+    # read1: one system call straight into the bytes returned
+    data = f.read1(min(left + 1, MAX_HEADER_BYTES)) if left else f.read(64)
+    magic = data[:2]
+    if magic not in _HEADER_FIELDS:
+        raise PnmFormatError(f"{name}: unsupported netpbm magic {magic!r} "
+                             "(need one of P1/P2/P4/P5)")
+    while True:
+        tokens, pos = [], 2
+        for _ in _HEADER_FIELDS[magic]:
+            token = _HEADER_TOKEN.match(data, pos)
+            pos = token.end()
+            tokens.append(token[1])
+        # a header running to the end of data may go on past it
+        if pos < len(data):
+            break
+        if len(data) >= MAX_HEADER_BYTES:
+            raise PnmFormatError(f"{name}: header does not end within its first "
+                                 f"{MAX_HEADER_BYTES} bytes")
+        more = f.read(min(len(data), MAX_HEADER_BYTES - len(data)))
+        if not more:  # the input ends in the header
+            break
+        data += more
+    header = []
+    for what, token in zip(_HEADER_FIELDS[magic], tokens):
+        try:
+            header.append(int(token))
+        except ValueError:
+            raise PnmFormatError(f"{name}: bad {what} token {token!r}" if token
+                                 else f"{name}: truncated header") from None
+    width, height, maxval = (*header, 1)[:3]  # PBM headers carry no maxval
+    if width < 1 or height < 1:
+        raise PnmFormatError(f"{name}: bad dimensions {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise PnmFormatError(f"{name}: header declares {width}x{height} pixels, "
+                             f"above the cap of {MAX_PIXELS}")
+    if not 1 <= maxval <= 255:
+        raise PnmFormatError(f"{name}: maxval {maxval} out of supported range 1..255")
+    if magic in (b"P1", b"P2"):
+        data += read_bounded(f, MAX_PLAIN_BYTES + 1 - len(data))
+        if len(data) > MAX_PLAIN_BYTES:
+            raise PnmFormatError(f"{name}: longer than {MAX_PLAIN_BYTES} bytes, "
+                                 f"the cap of a plain (P1/P2) image")
+    else:
+        # one separator byte, then the raster
+        need = pos + 1 + ((width + 7) // 8 if magic == b"P4" else width) * height
+        if need > len(data):
+            data += read_bounded(f, need - len(data))
+    return magic, (width, height, maxval), data, pos
 
 
 def save_image(shape: BinaryShape, path, format: str = "P5") -> None:

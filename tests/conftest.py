@@ -1,4 +1,6 @@
+import io
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +33,45 @@ dyadic = st.integers(0, 64).map(lambda i: i / 64)
 # (whose squares are subnormal or underflow to 0).
 regimes = st.sampled_from([st.floats(0, 1), dyadic,
                            st.floats(0, 1e-155), st.floats(0, 1e-161)])
+
+
+class EndlessStream(io.RawIOBase):
+    """A binary stream with no end, drawn from a generator: ``head`` once,
+    then ``body`` over and over. Wrap it in io.BufferedReader to read it as
+    a file opened with open(path, "rb") is read."""
+
+    def __init__(self, head: bytes, body: bytes):
+        def chunks():
+            yield head
+            while True:
+                yield body
+
+        self._chunks = chunks()
+        self._left = memoryview(b"")
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        while not self._left:
+            self._left = memoryview(next(self._chunks))
+        n = min(len(buffer), len(self._left))
+        buffer[:n] = self._left[:n]
+        self._left = self._left[n:]
+        return n
+
+
+def traced_peak(call, *args):
+    """(what ``call(*args)`` returned or raised, the peak bytes tracemalloc saw)."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call(*args)
+        except Exception as exc:  # noqa: BLE001 - the caller checks what it got
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_addoption(parser):

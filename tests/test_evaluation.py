@@ -6,6 +6,8 @@ import pytest
 from rastershape.descriptor import CIRC_RADIAL, SPIRAL_FULL, ShapeVector, extract
 from rastershape.errors import DatasetError, IncompatibleVectorError
 from rastershape.evaluation import (
+    MAX_CSV_LINE,
+    MAX_CSV_LINES,
     OcclusionReport,
     SweepCell,
     SweepReport,
@@ -23,7 +25,7 @@ from rastershape.matcher import DescriptorDatabase, DescriptorRecord, query
 from rastershape.raster import RasterSpec
 from rastershape.shape_io import BinaryShape
 
-from conftest import blob_shape
+from conftest import EndlessStream, blob_shape, traced_peak
 
 SPEC = RasterSpec("circular", 8, 24)
 
@@ -255,6 +257,41 @@ def test_read_sweep_csv_rejects_non_finite_cells():
             read_sweep_csv(io.StringIO(header + good + row))
     edges = read_sweep_csv(io.StringIO(header + good + "circ_radial,toy,8,24,100.0,0.0,0.0\n"))
     assert edges.cells[1] == SweepCell(8, 24, 100.0, 0.0, 0.0)
+
+
+HEADER = "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s\n"
+
+
+def test_read_sweep_csv_stops_at_its_line_caps(tmp_path):
+    # a good header before 300 MB of zero bytes, which take no disk space:
+    # the second line is refused once it passes MAX_CSV_LINE characters
+    path = tmp_path / "sparse.csv"
+    with open(path, "wb") as f:
+        f.write(HEADER.encode())
+        f.truncate(300 << 20)
+    error, peak = traced_peak(read_sweep_csv, path)
+    assert str(error) == \
+        f"sparse.csv: sweep report CSV row 2: longer than {MAX_CSV_LINE} characters"
+    assert peak < 1 << 20
+    # one line of exactly MAX_CSV_LINE characters, its line feed included, is read
+    row = "circ_radial,toy,8,4,50.0,0.010,0.001"
+    row += "0" * (MAX_CSV_LINE - len(row) - 1) + "\n"
+    assert read_sweep_csv(io.StringIO(HEADER + row)).cells[0].avg_time_s == 0.001
+
+
+def test_read_sweep_csv_refuses_endless_streams():
+    def read(head, body):
+        return read_sweep_csv(io.TextIOWrapper(io.BufferedReader(EndlessStream(head, body)),
+                                               encoding="utf-8", newline=""))
+
+    error, peak = traced_peak(read, HEADER.encode(), b"x" * 4096)
+    assert str(error) == f"sweep report CSV row 2: longer than {MAX_CSV_LINE} characters"
+    assert peak < 1 << 20
+    # rows with no end: refused after MAX_CSV_LINES lines, before any is parsed
+    rows = b"circ_radial,toy,8,4,50.0,0.010,0.001\n" * 100
+    error, peak = traced_peak(read, HEADER.encode(), rows)
+    assert str(error) == f"sweep report CSV is longer than {MAX_CSV_LINES} lines"
+    assert peak < 500 * MAX_CSV_LINES
 
 
 def test_occlusion_query_selection(toy_corpus):

@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 from collections.abc import Sequence
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rastershape.descriptor import CIRC_RADIAL, SPIRAL_FULL, ShapeVector
+from rastershape.descriptor import (
+    CIRC_ANGULAR,
+    CIRC_RADIAL,
+    EXACT_NORM,
+    SPIRAL_FIXED,
+    SPIRAL_FULL,
+    ShapeVector,
+    count_denominator,
+)
 from rastershape.errors import (
     DatabaseFormatError,
     EmptyDatabaseError,
@@ -29,7 +38,8 @@ from rastershape.matcher import (
     query,
     save_database,
 )
-from rastershape.raster import RasterSpec
+from rastershape.evaluation import extract_records
+from rastershape.raster import MAX_LATTICE_POINTS, RasterSpec
 
 from conftest import regimes
 from oracles import ref_distance, ref_topk
@@ -360,6 +370,152 @@ def test_long_query_memory_bounded():
     assert peak < 64 << 20
     # 256,000 squares of 0.25 sum exactly to 16,000
     assert got == [Match(f"r-{i}", f"c{i}", math.sqrt(16_000.0)) for i in range(3)]
+
+
+# --------------------------------------------------------------- exact scan
+
+def exact_topk(rows, q, den, k, exclude=None):
+    """The exact rational top k: ``rows`` and ``q`` are lists of counts over
+    ``den``, zero-padded to one length. Rows rank by squared distance as a
+    Fraction, then by insertion index; each distance is the correctly
+    rounded root of the correctly rounded square. (row, distance) pairs."""
+    def square(row):
+        width = max(len(row), len(q))
+        a, b = list(row) + [0] * (width - len(row)), list(q) + [0] * (width - len(q))
+        return sum((Fraction(x, den) - Fraction(y, den)) ** 2 for x, y in zip(a, b))
+    ranked = sorted((square(row), i) for i, row in enumerate(rows) if i != exclude)
+    return [(i, math.sqrt(float(sq))) for sq, i in ranked[:k]]
+
+
+def counts_db(rows, variant, spec):
+    den = count_denominator(variant, spec)
+    return DescriptorDatabase.from_records(spec, variant, [
+        DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector(variant, spec, np.array(row) / den))
+        for i, row in enumerate(rows)])
+
+
+@st.composite
+def count_cases(draw):
+    """Counts over one denominator: few distinct counts, so exact ties are
+    common; near 2^21 (the largest s), one count per vector keeps the
+    squared count norm within EXACT_NORM."""
+    variant, spec = draw(st.sampled_from([
+        (CIRC_RADIAL, RasterSpec("circular", 8, 3)), (CIRC_RADIAL, SPEC),
+        (SPIRAL_FULL, RasterSpec("spiral", 8, 7)), (SPIRAL_FIXED, RasterSpec("spiral", 8, 24)),
+        (CIRC_RADIAL, RasterSpec("circular", 8, 49)),  # (1 / 49) * 49 rounds below 1
+        (CIRC_RADIAL, RasterSpec("circular", 8, (1 << 21) - 1))]))
+    den = count_denominator(variant, spec)
+    counts = st.sampled_from(sorted({0, 1, den // 3, den // 2, den - 1, den}))
+    vectors = st.lists(counts, max_size=1 if den > 1 << 20 else 6)
+    rows = draw(st.lists(vectors, max_size=12))
+    q = draw(vectors)
+    k = draw(st.integers(1, len(rows) + 2))
+    exclude = draw(st.none() | st.integers(0, len(rows)))
+    return variant, spec, rows, q, k, exclude
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=count_cases())
+@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 6), [[4, 4], [6, 4]], [5, 2], 1, None))
+@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 49), [[0], [2]], [1], 2, None))
+def test_count_database_query_is_the_exact_rational_top_k(case):
+    variant, spec, rows, q, k, exclude = case
+    db = counts_db(rows, variant, spec)
+    den = count_denominator(variant, spec)
+    query_vector = ShapeVector(variant, spec, np.array(q) / den)
+    assert db._counts is not None and query_vector._exact
+    exclude_id = None if exclude is None else f"r-{exclude}"
+    expected = exact_topk(rows, q, den, k, exclude)
+    if not expected:
+        with pytest.raises(EmptyDatabaseError):
+            query(db, query_vector, k, exclude_id=exclude_id)
+        return
+    got = query(db, query_vector, k, exclude_id=exclude_id)
+    assert [(m.id, m.distance) for m in got] == [(f"r-{i}", dist) for i, dist in expected]
+    for m in got:
+        assert m.distance == distance(query_vector, db[int(m.id[2:])].vector)
+
+
+def test_exact_ties_keep_insertion_order_where_rounding_does_not():
+    # both rows are sqrt(5)/6 from the query in exact arithmetic, yet the
+    # float kernel puts the first a rounding above the second
+    spec = RasterSpec("circular", 8, 6)
+    db = counts_db([[4, 4], [6, 4]], CIRC_RADIAL, spec)
+    q = ShapeVector(CIRC_RADIAL, spec, np.array([5, 2]) / 6)
+    floats = _distances(db.matrix.copy(), q.values)
+    assert floats[0] > floats[1]
+    tie = math.sqrt(5 / 36)
+    assert query(db, q, 2) == [Match("r-0", "c0", tie), Match("r-1", "c1", tie)]
+    assert query(db, q, 1) == [Match("r-0", "c0", tie)]
+
+
+def test_count_norms_stay_within_the_exact_bound_at_the_lattice_cap():
+    # An extract has n cycles x s samples <= MAX_LATTICE_POINTS, so its
+    # squared count norm n s^2 is largest at n = 1 and s = MAX_LATTICE_POINTS:
+    # each cell below holds vectors of n counts s, that largest norm for its s
+    for s in (3, 24, 1 << 10, (1 << 21) - 1, 1 << 21):
+        spec = RasterSpec("circular", 8, s)
+        n = MAX_LATTICE_POINTS // s
+        full, part = np.ones(n), np.full(n, (s // 3) / s)
+        db = DescriptorDatabase(spec, CIRC_RADIAL, ["full", "part", "none"], "abc",
+                                [n, n, 0], np.concatenate([full, part]))
+        assert db._counts is not None
+        assert db._count_norms.max() == n * s * s <= 2 ** 21 * s <= EXACT_NORM
+        q = ShapeVector(CIRC_RADIAL, spec, part)
+        assert q._exact
+        assert query(db, q, 3) == [
+            Match("part", "b", 0.0),
+            Match("none", "c", math.sqrt(n * (s // 3) ** 2 / s ** 2)),
+            Match("full", "a", math.sqrt(n * (s - s // 3) ** 2 / s ** 2))]
+    spec = RasterSpec("spiral", 8, 24)
+    fixed = ShapeVector(SPIRAL_FIXED, spec, np.ones(MAX_LATTICE_POINTS))
+    assert fixed._exact and fixed.values @ fixed.values == 2 ** 21
+
+
+def test_count_database_beyond_the_exact_bound_takes_the_float_scan():
+    spec = RasterSpec("circular", 8, 1 << 21)
+    db = db_of_spec(spec, [1.0, 1.0], [1.0], [0.5, 0.5])
+    assert db._counts is None  # the first row's squared count norm is 2^43
+    assert not ShapeVector(CIRC_RADIAL, spec, [1.0, 1.0])._exact
+    q = ShapeVector(CIRC_RADIAL, spec, [1.0])
+    assert q._exact
+    assert scan_bits(db, q, 3) == full_scan_bits(db, q, 3)
+
+
+def db_of_spec(spec, *vectors):
+    return DescriptorDatabase.from_records(spec, CIRC_RADIAL, [
+        DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector(CIRC_RADIAL, spec, v))
+        for i, v in enumerate(vectors)])
+
+
+def scan_bits(db, q, k, exclude_id=None):
+    return [(m.id, m.category, np.float64(m.distance).tobytes())
+            for m in query(db, q, k, exclude_id=exclude_id)]
+
+
+def full_scan_bits(db, q, k, exclude_id=None):
+    """The float kernel over every row, ranked by one stable sort: the
+    ranking and distances of query() before the exact scan."""
+    dists = _distances(db.matrix.copy(), q.values)
+    order = [i for i in np.argsort(dists, kind="stable").tolist() if db.ids[i] != exclude_id]
+    return [(db.ids[i], db.categories[i], dists[i].tobytes()) for i in order[:k]]
+
+
+def test_loaded_and_circ_angular_databases_keep_the_float_scan(toy_corpus, tmp_path):
+    # 6-decimal values over 24 are no whole counts, and circ_angular divides
+    # each shape by its own cycle count: both rank as the float kernel does
+    circular = RasterSpec("circular", 8, 24)
+    records = extract_records(toy_corpus, [(CIRC_RADIAL, circular), (CIRC_ANGULAR, circular)])
+    save_database(DescriptorDatabase.from_records(circular, CIRC_RADIAL, records[0]),
+                  tmp_path / "toy.rdb")
+    loaded = load_database(tmp_path / "toy.rdb")
+    angular = DescriptorDatabase.from_records(circular, CIRC_ANGULAR, records[1])
+    for db, recs in ((loaded, records[0]), (angular, records[1])):
+        assert db._counts is None
+        for rec in recs:
+            for k in (1, 3, len(db)):
+                assert scan_bits(db, rec.vector, k, exclude_id=rec.id) == \
+                    full_scan_bits(db, rec.vector, k, exclude_id=rec.id)
 
 
 # ----------------------------------------------------------------- database

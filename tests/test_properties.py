@@ -237,6 +237,8 @@ def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
         assert vector.values.dtype == public.values.dtype
         assert vector.values.shape == public.values.shape
         assert vector.values.tobytes() == public.values.tobytes()
+        # marked exact for free as the public constructor marks it by value
+        assert vector._exact is public._exact is (variant != "circ_angular")
         assert not vector.values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             vector.values[...] = 0

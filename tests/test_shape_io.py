@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -10,7 +11,9 @@ import pytest
 
 from rastershape.errors import DatasetError, EmptyShapeError, PnmFormatError
 from rastershape.shape_io import (
+    MAX_HEADER_BYTES,
     MAX_PIXELS,
+    MAX_PLAIN_BYTES,
     BinaryShape,
     Centroid,
     category_of,
@@ -23,8 +26,9 @@ from rastershape.shape_io import (
     occlude,
     save_image,
 )
+from rastershape.shape_io import _read_netpbm
 
-from conftest import blob_shape, random_blob_mask
+from conftest import EndlessStream, blob_shape, random_blob_mask, traced_peak
 from oracles import (
     ref_centroid,
     ref_contains,
@@ -223,6 +227,75 @@ def test_pixel_cap(tmp_path):
     with pytest.raises(PnmFormatError, match="huge-2.pgm: header declares 8000x8000 "
                                              "pixels but only 7 bytes follow"):
         load_image(p)
+
+
+def sparse(path, head: bytes, size: int = 300 << 20):
+    """``head``, then zero bytes to ``size`` that take no disk space."""
+    with open(path, "wb") as f:
+        f.write(head)
+        f.truncate(size)
+    return path
+
+
+def test_binary_image_reads_its_raster_and_no_more(tmp_path):
+    # a valid 1x1 image before 300 MB of zero bytes: the first read takes at
+    # most MAX_HEADER_BYTES, which hold the header and the raster, and no
+    # more is read
+    for name, head, mask in (("one-1.pgm", b"P5\n1 1\n255\n\xff", [[True]]),
+                             ("one-2.pbm", b"P4\n3 1\n\x40", [[False, True, False]])):
+        shape, peak = traced_peak(load_image, sparse(tmp_path / name, head))
+        assert shape.mask.tolist() == mask
+        assert peak < 2 * MAX_HEADER_BYTES
+
+
+def test_plain_image_is_refused_past_its_cap(tmp_path, monkeypatch):
+    assert MAX_PLAIN_BYTES == 4 * MAX_PIXELS + MAX_HEADER_BYTES
+    cap = 4 * MAX_HEADER_BYTES  # the cap, scaled down so that the test reads little
+    monkeypatch.setattr("rastershape.shape_io.MAX_PLAIN_BYTES", cap)
+    p = sparse(tmp_path / "long-1.pgm", b"P2\n1 1\n255\n0 ")
+    error, peak = traced_peak(load_image, p)
+    assert isinstance(error, PnmFormatError)
+    assert str(error) == f"long-1.pgm: longer than {cap} bytes, the cap of a plain (P1/P2) image"
+    assert peak < 3 * cap
+    # a file of exactly the cap still loads
+    p = sparse(tmp_path / "long-2.pbm", b"P1\n2 1\n1 0", cap)
+    assert load_image(p).mask.tolist() == [[True, False]]
+
+
+def test_header_must_end_within_its_first_bytes(tmp_path):
+    p = write(tmp_path / "chatty-1.pgm",
+              b"P5\n#" + b"x" * MAX_HEADER_BYTES + b"\n1 1\n255\n\xff")
+    with pytest.raises(PnmFormatError, match="chatty-1.pgm: header does not end within "
+                                             f"its first {MAX_HEADER_BYTES} bytes"):
+        load_image(p)
+    # a comment that ends in time is skipped as before
+    p = write(tmp_path / "chatty-2.pgm",
+              b"P5\n#" + b"x" * (MAX_HEADER_BYTES - 100) + b"\n1 1\n255\n\xff")
+    assert load_image(p).mask.tolist() == [[True]]
+
+
+def test_endless_streams_are_read_within_the_caps(monkeypatch):
+    def read(head, body):
+        return _read_netpbm(io.BufferedReader(EndlessStream(head, body)), "endless")
+
+    # P4/P5: the header in reads from 64 bytes, then the declared raster
+    # bytes; a raster within those first reads is all that is read
+    (magic, size, data, pos), peak = traced_peak(read, b"P5 3 2 255\n", b"\xff" * 4096)
+    assert (magic, size, pos) == (b"P5", (3, 2, 255), 10)
+    assert data == b"P5 3 2 255\n" + b"\xff" * 53 and peak < 64 << 10
+    (magic, size, data, pos), peak = traced_peak(read, b"P4 8000 1024\n", b"\x00" * 4096)
+    assert (magic, size, pos) == (b"P4", (8000, 1024, 1), 12)
+    assert len(data) == 13 + 1000 * 1024 and peak < 3 * len(data)
+    # a header whose comment never ends is refused at MAX_HEADER_BYTES
+    error, peak = traced_peak(read, b"P1\n#", b"x" * 4096)
+    assert str(error) == f"endless: header does not end within its first {MAX_HEADER_BYTES} bytes"
+    assert peak < 4 * MAX_HEADER_BYTES
+    # P1/P2: at most the cap and one more byte
+    cap = 4 * MAX_HEADER_BYTES
+    monkeypatch.setattr("rastershape.shape_io.MAX_PLAIN_BYTES", cap)
+    error, peak = traced_peak(read, b"P2 1 1 255\n", b"255 " * 1024)
+    assert str(error) == f"endless: longer than {cap} bytes, the cap of a plain (P1/P2) image"
+    assert peak < 3 * cap
 
 
 def test_mutated_files_decode_or_raise_format_error(tmp_path):
