@@ -44,6 +44,7 @@ from rastershape.shape_io import (
     MAX_PIXELS,
     BinaryShape,
     centroid,
+    contains_points,
     load_image,
     max_radius,
     occlude,
@@ -105,6 +106,31 @@ def test_geometry_equals_oracle(mask):
     assert centroid(shape) == own and max_radius(shape) == r_max
     fresh = BinaryShape(mask, id="g-1")
     assert centroid(fresh) == own and max_radius(fresh) == r_max
+
+
+# masks whose rows end inside a byte of the packed rows
+odd_width_masks = (st.tuples(st.integers(1, 12), st.integers(1, 40).filter(lambda w: w % 8))
+                   .flatmap(lambda hw: st.one_of(arrays(bool, hw), st.just(np.ones(hw, bool)))))
+
+
+@FIXED
+@given(mask=odd_width_masks)
+def test_packed_rows_keep_every_pixel_and_no_padding(mask):
+    shape = BinaryShape(mask, id="p-1")
+    got = shape.mask
+    assert got.dtype == bool and not got.flags.writeable and np.array_equal(got, mask)
+    assert shape.mask is not got and (shape.width, shape.height) == mask.shape[::-1]
+    rows = mask.tolist()
+    if mask.any():
+        c = centroid(shape)
+        assert (c.cx, c.cy) == ref_centroid(rows)
+        assert max_radius(shape) == ref_max_radius(rows, c.cx, c.cy)
+    # the padding columns of the last byte, then columns and rows past the frame
+    height, width = mask.shape
+    past_x, every_y = np.meshgrid(np.arange(width, 8 * -(-width // 8) + 9), np.arange(height))
+    xs = [*past_x.ravel(), -1, 0, width - 1, 0]
+    ys = [*every_y.ravel(), 0, -1, height, height + 7]
+    assert not contains_points(shape, xs, ys).any()
 
 
 @FIXED

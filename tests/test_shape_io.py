@@ -9,7 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rastershape.descriptor import VARIANT_KIND, VARIANTS, extract_all
 from rastershape.errors import DatasetError, EmptyShapeError, PnmFormatError
+from rastershape.raster import RasterSpec
 from rastershape.shape_io import (
     MAX_HEADER_BYTES,
     MAX_PIXELS,
@@ -173,6 +175,36 @@ def test_p4_row_padding(tmp_path):
     assert shape.mask[1].tolist() == [False, True, True] + [False] * 7
 
 
+def test_p4_padding_bits_are_ignored(tmp_path):
+    # the same pixels with every row-padding bit clear, then set, for each
+    # width up to two bytes and one bit; the shape, its geometry and its
+    # vectors do not depend on the padding, with or without invert
+    rng = np.random.default_rng(29)
+    configs = [(v, RasterSpec(VARIANT_KIND[v], 1, 8)) for v in VARIANTS]
+    for width in range(1, 18):
+        mask = rng.random((5, width)) < 0.5
+        mask[0, 0], mask[-1, -1] = True, False  # neither decode is empty
+        packed = np.packbits(mask, axis=1)
+        padding = (1 << (-width % 8)) - 1
+        set_ = packed.copy()
+        set_[:, -1] |= padding
+        header = f"P4\n{width} 5\n".encode()
+        clear = write(tmp_path / f"clear-{width}.pbm", header + packed.tobytes())
+        ones = write(tmp_path / f"ones-{width}.pbm", header + set_.tobytes())
+        for invert in (False, True):
+            a, b = load_image(clear, invert=invert), load_image(ones, invert=invert)
+            assert np.array_equal(a.mask, mask ^ invert) and np.array_equal(b.mask, a.mask)
+            assert np.array_equal(b.bits, a.bits) and not (b.bits[:, -1] & padding).any()
+            assert (centroid(b), max_radius(b)) == (centroid(a), max_radius(a))
+            for u, v in zip(extract_all(a, configs), extract_all(b, configs)):
+                assert np.array_equal(u.values, v.values)
+            # P4 writes the bits with their padding clear, and reloads to them
+            out = tmp_path / f"again-{width}.pbm"
+            save_image(b, out, format="P4")
+            assert out.read_bytes() == header + np.packbits(b.mask, axis=1).tobytes()
+            assert np.array_equal(load_image(out).bits, b.bits)
+
+
 def test_p5_raw(tmp_path):
     p = write(tmp_path / "r-1.pgm", b"P5\n2 2\n255\n" + bytes([0, 200, 128, 10]))
     shape = load_image(p)
@@ -295,7 +327,10 @@ def test_endless_streams_are_read_within_the_caps(monkeypatch):
     monkeypatch.setattr("rastershape.shape_io.MAX_PLAIN_BYTES", cap)
     error, peak = traced_peak(read, b"P2 1 1 255\n", b"255 " * 1024)
     assert str(error) == f"endless: longer than {cap} bytes, the cap of a plain (P1/P2) image"
-    assert peak < 3 * cap
+    assert peak < 1.5 * cap
+    error, peak = traced_peak(read, b"P1 1 1\n", b"1 0 " * 1024)
+    assert str(error) == f"endless: longer than {cap} bytes, the cap of a plain (P1/P2) image"
+    assert peak < 1.5 * cap
 
 
 def test_mutated_files_decode_or_raise_format_error(tmp_path):
@@ -380,6 +415,25 @@ def test_reencode_round_trip(tmp_path):
             save_image(shape, out, format=fmt)
             again = load_image(out)
             assert np.array_equal(again.mask, shape.mask)
+
+
+def test_a_shape_holds_one_bit_per_pixel(tmp_path):
+    # what a directory of decoded 256 x 256 shapes keeps alive: 32 bytes of
+    # packed pixels per row, and no more than 2 KiB per shape besides
+    yy, xx = np.mgrid[0:256, 0:256]
+    disk = BinaryShape((xx - 128) ** 2 + (yy - 100) ** 2 < 90 ** 2)
+    for i in range(16):
+        fmt, suffix = ("P4", "pbm") if i % 2 else ("P5", "pgm")
+        save_image(disk, tmp_path / f"disk-{i}.{suffix}", format=fmt)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        shapes = list(iter_directory(tmp_path))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(shapes) == 16 and all(np.array_equal(s.mask, disk.mask) for s in shapes)
+    assert retained < 16 * (256 * 32 + 2048)
 
 
 def test_load_directory_sorted(tmp_path):
