@@ -21,14 +21,14 @@ from .evaluation import (
     DEFAULT_SAMPLES,
     DEFAULT_SEPARATIONS,
     STANDARD_OCCLUSION_CONFIGS,
-    extract_records,
+    extract_databases,
     occlusion_experiment,
     read_sweep_csv,
     sweep,
     write_occlusion_csv,
     write_sweep_csv,
 )
-from .matcher import DescriptorDatabase, load_database, query, save_database
+from .matcher import load_database, query, save_database
 from .raster import RasterSpec
 from .shape_io import iter_directory, load_image, save_image
 
@@ -36,10 +36,9 @@ from .shape_io import iter_directory, load_image, save_image
 def cmd_index(args) -> int:
     spec = RasterSpec(VARIANT_KIND[args.variant], args.sep, args.samples)
     shapes = iter_directory(args.dir, threshold=args.threshold, invert=args.invert)
-    [records] = extract_records(shapes, [(args.variant, spec)])
-    db = DescriptorDatabase.from_records(spec, args.variant, records)
+    [db] = extract_databases(shapes, [(args.variant, spec)])
     save_database(db, args.out)
-    print(f"indexed {len(records)} images -> {args.out}")
+    print(f"indexed {len(db)} images -> {args.out}")
     return 0
 
 

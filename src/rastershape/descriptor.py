@@ -4,7 +4,11 @@ Each is a normalized count of lattice samples on foreground pixels.
 ``extract_all`` is the one way from a shape and its specs to ShapeVectors
 (``extract`` is its one-config case): it sums each lattice's (cycle, angle)
 hits per row (radial / full-cycle) or per column (angular), or keeps them
-all (fixed-angle, one per spiral arc segment).
+all (fixed-angle, one per spiral arc segment). It runs in two steps that a
+stream of shapes (``evaluation``) runs too: ``_hits`` measures and looks up
+one shape under every config, and ``_grouped`` groups the hits of a run of
+shapes under one config at once, so a vector is bit for bit the same
+whether it is grouped alone or in a block.
 
 ``extract_all`` builds its vectors through one private path, ``_counted``,
 which skips the public constructor's checks: the config was checked on the
@@ -94,7 +98,8 @@ class ShapeVector:
 
 def _counted(variant: str, spec: RasterSpec, values: np.ndarray) -> ShapeVector:
     """A ShapeVector of ``values``, a fresh 1-D float array of hit counts over
-    a positive sample count, made read-only in place; nothing is re-checked.
+    a positive sample count, or a view of a column of them that nothing
+    writes, made read-only in place; nothing is re-checked.
     An extract of every variant but circ_angular holds whole counts over
     count_denominator() within EXACT_NORM, so it is marked exact."""
     values.flags.writeable = False
@@ -148,16 +153,30 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
                 ) -> list[ShapeVector]:
     """One vector per ``(variant, spec)`` config of ``shape``, in order.
 
-    Every config is checked first. The shape's geometry is read once, and
-    the lattice points of every config are looked up together, in as few
-    ``contains_points`` calls as keep each under ``MAX_LATTICE_POINTS``
-    points, so one extract's memory bound holds for any number of configs.
-    Each vector is built by ``_counted``: its values are hits over a positive
-    sample count, so they lie in [0, 1] and need no re-check.
+    Every config is checked first. The lookups are ``_hits``'s and the
+    grouping ``_grouped``'s, the very calls a stream of shapes makes (see
+    ``evaluation``), so each vector is bit for bit that stream's. Each is
+    built by ``_counted``: its values are hits over a positive sample
+    count, so they lie in [0, 1] and need no re-check.
     """
     configs = list(configs)
     for variant, spec in configs:
         variant_kind(variant, spec)
+    return [_counted(variant, spec, _grouped(variant, spec, hits, np.array([n]))[1])
+            for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs))]
+
+
+def _hits(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
+          ) -> list[tuple[np.ndarray, int]]:
+    """Each checked config's lattice hits on ``shape``, flat in (cycle,
+    angle) order, and its cycle count.
+
+    The shape's geometry is read once, one ``centroid`` and one
+    ``max_radius`` call, and the lattice points of every config are looked
+    up together, in as few ``contains_points`` calls as keep each under
+    ``MAX_LATTICE_POINTS`` points, so one shape's memory bound holds for any
+    number of configs.
+    """
     if not configs:
         return []
     c = centroid(shape)
@@ -172,9 +191,10 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
             points = 0
         batches[-1].append(i)
         points += dx.size
-    vectors = []
+    found = []
     for batch in batches:
-        # the same elementwise sums as c.cx + dx: each vector is bit for bit a lone extract's
+        # the same elementwise sums as c.cx + dx: a config's hits do not
+        # depend on the configs it is looked up with
         xs = np.concatenate([tables[i][0].ravel() for i in batch])
         ys = np.concatenate([tables[i][1].ravel() for i in batch])
         xs += c.cx
@@ -182,14 +202,29 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
         hits = contains_points(shape, xs, ys)
         at = 0
         for i in batch:
-            (variant, spec), (n, samples) = configs[i], tables[i][0].shape
-            inside = hits[at:at + n * samples].reshape(n, samples)
-            at += n * samples
-            if variant in (CIRC_RADIAL, SPIRAL_FULL):
-                values = inside.sum(axis=1) / samples
-            elif variant == CIRC_ANGULAR:
-                values = inside.sum(axis=0) / n
-            else:
-                values = inside.ravel().astype(float)
-            vectors.append(_counted(variant, spec, values))
-    return vectors
+            size = tables[i][0].size
+            found.append((hits[at:at + size], len(tables[i][0])))
+            at += size
+    return found
+
+
+def _grouped(variant: str, spec: RasterSpec, hits: np.ndarray,
+             cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, values) of a run of shapes under ``(variant, spec)``.
+
+    ``hits`` holds their ``_hits`` one after another, ``cycles[j]`` rows of
+    s samples for shape j, and ``values`` their vectors one after another:
+    each cycle's row sum over s (radial, full-cycle), each shape's column
+    sums over its own cycle count (angular), or every hit (fixed-angle).
+    Counts are exact, so a vector is bit for bit the same whatever run it
+    is grouped in.
+    """
+    samples = spec.samples_per_cycle
+    rows = hits.reshape(-1, samples)
+    if variant in (CIRC_RADIAL, SPIRAL_FULL):
+        return cycles, rows.sum(axis=1) / samples
+    if variant == CIRC_ANGULAR:
+        starts = np.cumsum(cycles) - cycles
+        counts = np.add.reduceat(rows, starts, axis=0, dtype=np.intp)
+        return np.full(cycles.size, samples), (counts / cycles[:, np.newaxis]).ravel()
+    return cycles * samples, hits.astype(float)

@@ -5,6 +5,15 @@ query every descriptor back against the database with its own record
 excluded, and call a query recognized when a same-category record appears
 among the top k matches. Efficiency is the recognized percentage; timing
 measures the matching loop only (extraction and I/O excluded).
+
+Extraction is columnar from the lookup to the database. _extracted takes
+a stream one shape at a time: each is measured and looked up under every
+config (``descriptor._hits``), and only its hits and cycle counts are
+kept. Blocks of at most _BLOCK_POINTS hits are grouped at once
+(``descriptor._grouped``, as ``extract_all`` groups one shape) into
+per-config columns of ids, categories, lengths and values, from which the
+one DescriptorDatabase constructor builds each database. So a stream holds
+one decoded image and one bounded block of hits, besides the columns.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .descriptor import extract_all, variant_kind
+import numpy as np
+
+from .descriptor import _counted, _grouped, _hits, variant_kind
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, query
 from .raster import RasterSpec
@@ -82,34 +93,121 @@ class OcclusionReport:
     queries: tuple[BinaryShape, ...] = field(default=(), compare=False, repr=False)
 
 
-def extract_records(shapes: Iterable[BinaryShape], configs: Iterable[tuple[str, RasterSpec]]
-                    ) -> list[list[DescriptorRecord]]:
-    """One record list per ``(variant, spec)`` config, each in input order.
+# lattice hits a stream holds, over every config, before it groups them
+# into values: with one decoded image, all it holds of the shapes it has read
+_BLOCK_POINTS = 1 << 16
 
-    ``configs`` and ``shapes`` are each read once, through _extracted, so a
-    stream of shapes is held one at a time.
+
+class _Columns:
+    """The records of a stream of shapes under each of ``configs``, by column.
+
+    _extracted fills it in stream order: ``ids`` and ``categories`` are
+    every config's, and each config's lattice hits are held until the
+    stream has held _BLOCK_POINTS hits over all configs, or ends. Then
+    each config's held hits are grouped at once, by one ``_grouped`` call,
+    into one more block of its ``lengths`` and ``values``. Once the stream
+    has ended, ``database(i)`` builds config i's database from its columns,
+    with no vector or record per row, and ``records(i)`` its query records,
+    each vector a view of the values column.
     """
-    configs = list(configs)
-    out: list[list[DescriptorRecord]] = [[] for _ in configs]
-    for _ in _extracted(shapes, configs, out):
-        pass
-    return out
+
+    def __init__(self, configs: Sequence[tuple[str, RasterSpec]]) -> None:
+        for variant, spec in configs:
+            variant_kind(variant, spec)
+        self.configs = configs
+        self.ids: list[str] = []
+        self.categories: list[str] = []
+        self.lengths: list[list[np.ndarray]] = [[] for _ in configs]
+        self.values: list[list[np.ndarray]] = [[] for _ in configs]
+        self._hits: list[list[np.ndarray]] = [[] for _ in configs]
+        self._cycles: list[list[int]] = [[] for _ in configs]
+        self._held = 0
+
+    def hold(self, shape: BinaryShape, found: Sequence[tuple[np.ndarray, int]]) -> None:
+        """Keep ``shape``'s labels and its ``_hits`` under each config."""
+        self.ids.append(shape.id)
+        self.categories.append(shape.category)
+        for hits, cycles, (shape_hits, n) in zip(self._hits, self._cycles, found):
+            hits.append(shape_hits)
+            cycles.append(n)
+            self._held += shape_hits.size
+        if self._held >= _BLOCK_POINTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Group every held hit into each config's columns."""
+        if not self._held:
+            return
+        for i, (variant, spec) in enumerate(self.configs):
+            lengths, values = _grouped(variant, spec, np.concatenate(self._hits[i]),
+                                       np.array(self._cycles[i], dtype=np.intp))
+            self.lengths[i].append(lengths)
+            self.values[i].append(values)
+            self._hits[i].clear()
+            self._cycles[i].clear()
+        self._held = 0
+
+    def column(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Config i's (lengths, values), each one array: its blocks are
+        joined at the first read, in place of the blocks."""
+        for blocks, empty in ((self.lengths[i], np.empty(0, np.intp)),
+                              (self.values[i], np.empty(0))):
+            if len(blocks) != 1:
+                blocks[:] = [np.concatenate([empty, *blocks])]
+        return self.lengths[i][0], self.values[i][0]
+
+    def database(self, i: int) -> DescriptorDatabase:
+        """Config i's database, built from its columns by the one constructor."""
+        variant, spec = self.configs[i]
+        return DescriptorDatabase(spec, variant, self.ids, self.categories, *self.column(i))
+
+    def records(self, i: int) -> list[DescriptorRecord]:
+        """Config i's records, each vector a read-only view of its values."""
+        variant, spec = self.configs[i]
+        lengths, values = self.column(i)
+        ends = np.cumsum(lengths).tolist()
+        return [DescriptorRecord(rec_id, category, _counted(variant, spec, values[end - n:end]))
+                for rec_id, category, n, end in zip(self.ids, self.categories,
+                                                     lengths.tolist(), ends)]
 
 
-def _extracted(shapes: Iterable[BinaryShape], configs: Sequence[tuple[str, RasterSpec]],
-               out: Sequence[list[DescriptorRecord]]) -> Iterator[BinaryShape]:
-    """Each shape of ``shapes``, yielded after one ``extract_all`` call has
-    appended its record under each config to that config's list in ``out``.
-    A shape that cannot be extracted raises DatasetError naming it.
+def _extracted(shapes: Iterable[BinaryShape], columns: _Columns) -> Iterator[BinaryShape]:
+    """Each shape of ``shapes``, yielded once its lattice hits under every
+    config are held in ``columns``; the last block is grouped when the
+    stream ends. Each shape is looked up before the next is read, so a
+    shape that cannot be extracted raises DatasetError naming it, before
+    any later shape is read.
     """
     for shape in shapes:
         try:
-            vectors = extract_all(shape, configs)
+            found = _hits(shape, columns.configs)
         except (RasterShapeError, ValueError) as exc:
             raise DatasetError(f"extracting {shape.id!r}: {exc}") from exc
-        for vector, records in zip(vectors, out):
-            records.append(DescriptorRecord(shape.id, shape.category, vector))
+        columns.hold(shape, found)
         yield shape
+    columns.flush()
+
+
+def _extract_columns(shapes: Iterable[BinaryShape],
+                     configs: Sequence[tuple[str, RasterSpec]]) -> _Columns:
+    """The columns of ``shapes`` under ``configs``, each checked before the
+    first shape is read; ``shapes`` is read once, through _extracted."""
+    columns = _Columns(configs)
+    for _ in _extracted(shapes, columns):
+        pass
+    return columns
+
+
+def extract_databases(shapes: Iterable[BinaryShape], configs: Iterable[tuple[str, RasterSpec]]
+                      ) -> list[DescriptorDatabase]:
+    """One database per ``(variant, spec)`` config, each in input order.
+
+    Every config is checked before the first shape is read. ``configs``
+    and ``shapes`` are each read once, through _extracted, so a stream of
+    shapes is held one at a time, with a bounded block of lattice hits.
+    """
+    columns = _extract_columns(shapes, list(configs))
+    return [columns.database(i) for i in range(len(columns.configs))]
 
 
 def _score(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
@@ -169,11 +267,13 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     """Leave-self-out retrieval over every (separation, samples) pair.
 
     Every argument is checked before the first shape is read. ``dataset``
-    is then read once, each shape extracted under every cell's spec before
-    the next is read, so a stream of shapes is held one at a time while
-    every cell's vectors are kept. Cells are then scored sequentially, one
-    thread throughout, so the timing columns do not interfere. ``threads``
-    accepts only 1.
+    is then read once, through _extracted, each shape looked up under every
+    cell's spec before the next is read, so a stream holds one image and a
+    bounded block of hits at a time, while every cell's columns are kept.
+    Each cell's database is built from its columns, and its leave-self-out
+    queries are records whose vectors are views of them. Cells are then
+    scored sequentially, one thread throughout, so the timing columns do
+    not interfere. ``threads`` accepts only 1.
     """
     kind = variant_kind(variant)
     _check_run(k, threads)
@@ -181,13 +281,12 @@ def sweep(dataset: Iterable[BinaryShape], variant: str,
     specs = list(dict.fromkeys(RasterSpec(kind, d, s) for d in separations for s in samples))
     if not specs:
         raise ValueError("sweep needs at least one separation and one sampling rate")
-    cell_records = extract_records(dataset, [(variant, spec) for spec in specs])
-    if not cell_records[0]:
+    columns = _extract_columns(dataset, [(variant, spec) for spec in specs])
+    if not columns.ids:
         raise DatasetError("sweep needs a non-empty dataset")
     cells = []
-    for spec, records in zip(specs, cell_records):
-        db = DescriptorDatabase.from_records(spec, variant, records)
-        total, avg, efficiency = timed_retrieval(db, records, k)
+    for i, spec in enumerate(specs):
+        total, avg, efficiency = timed_retrieval(columns.database(i), columns.records(i), k)
         cell = SweepCell(spec.separation_px, spec.samples_per_cycle, efficiency, total, avg)
         cells.append(cell)
         if progress is not None:
@@ -237,10 +336,12 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     as equal cells do in sweep. ``threads`` accepts only 1.
 
     Every argument is checked before the first shape is read. ``dataset``
-    is then read once, by select_occlusion_queries, each shape extracted
-    under every config as it passes, so a stream is held as that function
-    holds it. A category with too few shapes is the one argument fault
-    found only after the stream, once every shape has been extracted.
+    is then read once, by select_occlusion_queries, each shape looked up
+    under every config as it passes through _extracted, so a stream is held
+    as that function holds it, plus a bounded block of hits. The queries go
+    through the same stream. A category with too few shapes is the one
+    argument fault found only after the stream, once every shape has been
+    extracted.
     """
     # every spec is checked before any extraction; equal configs run once
     configs = list(dict.fromkeys((variant, RasterSpec(variant_kind(variant), d, s))
@@ -248,16 +349,15 @@ def occlusion_experiment(dataset: Iterable[BinaryShape],
     _check_run(k, threads)
     if not configs:
         raise ValueError("occlusion experiment needs at least one configuration")
-    records: list[list[DescriptorRecord]] = [[] for _ in configs]
-    queries = select_occlusion_queries(_extracted(dataset, configs, records),
+    columns = _Columns(configs)
+    queries = select_occlusion_queries(_extracted(dataset, columns),
                                        per_category, fraction, seed)
     if not queries:
         raise DatasetError("occlusion experiment needs a non-empty dataset")
-    query_records = extract_records(queries, configs)
+    query_columns = _extract_columns(queries, configs)
     cells = []
-    for (variant, spec), db_records, q_records in zip(configs, records, query_records):
-        db = DescriptorDatabase.from_records(spec, variant, db_records)
-        efficiency = retrieval_efficiency(db, q_records, k)
+    for i, (variant, spec) in enumerate(configs):
+        efficiency = retrieval_efficiency(columns.database(i), query_columns.records(i), k)
         cell = OcclusionCell(variant, spec.separation_px, spec.samples_per_cycle, efficiency)
         cells.append(cell)
         if progress is not None:

@@ -2,11 +2,14 @@
 
 A database is stored by column: record ids, categories, vector lengths and
 one read-only, zero-padded, column-major ``(N, L_max)`` matrix of values.
-DescriptorDatabase.from_records builds one from extracted records;
-load_database reads a RASTERDB v1 file (UTF-8 text, one labeled vector per
-line, lines separated by line feeds alone, at most MAX_DATABASE_BYTES)
-straight into the columns, in one columnar pass with no loop over the
-lines and no per-record objects. It reads values only in the fixed
+Every database is built by the one constructor, from those columns. The
+experiments and ``cli index`` extract straight into columns (see
+``evaluation``), with no vector or record per row;
+DescriptorDatabase.from_records builds one from records a library caller
+holds; load_database reads a RASTERDB v1 file (UTF-8 text, one labeled
+vector per line, lines separated by line feeds alone, at most
+MAX_DATABASE_BYTES) straight into the columns, in one columnar pass with
+no loop over the lines and no per-record objects. It reads values only in the fixed
 6-decimal notation save_database writes, a digit, a dot and six digits:
 every value of the file is checked and converted at once, as integer
 millionths, and any other token is a bad record. Only a file that pass

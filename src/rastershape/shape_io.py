@@ -166,7 +166,10 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
         if count > len(data) - pos:
             raise PnmFormatError(f"{name}: header declares {width}x{height} pixels "
                                  f"but only {len(data) - pos} bytes follow")
-        plain = _COMMENT.sub(b"", data[pos:])
+        # sub reads the raster in place and copies only what it keeps, and
+        # the file's bytes go as soon as it returns
+        plain = _COMMENT.sub(b"", memoryview(data)[pos:])
+        del data
     if magic == b"P1":
         # bits may appear with or without separating whitespace
         bits = plain.translate(None, _WHITESPACE)[:count]
@@ -177,14 +180,7 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
             raise PnmFormatError(f"{name}: raster truncated ({len(bits)} of {count} bits)")
         foreground = np.frombuffer(bits, dtype=np.uint8) == ord("0" if invert else "1")
     elif magic == b"P2":
-        # one int() per token, streamed into an array: no Python object kept per pixel
-        tokens = itertools.islice(_TOKEN.finditer(plain), count)
-        try:
-            values = np.fromiter(map(int, map(operator.itemgetter(0), tokens)), np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise PnmFormatError(f"{name}: bad pixel value ({exc})") from None
-        if len(values) < count:
-            raise PnmFormatError(f"{name}: raster truncated ({len(values)} of {count} values)")
+        values = _plain_values(plain, count, name)
     else:
         # binary raster data starts after exactly one whitespace byte
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -214,6 +210,28 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
 
     return BinaryShape(foreground.reshape(height, width), id=path.stem,
                        category=category_of(path.stem))
+
+
+def _plain_values(plain: bytes, count: int, name: str) -> np.ndarray:
+    """The first ``count`` whitespace-separated integers of ``plain``.
+
+    One int() per token is streamed into an array of ``count`` values,
+    allocated once: no Python object is kept per pixel. That fails on a bad
+    token or a short raster alike, so only then are the tokens read again,
+    as far as they go, to tell the two apart; a bad token comes first.
+    """
+    def ints():
+        tokens = itertools.islice(_TOKEN.finditer(plain), count)
+        return map(int, map(operator.itemgetter(0), tokens))
+
+    try:
+        try:
+            return np.fromiter(ints(), np.int64, count=count)
+        except ValueError:
+            found = len(np.fromiter(ints(), np.int64))
+    except (ValueError, OverflowError) as exc:
+        raise PnmFormatError(f"{name}: bad pixel value ({exc})") from None
+    raise PnmFormatError(f"{name}: raster truncated ({found} of {count} values)")
 
 
 def _left(f) -> int:

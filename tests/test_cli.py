@@ -212,7 +212,7 @@ def test_occlude_standard_configs(toy_dir, tmp_path, capsys):
 
 
 def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: pytest.fail("extracted"))
     for n in ("-1", "0"):
         out_dir = tmp_path / f"occluded{n}"
         code = main(["occlude", str(toy_dir), "--per-category", n, "--out", str(out_dir)])
@@ -234,7 +234,7 @@ def test_occlude_bad_arguments_write_no_images(toy_dir, tmp_path, capsys):
 
 
 def test_occlude_negative_seed_exits_2(toy_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: pytest.fail("extracted"))
     out_dir = tmp_path / "occluded"
     assert main(["occlude", str(toy_dir), "--seed", "-1", "--out", str(out_dir)]) == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
@@ -384,11 +384,11 @@ def test_query_oversized_database_exits_2(tmp_path, toy_dir, capsys):
 
 
 def test_internal_fault_during_index_exits_1(toy_dir, tmp_path, capsys, monkeypatch):
-    # extract_records turns only bad input into DatasetError (exit 2); a fault propagates
+    # the stream turns only bad input into DatasetError (exit 2); a fault propagates
     def broken(shape, configs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr("rastershape.evaluation.extract_all", broken)
+    monkeypatch.setattr("rastershape.evaluation._hits", broken)
     code = main(["index", str(toy_dir), "--variant", "circ_radial",
                  "--out", str(tmp_path / "t.rdb")])
     assert code == 1
@@ -536,9 +536,28 @@ def test_first_bad_image_in_file_order_is_reported(command, tmp_path, capsys):
     assert "a-2.pgm: unsupported netpbm magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", (3, 1 << 16))
+def test_empty_shape_inside_a_block_is_reported_before_a_later_fault(
+        block, tmp_path, capsys, monkeypatch):
+    # a block of 3 hits groups every shape on its own; the default holds the
+    # whole directory's hits: either way each image is looked up before the
+    # next is decoded, so the empty shape is named, not the bad file after it
+    monkeypatch.setattr("rastershape.evaluation._BLOCK_POINTS", block)
+    d = tmp_path / "bad"
+    d.mkdir()
+    yy, xx = np.mgrid[0:40, 0:37]
+    for i in range(1, 4):
+        save_image(BinaryShape((xx - 18) ** 2 + (yy - 20) ** 2 < (5 + 4 * i) ** 2), d / f"a-{i}.pgm")
+    save_image(BinaryShape(np.zeros((8, 8), dtype=bool)), d / "a-4.pgm")
+    (d / "a-5.pgm").write_bytes(b"P9\nnope")
+    for command in sorted(COMMANDS):
+        assert main(COMMANDS[command](d, tmp_path)) == 2
+        assert "extracting 'a-4': shape 'a-4' has no foreground pixels" in capsys.readouterr().err
+
+
 def test_occlude_bad_fraction_extracts_nothing(toy_dir, tmp_path, capsys, monkeypatch):
     extracted = []
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: extracted.append(a))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: extracted.append(a))
     out_dir = tmp_path / "occluded"
     for fraction in ("1.0", "-0.1", "nan"):
         assert main(["occlude", str(toy_dir), "--fraction", fraction, "--out", str(out_dir)]) == 2

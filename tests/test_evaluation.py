@@ -11,7 +11,7 @@ from rastershape.evaluation import (
     OcclusionReport,
     SweepCell,
     SweepReport,
-    extract_records,
+    extract_databases,
     occlusion_experiment,
     read_sweep_csv,
     retrieval_efficiency,
@@ -23,7 +23,7 @@ from rastershape.evaluation import (
 )
 from rastershape.matcher import DescriptorDatabase, DescriptorRecord, query
 from rastershape.raster import RasterSpec
-from rastershape.shape_io import BinaryShape
+from rastershape.shape_io import BinaryShape, contains_points
 
 from conftest import EndlessStream, blob_shape, traced_peak
 
@@ -308,7 +308,7 @@ def test_occlusion_query_selection(toy_corpus):
 def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
     # refused before any shape is occluded or extracted
     monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: pytest.fail("extracted"))
     for n in (-1, 0):
         with pytest.raises(ValueError, match=f"^per_category must be >= 1, got {n}$"):
             select_occlusion_queries(toy_corpus, n, 0.2, 0)
@@ -319,7 +319,7 @@ def test_occlusion_per_category_below_one_is_refused(toy_corpus, monkeypatch):
 def test_occlusion_negative_seed_is_refused(toy_corpus, monkeypatch):
     # refused by name before any shape is occluded or extracted
     monkeypatch.setattr("rastershape.evaluation.occlude", lambda *a: pytest.fail("occluded"))
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: pytest.fail("extracted"))
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         select_occlusion_queries(toy_corpus, 2, 0.2, -1)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -338,7 +338,7 @@ def test_occlusion_report_carries_its_queries(toy_corpus):
 
 def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
     calls = []
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: calls.append(a))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: calls.append(a))
     for k in (-1, 0):
         with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             sweep(toy_corpus, CIRC_RADIAL, k=k)
@@ -349,7 +349,7 @@ def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
 
 def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatch):
     calls = []
-    monkeypatch.setattr("rastershape.evaluation.extract_all", lambda *a: calls.append(a))
+    monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: calls.append(a))
     for seps, samples, bad in (((8, 8.5), (4,), "separation_px must be a positive integer, got 8.5"),
                                ((8,), (4.9,), "samples_per_cycle must be a positive integer, got 4.9"),
                                ((8,), (4, 0), "samples_per_cycle must be a positive integer, got 0")):
@@ -361,7 +361,7 @@ def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatc
     assert calls == []
 
 
-def test_extract_records_reads_each_shape_once(toy_corpus):
+def test_extract_databases_reads_each_shape_once(toy_corpus):
     read = []
 
     def stream():
@@ -370,18 +370,42 @@ def test_extract_records_reads_each_shape_once(toy_corpus):
             yield shape
 
     configs = [(CIRC_RADIAL, SPEC), (SPIRAL_FULL, RasterSpec("spiral", 16, 8))]
-    lists = extract_records(stream(), configs)
+    dbs = extract_databases(stream(), configs)
     assert read == [s.id for s in toy_corpus]
-    for (variant, spec), records in zip(configs, lists):
-        assert [r.id for r in records] == read
+    for (variant, spec), db in zip(configs, dbs):
+        assert (db.variant, db.spec) == (variant, spec)
+        assert list(db.ids) == read
         assert all(np.array_equal(r.vector.values, extract(s, spec, variant).values)
-                   for r, s in zip(records, toy_corpus))
-    assert extract_records(iter(()), configs) == [[], []]
-    # a one-pass iterable of configs gives the same records
-    again = extract_records(toy_corpus, (config for config in configs))
-    assert [[r.id for r in records] for records in again] == [read, read]
-    assert all(a.vector.spec == b.vector.spec and np.array_equal(a.vector.values, b.vector.values)
-               for new, old in zip(again, lists) for a, b in zip(new, old))
+                   for r, s in zip(db, toy_corpus))
+    assert [len(db) for db in extract_databases(iter(()), configs)] == [0, 0]
+    # a one-pass iterable of configs gives the same databases
+    again = extract_databases(toy_corpus, (config for config in configs))
+    assert [list(db.ids) for db in again] == [read, read]
+    assert all(a.spec == b.spec and np.array_equal(a.lengths, b.lengths)
+               and np.array_equal(a.matrix, b.matrix) for a, b in zip(again, dbs))
+
+
+@pytest.mark.parametrize("block", (3, 1 << 16))
+def test_fault_in_a_lookup_propagates_unwrapped(block, toy_corpus, monkeypatch):
+    # only bad input becomes DatasetError: a fault in the third lookup,
+    # after a flush or inside the first block, reaches the caller as it is
+    monkeypatch.setattr("rastershape.evaluation._BLOCK_POINTS", block)
+    calls = []
+
+    def failing(shape, xs, ys):
+        calls.append(shape.id)
+        if len(calls) == 3:
+            raise RuntimeError("bug")
+        return contains_points(shape, xs, ys)
+
+    monkeypatch.setattr("rastershape.descriptor.contains_points", failing)
+    for run in (lambda: extract_databases(toy_corpus, [(CIRC_RADIAL, SPEC)]),
+                lambda: sweep(toy_corpus, CIRC_RADIAL, separations=(8,), samples=(4,)),
+                lambda: occlusion_experiment(toy_corpus, [(CIRC_RADIAL, 8, 4)])):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="^bug$"):
+            run()
+        assert len(calls) == 3
 
 
 def test_experiments_stream_their_dataset(toy_corpus):

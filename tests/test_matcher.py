@@ -38,7 +38,7 @@ from rastershape.matcher import (
     query,
     save_database,
 )
-from rastershape.evaluation import extract_records
+from rastershape.evaluation import extract_databases
 from rastershape.raster import MAX_LATTICE_POINTS, RasterSpec
 
 from conftest import regimes
@@ -505,12 +505,11 @@ def test_loaded_and_circ_angular_databases_keep_the_float_scan(toy_corpus, tmp_p
     # 6-decimal values over 24 are no whole counts, and circ_angular divides
     # each shape by its own cycle count: both rank as the float kernel does
     circular = RasterSpec("circular", 8, 24)
-    records = extract_records(toy_corpus, [(CIRC_RADIAL, circular), (CIRC_ANGULAR, circular)])
-    save_database(DescriptorDatabase.from_records(circular, CIRC_RADIAL, records[0]),
-                  tmp_path / "toy.rdb")
+    radial, angular = extract_databases(toy_corpus, [(CIRC_RADIAL, circular),
+                                                     (CIRC_ANGULAR, circular)])
+    save_database(radial, tmp_path / "toy.rdb")
     loaded = load_database(tmp_path / "toy.rdb")
-    angular = DescriptorDatabase.from_records(circular, CIRC_ANGULAR, records[1])
-    for db, recs in ((loaded, records[0]), (angular, records[1])):
+    for db, recs in ((loaded, radial), (angular, angular)):
         assert db._counts is None
         for rec in recs:
             for k in (1, 3, len(db)):

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rastershape import descriptor
+from rastershape import descriptor, evaluation
 from rastershape.descriptor import VARIANT_KIND, VARIANTS, ShapeVector, extract, extract_all
 from rastershape.cli import main
 from rastershape.errors import DatabaseFormatError, EmptyDatabaseError, PnmFormatError
@@ -243,6 +243,45 @@ def test_extract_all_equals_lone_extracts(mask, cell_list, repeat, cap):
         got = extract_all(shape, configs)
     assert [(g.variant, id(g.spec)) for g in got] == [(v, id(spec)) for v, spec in configs]
     assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in expected]
+
+
+@FIXED
+@given(mask_list=st.lists(geometry_masks, min_size=1, max_size=6),
+       cell_list=st.lists(cells, min_size=1, max_size=4),
+       block=st.sampled_from((2, 3, 40, 1 << 16)), cap=st.sampled_from((MAX_LATTICE_POINTS, 64)))
+@example(mask_list=[np.ones((5, 3), dtype=bool), np.ones((1, 9), dtype=bool),
+                    _framed(_ring((4, 11)), (2, 0, 1, 5))],
+         cell_list=[(v, 2, 4) for v in VARIANTS], block=3, cap=64)
+def test_column_stream_equals_lone_extract_alls(mask_list, cell_list, block, cap):
+    # shapes of mixed frame sizes (widths not a multiple of 8 among them)
+    # and extents, every variant, lookups split under a small cap, and
+    # blocks from a few hits (each shape grouped on its own) to the default
+    # (the whole stream grouped at once): every record is bit for bit the
+    # shape's lone extract_all, in stream order
+    shapes = [BinaryShape(m, id=f"s{i}-1", category=f"c{i % 3}") for i, m in enumerate(mask_list)]
+    configs = [(v, RasterSpec(VARIANT_KIND[v], d, s)) for v, d, s in cell_list]
+    expected = [extract_all(shape, configs) for shape in shapes]
+    columns = evaluation._Columns(configs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_BLOCK_POINTS", block)
+        patch.setattr(descriptor, "MAX_LATTICE_POINTS", cap)
+        streamed = list(evaluation._extracted(iter(shapes), columns))
+    assert [id(s) for s in streamed] == [id(s) for s in shapes]
+    assert columns.ids == [s.id for s in shapes]
+    assert columns.categories == [s.category for s in shapes]
+    for i, (variant, spec) in enumerate(configs):
+        want = [vectors[i] for vectors in expected]
+        records = columns.records(i)
+        db = columns.database(i)
+        assert [r.id for r in records] == list(db.ids) == columns.ids
+        assert [r.category for r in records] == list(db.categories) == columns.categories
+        assert db.lengths.tolist() == [len(w) for w in want]
+        assert [r.vector.values.tobytes() for r in records] == [w.values.tobytes() for w in want]
+        assert [db.matrix[j, :len(w)].tobytes() for j, w in enumerate(want)] == \
+            [w.values.tobytes() for w in want]
+        for rec, w in zip(records, want):
+            assert (rec.vector.variant, rec.vector.spec, rec.vector._exact) == (variant, spec, w._exact)
+            assert not rec.vector.values.flags.writeable
 
 
 @FIXED

@@ -133,6 +133,25 @@ def test_p2_decode_memory(tmp_path):
     assert peak < 24 * values.size
 
 
+def test_p2_decode_peak_within_four_times_the_file(tmp_path):
+    # the file's bytes go once its comments are stripped, and the values
+    # fill one array of the declared size: the text without comments, the
+    # int64 values and the foreground stay below four times the file
+    rng = np.random.default_rng(13)
+    values = rng.integers(0, 256, size=(500, 600))
+    rows = (" ".join(map(str, row)) for row in values.tolist())
+    text = "\n".join(f"{row} # row" if i % 50 == 0 else row for i, row in enumerate(rows))
+    p = write(tmp_path / "big-1.pgm", "P2\n# random\n600 500\n255\n" + text + "\n")
+    shape, peak = traced_peak(load_image, p)
+    assert np.array_equal(shape.mask, values > 127)
+    assert peak < 4 * p.stat().st_size, (peak, p.stat().st_size)
+    # a short raster names the values found; a bad token before its end is named first
+    for body, message in (("1 2 3", "raster truncated (3 of 4 values)"),
+                          ("1 x 3", "bad pixel value"), ("1 2 9" + "9" * 30, "bad pixel value")):
+        with pytest.raises(PnmFormatError, match=re.escape(f"m-1.pgm: {message}")):
+            load_image(write(tmp_path / "m-1.pgm", f"P2\n2 2\n255\n{body}\n"))
+
+
 def test_invert_flag(tmp_path):
     p = write(tmp_path / "inv-1.pgm", "P2\n2 1\n255\n0 255\n")
     normal = load_image(p)
