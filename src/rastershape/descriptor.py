@@ -4,11 +4,13 @@ Each is a normalized count of lattice samples on foreground pixels.
 ``extract_all`` is the one way from a shape and its specs to ShapeVectors
 (``extract`` is its one-config case): it sums each lattice's (cycle, angle)
 hits per row (radial / full-cycle) or per column (angular), or keeps them
-all (fixed-angle, one per spiral arc segment). It runs in two steps that a
-stream of shapes (``evaluation``) runs too: ``_hits`` measures and looks up
-one shape under every config, and ``_grouped`` groups the hits of a run of
-shapes under one config at once, so a vector is bit for bit the same
-whether it is grouped alone or in a block.
+all (fixed-angle, one per spiral arc segment). It runs in three steps that
+a stream of shapes (``evaluation``) runs too: ``_hits`` measures and looks
+up one shape under every config, ``_grouped`` counts the hits of a run of
+shapes under one config at once, and ``_values`` divides those counts, so a
+vector is bit for bit the same whether it is grouped alone or in a block.
+A stream keeps the integer counts and hands them to its databases; only
+its query vectors are divided.
 
 ``extract_all`` builds its vectors through one private path, ``_counted``,
 which skips the public constructor's checks: the config was checked on the
@@ -153,17 +155,22 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
                 ) -> list[ShapeVector]:
     """One vector per ``(variant, spec)`` config of ``shape``, in order.
 
-    Every config is checked first. The lookups are ``_hits``'s and the
-    grouping ``_grouped``'s, the very calls a stream of shapes makes (see
-    ``evaluation``), so each vector is bit for bit that stream's. Each is
-    built by ``_counted``: its values are hits over a positive sample
-    count, so they lie in [0, 1] and need no re-check.
+    Every config is checked first. The lookups are ``_hits``'s, the
+    grouping ``_grouped``'s and the division ``_values``', the very calls
+    a stream of shapes makes (see ``evaluation``), so each vector is bit
+    for bit that stream's. Each is built by ``_counted``: its values are
+    hits over a positive sample count, so they lie in [0, 1] and need no
+    re-check.
     """
     configs = list(configs)
     for variant, spec in configs:
         variant_kind(variant, spec)
-    return [_counted(variant, spec, _grouped(variant, spec, hits, np.array([n]))[1])
-            for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs))]
+    vectors = []
+    for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs)):
+        cycles = np.array([n])
+        counts = _grouped(variant, spec, hits, cycles)
+        vectors.append(_counted(variant, spec, _values(variant, spec, counts, cycles)))
+    return vectors
 
 
 def _hits(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
@@ -209,22 +216,47 @@ def _hits(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
 
 
 def _grouped(variant: str, spec: RasterSpec, hits: np.ndarray,
-             cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, values) of a run of shapes under ``(variant, spec)``.
+             cycles: np.ndarray) -> np.ndarray:
+    """The counts of a run of shapes under ``(variant, spec)``, their vectors
+    one after another, each ``_lengths`` long.
 
     ``hits`` holds their ``_hits`` one after another, ``cycles[j]`` rows of
-    s samples for shape j, and ``values`` their vectors one after another:
-    each cycle's row sum over s (radial, full-cycle), each shape's column
-    sums over its own cycle count (angular), or every hit (fixed-angle).
-    Counts are exact, so a vector is bit for bit the same whatever run it
-    is grouped in.
+    s samples for shape j. A vector counts each cycle's hits (radial,
+    full-cycle), each angle's hits over the shape's own cycles (angular),
+    or keeps every hit (fixed-angle). No count is above its vector's
+    denominator, so the counts are kept in the narrowest unsigned dtype
+    that holds it: count_denominator, or the run's largest cycle count for
+    circ_angular. Counts are exact, so a vector is bit for bit the same
+    whatever run it is grouped in.
     """
     samples = spec.samples_per_cycle
     rows = hits.reshape(-1, samples)
     if variant in (CIRC_RADIAL, SPIRAL_FULL):
-        return cycles, rows.sum(axis=1) / samples
+        return rows.sum(axis=1, dtype=np.min_scalar_type(samples))
     if variant == CIRC_ANGULAR:
         starts = np.cumsum(cycles) - cycles
-        counts = np.add.reduceat(rows, starts, axis=0, dtype=np.intp)
-        return np.full(cycles.size, samples), (counts / cycles[:, np.newaxis]).ravel()
-    return cycles * samples, hits.astype(float)
+        dtype = np.min_scalar_type(int(cycles.max(initial=0)))
+        return np.add.reduceat(rows, starts, axis=0, dtype=dtype).ravel()
+    return hits.astype(np.uint8)
+
+
+def _lengths(variant: str, spec: RasterSpec, cycles):
+    """The vector length of shapes of ``cycles`` cycles, an int or an array
+    of them, as ``cycles`` is: n (radial, full-cycle), s (angular) or n s
+    (fixed-angle)."""
+    samples = spec.samples_per_cycle
+    if variant == CIRC_ANGULAR:
+        return cycles * 0 + samples
+    return cycles * samples if variant == SPIRAL_FIXED else cycles
+
+
+def _values(variant: str, spec: RasterSpec, counts: np.ndarray,
+            cycles: np.ndarray) -> np.ndarray:
+    """The values of ``_grouped``'s ``counts``, a fresh float array: each
+    count over count_denominator(), or for circ_angular over its shape's
+    own cycle count. Both are exact integers, so each value is the
+    correctly rounded quotient, whatever the counts' dtype."""
+    den = count_denominator(variant, spec)
+    if den is not None:
+        return counts / den
+    return (counts.reshape(-1, spec.samples_per_cycle) / cycles[:, np.newaxis]).ravel()

@@ -11,9 +11,13 @@ a stream one shape at a time: each is measured and looked up under every
 config (``descriptor._hits``), and only its hits and cycle counts are
 kept. Blocks of at most _BLOCK_POINTS hits are grouped at once
 (``descriptor._grouped``, as ``extract_all`` groups one shape) into
-per-config columns of ids, categories, lengths and values, from which the
-one DescriptorDatabase constructor builds each database. So a stream holds
-one decoded image and one bounded block of hits, besides the columns.
+per-config columns of ids, categories, cycle counts and integer counts, in
+the narrowest dtype that holds them. A count database is built straight
+from those counts, and holds them once; only circ_angular's database and
+an experiment's query records divide them into values. So a stream holds
+one decoded image and one bounded block of hits, besides the columns, and
+it stops at the first shape that would take a config's database past the
+size cap, matcher.MAX_DATABASE_VALUES.
 """
 
 from __future__ import annotations
@@ -29,9 +33,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .descriptor import _counted, _grouped, _hits, variant_kind
+from .descriptor import (
+    _counted,
+    _grouped,
+    _hits,
+    _lengths,
+    _values,
+    count_denominator,
+    variant_kind,
+)
 from .errors import DatasetError, RasterShapeError
-from .matcher import DescriptorDatabase, DescriptorRecord, query
+from .matcher import DescriptorDatabase, DescriptorRecord, _check_size, query
 from .raster import RasterSpec
 from .shape_io import BinaryShape, occlude
 
@@ -105,10 +117,13 @@ class _Columns:
     every config's, and each config's lattice hits are held until the
     stream has held _BLOCK_POINTS hits over all configs, or ends. Then
     each config's held hits are grouped at once, by one ``_grouped`` call,
-    into one more block of its ``lengths`` and ``values``. Once the stream
-    has ended, ``database(i)`` builds config i's database from its columns,
-    with no vector or record per row, and ``records(i)`` its query records,
-    each vector a view of the values column.
+    into one more block of its ``cycles`` (each shape's cycle count) and
+    ``counts``, integers in the narrowest dtype that holds them. Once the
+    stream has ended, ``database(i)`` builds config i's database from its
+    columns, with no vector or record per row: a count database straight
+    from its counts, circ_angular's from their values. ``records(i)``
+    makes config i's values, one array, for its query records, each vector
+    a view of it.
     """
 
     def __init__(self, configs: Sequence[tuple[str, RasterSpec]]) -> None:
@@ -117,14 +132,29 @@ class _Columns:
         self.configs = configs
         self.ids: list[str] = []
         self.categories: list[str] = []
-        self.lengths: list[list[np.ndarray]] = [[] for _ in configs]
-        self.values: list[list[np.ndarray]] = [[] for _ in configs]
+        self.cycles: list[list[np.ndarray]] = [[] for _ in configs]
+        self.counts: list[list[np.ndarray]] = [[] for _ in configs]
         self._hits: list[list[np.ndarray]] = [[] for _ in configs]
         self._cycles: list[list[int]] = [[] for _ in configs]
         self._held = 0
+        self._widths = [0] * len(configs)  # each config's longest vector
 
     def hold(self, shape: BinaryShape, found: Sequence[tuple[np.ndarray, int]]) -> None:
-        """Keep ``shape``'s labels and its ``_hits`` under each config."""
+        """Keep ``shape``'s labels and its ``_hits`` under each config.
+
+        DatasetError naming ``shape``, which is then not held, if a config's
+        records would pass the database cap (matcher.MAX_DATABASE_VALUES)
+        with it: so the stream stops at the first shape past the cap.
+        """
+        widths = [max(width, _lengths(variant, spec, n))
+                  for width, (variant, spec), (_, n) in zip(self._widths, self.configs, found)]
+        try:
+            _check_size(len(self.ids) + 1, max(widths))
+        except ValueError as exc:
+            variant, spec = self.configs[widths.index(max(widths))]
+            raise DatasetError(f"holding {shape.id!r} under {variant} sep={spec.separation_px} "
+                               f"samples={spec.samples_per_cycle}: {exc}") from None
+        self._widths = widths
         self.ids.append(shape.id)
         self.categories.append(shape.category)
         for hits, cycles, (shape_hits, n) in zip(self._hits, self._cycles, found):
@@ -139,32 +169,40 @@ class _Columns:
         if not self._held:
             return
         for i, (variant, spec) in enumerate(self.configs):
-            lengths, values = _grouped(variant, spec, np.concatenate(self._hits[i]),
-                                       np.array(self._cycles[i], dtype=np.intp))
-            self.lengths[i].append(lengths)
-            self.values[i].append(values)
+            cycles = np.array(self._cycles[i], dtype=np.intp)
+            self.counts[i].append(_grouped(variant, spec, np.concatenate(self._hits[i]), cycles))
+            self.cycles[i].append(cycles)
             self._hits[i].clear()
             self._cycles[i].clear()
         self._held = 0
 
     def column(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Config i's (lengths, values), each one array: its blocks are
+        """Config i's (cycles, counts), each one array: its blocks are
         joined at the first read, in place of the blocks."""
-        for blocks, empty in ((self.lengths[i], np.empty(0, np.intp)),
-                              (self.values[i], np.empty(0))):
+        for blocks, empty in ((self.cycles[i], np.empty(0, np.intp)),
+                              (self.counts[i], np.empty(0, np.uint8))):
             if len(blocks) != 1:
                 blocks[:] = [np.concatenate([empty, *blocks])]
-        return self.lengths[i][0], self.values[i][0]
+        return self.cycles[i][0], self.counts[i][0]
 
     def database(self, i: int) -> DescriptorDatabase:
-        """Config i's database, built from its columns by the one constructor."""
+        """Config i's database, built from its columns."""
         variant, spec = self.configs[i]
-        return DescriptorDatabase(spec, variant, self.ids, self.categories, *self.column(i))
+        cycles, counts = self.column(i)
+        lengths = _lengths(variant, spec, cycles)
+        if count_denominator(variant, spec) is None:
+            return DescriptorDatabase(spec, variant, self.ids, self.categories, lengths,
+                                      _values(variant, spec, counts, cycles))
+        return DescriptorDatabase._of_counts(spec, variant, self.ids, self.categories,
+                                             lengths, counts)
 
     def records(self, i: int) -> list[DescriptorRecord]:
-        """Config i's records, each vector a read-only view of its values."""
+        """Config i's records, each vector a read-only view of one array of
+        their values, made here."""
         variant, spec = self.configs[i]
-        lengths, values = self.column(i)
+        cycles, counts = self.column(i)
+        values = _values(variant, spec, counts, cycles)
+        lengths = _lengths(variant, spec, cycles)
         ends = np.cumsum(lengths).tolist()
         return [DescriptorRecord(rec_id, category, _counted(variant, spec, values[end - n:end]))
                 for rec_id, category, n, end in zip(self.ids, self.categories,

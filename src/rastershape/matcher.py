@@ -1,10 +1,13 @@
 """Descriptor databases and Euclidean top-k retrieval.
 
 A database is stored by column: record ids, categories, vector lengths and
-one read-only, zero-padded, column-major ``(N, L_max)`` matrix of values.
-Every database is built by the one constructor, from those columns. The
-experiments and ``cli index`` extract straight into columns (see
-``evaluation``), with no vector or record per row;
+one read-only, zero-padded, column-major ``(N, L_max)`` float64 matrix,
+which holds a count database's counts (below) and any other database's
+values. Every database is built from those columns, by the one
+constructor or, for counts a stream extracted, by
+DescriptorDatabase._of_counts. The experiments and ``cli index`` extract
+straight into columns of integer counts (see ``evaluation``), with no
+vector, record or float value per row;
 DescriptorDatabase.from_records builds one from records a library caller
 holds; load_database reads a RASTERDB v1 file (UTF-8 text, one labeled
 vector per line, lines separated by line feeds alone, at most
@@ -22,8 +25,11 @@ A count database is one whose every value is a whole count over its
 variant's one denominator (descriptor.count_denominator: the sample count
 for circ_radial and spiral_full, 1 for spiral_fixed), with every squared
 count norm at most descriptor.EXACT_NORM, so every database extracted in
-this package is one. It keeps a second matrix, of the counts as float64.
-A query known to hold such counts (ShapeVector's ``_exact`` flag, set by
+this package is one. Its matrix holds the counts, as float64, and no
+values: a value is made, ``count / den`` and so bit for bit the value it
+stands for, only where one is read (``matrix``, a record, save_database's
+text, or the float scan of a query not known to hold counts). A query
+known to hold such counts (ShapeVector's ``_exact`` flag, set by
 extraction for free) is ranked in integer arithmetic: one matrix-vector
 product gives each row's |c|^2 - 2 c.q, exact in float64 under that norm
 bound, so records at equal exact distance tie exactly and ties keep
@@ -119,12 +125,18 @@ class DescriptorDatabase(Sequence):
 
     Record i is ``ids[i]``, ``categories[i]`` and the first ``lengths[i]``
     values of row i of ``matrix``, the read-only, zero-padded, column-major
-    ``(N, L_max)`` array. The database is also the sequence of its records,
-    in insertion order: indexing builds a DescriptorRecord when it is read,
-    len() builds none, and ``records`` is the database itself. A count
-    database (see the module docstring) also keeps ``_counts``, the values
-    times their denominator ``_den`` in the same layout, and their squared
-    norms; any other database keeps None there.
+    ``(N, L_max)`` array of values. The database is also the sequence of
+    its records, in insertion order: indexing builds a DescriptorRecord
+    when it is read, len() builds none, and ``records`` is the database
+    itself.
+
+    A count database (see the module docstring) holds one matrix,
+    ``_counts``: the values times their denominator ``_den``, as float64
+    in the same layout, with their squared row norms. Its values are made,
+    ``counts / den``, only where they are read: ``matrix`` and each record
+    make theirs at each read. Any other database holds its values,
+    ``_values``, with their squared row norms and the largest row norm,
+    and None in the count fields.
     """
 
     spec: RasterSpec
@@ -132,30 +144,57 @@ class DescriptorDatabase(Sequence):
     ids: tuple[str, ...]
     categories: tuple[str, ...]
     lengths: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
-    _norms: np.ndarray = field(repr=False)  # each row's squared norm
-    _radius: float = field(repr=False)  # the largest row norm
-    _den: int | None = field(repr=False)  # the values' one denominator, if any
-    _counts: np.ndarray | None = field(repr=False)  # matrix * _den, for a count database
+    _den: int | None = field(repr=False)  # a count database's one denominator
+    _counts: np.ndarray | None = field(repr=False)  # a count database's counts
     _count_norms: np.ndarray | None = field(repr=False)  # each row of _counts' squared norm
+    _values: np.ndarray | None = field(repr=False)  # any other database's values
+    _norms: np.ndarray | None = field(repr=False)  # each row of _values' squared norm
+    _radius: float | None = field(repr=False)  # the largest row norm of _values
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
-        """``values``: every record's values in record order, each in [0, 1] (else ValueError)."""
+        """``values``: every record's values in record order, each in [0, 1] (else ValueError).
+
+        The database is a count database, holding no values, when they are
+        whole counts over the variant's one denominator (and within
+        descriptor.EXACT_NORM): each then reads back bit for bit.
+        """
         variant_kind(variant, spec)
         ids, categories = tuple(ids), tuple(categories)
         lengths = np.array(lengths, dtype=np.intp)
         values = np.asarray(values, dtype=float)
-        n = len(ids)
-        if (len(categories) != n or lengths.shape != (n,) or (lengths < 0).any()
+        if (len(categories) != len(ids) or lengths.shape != (len(ids),) or (lengths < 0).any()
                 or lengths.sum() != values.size):
             raise ValueError("ids, categories, lengths and values do not agree")
         check_unit_range(values)
-        width = int(lengths.max(initial=0))
-        if n * width > MAX_DATABASE_VALUES:
-            raise ValueError(f"{n} records x {width} values is above "
-                             f"the cap of {MAX_DATABASE_VALUES} values")
+        self._fill(spec, variant, ids, categories, lengths, values, counted=False)
+
+    @classmethod
+    def _of_counts(cls, spec: RasterSpec, variant: str, ids: Sequence[str],
+                   categories: Sequence[str], lengths: Sequence[int],
+                   counts: np.ndarray) -> DescriptorDatabase:
+        """The database of extracted ``counts``, every record's whole counts
+        over count_denominator(), in record order and any unsigned dtype:
+        the constructor's database of their values, built with no values.
+        ``variant`` and ``spec`` are checked and ``lengths`` sum to the counts.
+        """
+        if int(counts.max(initial=0)) > count_denominator(variant, spec):
+            raise ValueError("descriptor values must lie in [0, 1]")
+        db = object.__new__(cls)
+        db._fill(spec, variant, tuple(ids), tuple(categories), np.array(lengths, dtype=np.intp),
+                 counts, counted=True)
+        return db
+
+    def _fill(self, spec: RasterSpec, variant: str, ids: tuple[str, ...],
+              categories: tuple[str, ...], lengths: np.ndarray, flat: np.ndarray,
+              counted: bool) -> None:
+        """Set every field from columns that agree: ``flat`` holds every
+        record's values in [0, 1], or if ``counted`` their whole counts over
+        count_denominator(). ValueError past MAX_DATABASE_VALUES or at a
+        repeated id, before the matrix is allocated."""
+        n, width = len(ids), int(lengths.max(initial=0))
+        _check_size(n, width)
         rows = dict(zip(ids, range(n)))
         if len(rows) < n:
             seen: set[str] = set()
@@ -163,26 +202,32 @@ class DescriptorDatabase(Sequence):
                 if rec_id in seen:
                     raise ValueError(f"duplicate record id {rec_id!r}")
                 seen.add(rec_id)
-        matrix = np.zeros((n, width), order="F")
-        matrix[np.arange(width) < lengths[:, np.newaxis]] = values
-        norms = np.einsum("ij,ij->i", matrix, matrix)  # read by query's bound
         den = count_denominator(variant, spec)
-        counts = count_norms = None
-        # the first row first: a loaded file's 6-decimal values fail there at once
-        first = values[:lengths[0]] if n else values
-        if den is not None and whole_counts(first, den) is not None:
-            counts = whole_counts(matrix, den)
-        if counts is not None:
-            count_norms = np.einsum("ij,ij->i", counts, counts)
-            if count_norms.max(initial=0.0) > EXACT_NORM:
-                counts = count_norms = None
-        for array in (matrix, lengths, norms, counts, count_norms):
+        if den is not None and not counted:
+            # the first row first: a loaded file's 6-decimal values fail there at once
+            first = flat[:lengths[0]] if n else flat
+            counts = None if whole_counts(first, den) is None else whole_counts(flat, den)
+            flat, den = (flat, None) if counts is None else (counts, den)
+        matrix = np.zeros((n, width), order="F")
+        matrix[np.arange(width) < lengths[:, np.newaxis]] = flat
+        counts = count_norms = norms = radius = None
+        if den is not None:
+            count_norms = np.einsum("ij,ij->i", matrix, matrix)
+            if count_norms.max(initial=0.0) <= EXACT_NORM:
+                counts, matrix = matrix, None
+            else:  # the values, bit for bit: each is a whole count over den
+                matrix /= den
+                den = count_norms = None
+        if matrix is not None:
+            norms = np.einsum("ij,ij->i", matrix, matrix)  # read by query's bound
+            radius = math.sqrt(norms.max(initial=0.0))
+        for array in (lengths, counts, count_norms, matrix, norms):
             if array is not None:
                 array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
-                          lengths=lengths, matrix=matrix, _rows=rows, _norms=norms,
-                          _radius=math.sqrt(norms.max(initial=0.0)), _den=den,
-                          _counts=counts, _count_norms=count_norms)
+                          lengths=lengths, _rows=rows, _den=den, _counts=counts,
+                          _count_norms=count_norms, _values=matrix, _norms=norms,
+                          _radius=radius)
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
@@ -202,6 +247,16 @@ class DescriptorDatabase(Sequence):
                    np.concatenate([np.empty(0), *values]))
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The values, read-only, zero-padded and column-major; a count
+        database makes them, ``counts / den``, at each read."""
+        if self._counts is None:
+            return self._values
+        matrix = self._counts / self._den
+        matrix.flags.writeable = False
+        return matrix
+
+    @property
     def records(self) -> Sequence[DescriptorRecord]:
         return self
 
@@ -212,8 +267,30 @@ class DescriptorDatabase(Sequence):
         i = range(len(self))[i]
         if isinstance(i, range):  # a slice
             return [self[j] for j in i]
-        vector = ShapeVector(self.variant, self.spec, self.matrix[i, :self.lengths[i]])
+        vector = ShapeVector(self.variant, self.spec, self._row(i))
         return DescriptorRecord(self.ids[i], self.categories[i], vector)
+
+    def _row(self, i: int) -> np.ndarray:
+        """Record i's values: a view of ``_values``, or made from its counts."""
+        if self._counts is None:
+            return self._values[i, :self.lengths[i]]
+        return self._counts[i, :self.lengths[i]] / self._den
+
+    def _scanned(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The float scan's (matrix, squared row norms, largest row norm),
+        which a count database makes, as any other keeps them, at each call."""
+        if self._counts is None:
+            return self._values, self._norms, self._radius
+        matrix = self.matrix
+        norms = np.einsum("ij,ij->i", matrix, matrix)
+        return matrix, norms, math.sqrt(norms.max(initial=0.0))
+
+
+def _check_size(n: int, width: int) -> None:
+    """ValueError if ``n`` records of at most ``width`` values pass MAX_DATABASE_VALUES."""
+    if n * width > MAX_DATABASE_VALUES:
+        raise ValueError(f"{n} records x {width} values is above "
+                         f"the cap of {MAX_DATABASE_VALUES} values")
 
 
 @dataclass(frozen=True)
@@ -302,8 +379,9 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
     if q._exact and db._counts is not None:
         return _exact_matches(db, q.values, k, excluded)
-    rows = _candidates(db, q.values, k, excluded)
-    dists = _distances(db.matrix[rows], q.values).tolist()
+    matrix, norms, radius = db._scanned()
+    rows = _candidates(matrix, norms, radius, q.values, k, excluded)
+    dists = _distances(matrix[rows], q.values).tolist()
     rows = rows.tolist()
     # the rows ascend, so a stable sort by distance keeps ties in insertion order
     return [Match(db.ids[rows[j]], db.categories[rows[j]], dists[j])
@@ -342,17 +420,18 @@ def _exact_matches(db: DescriptorDatabase, q: np.ndarray, k: int,
             for j in sorted(range(len(rows)), key=grams.__getitem__)[:k]]
 
 
-def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
-                excluded: int | None) -> np.ndarray:
+def _candidates(matrix: np.ndarray, norms: np.ndarray, radius: float, q: np.ndarray,
+                k: int, excluded: int | None) -> np.ndarray:
     """The rows but ``excluded``, ascending, that can be among the k nearest to ``q``.
 
     Why no row of the exact top k is dropped: pad every row ``r`` and ``q``
     with zeros to W = max(width, len(q)), and let u = 2^-53, R the largest
-    row norm and M = (R + |q|)^2, which bounds every |r - q|^2 and every
-    term and partial sum below, whatever the row. The bound relies on every
-    value lying in [0, 1]: then M <= 4 W, so nothing overflows or is NaN.
+    row norm, ``radius``, and M = (R + |q|)^2, which bounds every |r - q|^2
+    and every term and partial sum below, whatever the row. The bound
+    relies on every value lying in [0, 1]: then M <= 4 W, so nothing
+    overflows or is NaN.
 
-    - ``approx`` is the Gram form |r|^2 - 2 r.q, from the stored norms and
+    - ``approx`` is the Gram form |r|^2 - 2 r.q, from the rows' ``norms`` and
       one matrix-vector product with -2 q; it leaves out |q|^2, the same for
       every row. In any summation order, BLAS's included, it is within
       about (W + 2) u M of the exact |r - q|^2 - |q|^2.
@@ -372,11 +451,11 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int,
     tie-break can bring it back. With k at or above the rows left, ``kth`` is
     the largest finite ``approx``, so every row but the excluded one is kept.
     """
-    n, width = db.matrix.shape
+    n, width = matrix.shape
     head = q[:width]
-    approx = db.matrix[:, :head.size] @ (head * -2)
-    approx += db._norms
-    reach = db._radius + math.sqrt(q @ q)
+    approx = matrix[:, :head.size] @ (head * -2)
+    approx += norms
+    reach = radius + math.sqrt(q @ q)
     err = _SLACK * (max(width, q.size) + 2) * (reach * reach * _UNIT + _TINY)
     if excluded is not None:
         approx[excluded] = np.inf
@@ -408,7 +487,7 @@ def save_database(db: DescriptorDatabase, path) -> None:
                 raise ValueError(f"record {rec_id!r}: {what} holds a tab or line break")
             if _SURROGATE.search(text):
                 raise ValueError(f"record {rec_id!r}: {what} is not UTF-8 text")
-        values = ",".join(f"{v:.6f}" for v in db.matrix[row, :length].tolist())
+        values = ",".join(f"{v:.6f}" for v in db._row(row).tolist())
         lines.append(f"{rec_id}\t{category}\t{length}\t{values}")
     path = Path(path)
     # os.urandom, not the secrets module: importing that loads OpenSSL, ~4 MB of memory

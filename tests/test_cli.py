@@ -12,7 +12,7 @@ from rastershape.evaluation import (
     SweepReport,
     read_sweep_csv,
 )
-from rastershape.matcher import load_database
+from rastershape.matcher import DescriptorDatabase, load_database
 from rastershape.shape_io import BinaryShape, load_image, occlude, save_image
 
 from oracles import ref_topk
@@ -67,6 +67,38 @@ def test_query_self_match_and_format(toy_dir, tmp_path, capsys):
     assert len(lines) == 3
     rank, rec_id, category, dist = lines[0].split("\t")
     assert (rank, rec_id, category, dist) == ("1", "disk-1", "disk", "0.000000")
+
+
+def test_workloads_make_no_value_matrix_of_a_count_database(toy_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    # a count database holds its counts alone: index, an extracted query of
+    # a loaded count database (samples 8: each count over 8 is exact in 6
+    # decimals), sweep and occlude make neither its matrix of values nor
+    # the float scan's
+    made = []
+
+    def watched(method):
+        def read(db):
+            if db._counts is not None:
+                made.append(db.variant)
+            return method(db)
+        return read
+
+    monkeypatch.setattr(DescriptorDatabase, "matrix",
+                        property(watched(DescriptorDatabase.matrix.fget)))
+    monkeypatch.setattr(DescriptorDatabase, "_scanned", watched(DescriptorDatabase._scanned))
+    out = tmp_path / "toy.rdb"
+    for variant in ("circ_radial", "spiral_full", "spiral_fixed"):
+        assert main(["index", str(toy_dir), "--variant", variant, "--sep", "8",
+                     "--samples", "8", "--out", str(out)]) == 0
+        assert load_database(out)._counts is not None
+        assert main(["query", str(out), str(toy_dir / "disk-1.pgm")]) == 0
+        assert main(["sweep", str(toy_dir), "--variant", variant, "--seps", "8", "16",
+                     "--samples", "4", "8"]) == 0
+    assert main(["occlude", str(toy_dir)]) == 0
+    assert made == []
+    load_database(out).matrix  # the watch sees a read
+    assert made == ["spiral_fixed"]
 
 
 def test_query_k_exceeds_database_warns(toy_dir, tmp_path, capsys):

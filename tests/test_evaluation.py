@@ -3,9 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from rastershape.descriptor import CIRC_RADIAL, SPIRAL_FULL, ShapeVector, extract
+from rastershape.descriptor import CIRC_RADIAL, SPIRAL_FIXED, SPIRAL_FULL, ShapeVector, extract
 from rastershape.errors import DatasetError, IncompatibleVectorError
 from rastershape.evaluation import (
+    _extract_columns,
     MAX_CSV_LINE,
     MAX_CSV_LINES,
     OcclusionReport,
@@ -22,8 +23,8 @@ from rastershape.evaluation import (
     write_sweep_csv,
 )
 from rastershape.matcher import DescriptorDatabase, DescriptorRecord, query
-from rastershape.raster import RasterSpec
-from rastershape.shape_io import BinaryShape, contains_points
+from rastershape.raster import RasterSpec, cycle_count
+from rastershape.shape_io import BinaryShape, contains_points, max_radius
 
 from conftest import EndlessStream, blob_shape, traced_peak
 
@@ -406,6 +407,51 @@ def test_fault_in_a_lookup_propagates_unwrapped(block, toy_corpus, monkeypatch):
         with pytest.raises(RuntimeError, match="^bug$"):
             run()
         assert len(calls) == 3
+
+
+def test_stream_stops_at_the_first_shape_past_the_database_cap(synthetic_corpus, monkeypatch):
+    # with the cap lowered to 2^14 values, spiral_fixed 8/24 (vectors of up
+    # to 504 counts) passes it a few dozen shapes into the 460: that shape
+    # is named, no later one is read, and the stream held no more than a
+    # bounded block of hits and the counts before it
+    cap = 1 << 14
+    monkeypatch.setattr("rastershape.matcher.MAX_DATABASE_VALUES", cap)
+    spec = RasterSpec("spiral", 8, 24)
+    widths = np.maximum.accumulate([24 * cycle_count(spec, max_radius(s)) for s in synthetic_corpus])
+    past = int(np.argmax(widths * np.arange(1, widths.size + 1) > cap))
+    assert 10 < past < 100
+    read = []
+
+    def stream():
+        for shape in synthetic_corpus:
+            read.append(shape.id)
+            yield shape
+
+    refused, peak = traced_peak(extract_databases, stream(), [(SPIRAL_FIXED, spec)])
+    assert isinstance(refused, DatasetError)
+    assert str(refused) == (
+        f"holding {synthetic_corpus[past].id!r} under spiral_fixed sep=8 samples=24: "
+        f"{past + 1} records x {widths[past]} values is above the cap of {cap} values")
+    assert read == [s.id for s in synthetic_corpus[:past + 1]]
+    assert peak < cap * 8  # the bytes of a float64 matrix at the cap
+    # a sweep refuses at the same shape, under its widest cell
+    read.clear()
+    with pytest.raises(DatasetError, match=f"^holding {synthetic_corpus[past].id!r} under "
+                                           "spiral_fixed sep=8 samples=24: "):
+        sweep(stream(), SPIRAL_FIXED, separations=(16, 8), samples=(24,))
+    assert len(read) == past + 1
+
+
+def test_count_database_from_its_columns_holds_one_matrix(synthetic_corpus):
+    # the benchmark's widest cell, spiral_fixed 8/24: 460 vectors of up to
+    # 504 counts. Built from its columns, the database holds its float64
+    # count matrix and no other copy of the cell, at no point of the build
+    spec = RasterSpec("spiral", 8, 24)
+    columns = _extract_columns(synthetic_corpus, [(SPIRAL_FIXED, spec)])
+    db, peak = traced_peak(columns.database, 0)
+    assert db._counts is not None and db._values is None
+    assert db._counts.nbytes == len(synthetic_corpus) * 504 * 8
+    assert peak <= 1.5 * db._counts.nbytes
 
 
 def test_experiments_stream_their_dataset(toy_corpus):

@@ -284,6 +284,53 @@ def test_column_stream_equals_lone_extract_alls(mask_list, cell_list, block, cap
             assert not rec.vector.values.flags.writeable
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("scratch")
+
+
+@FIXED
+@given(mask_list=st.lists(geometry_masks, min_size=2, max_size=6),
+       cell=st.tuples(st.sampled_from(("circ_radial", "spiral_full", "spiral_fixed")),
+                      st.integers(1, 12), st.integers(1, 24)),
+       block=st.sampled_from((2, 3, 40, 1 << 16)))
+@example(mask_list=[np.ones((5, 3), dtype=bool), np.ones((1, 9), dtype=bool),
+                    _framed(_ring((4, 11)), (2, 0, 1, 5))],
+         cell=("spiral_fixed", 2, 4), block=3)
+@example(mask_list=[np.ones((3, 3), dtype=bool)] * 2, cell=("circ_radial", 1, 24), block=1 << 16)
+def test_count_database_from_columns_equals_publicly_built_one(scratch, mask_list, cell, block):
+    # a database built from a stream's integer counts, in blocks from one
+    # shape to the whole stream, and one the public constructor builds from
+    # the same shapes' extracted values read and rank the same, bit for bit
+    variant, d, s = cell
+    spec = RasterSpec(VARIANT_KIND[variant], d, s)
+    shapes = [BinaryShape(m, id=f"s{i}-1", category=f"c{i % 3}") for i, m in enumerate(mask_list)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_BLOCK_POINTS", block)
+        [counted] = evaluation.extract_databases(iter(shapes), [(variant, spec)])
+    vectors = [extract(shape, spec, variant) for shape in shapes]
+    public = DescriptorDatabase(spec, variant, [sh.id for sh in shapes],
+                                [sh.category for sh in shapes], [len(v) for v in vectors],
+                                np.concatenate([v.values for v in vectors]))
+    for db in (counted, public):
+        assert db._counts is not None and db._values is None
+    assert counted.matrix.tobytes(order="A") == public.matrix.tobytes(order="A")
+    assert counted.matrix.flags.f_contiguous and public.matrix.flags.f_contiguous
+    for a, b, v in zip(counted, public, vectors):
+        assert (a.id, a.category, a.vector._exact) == (b.id, b.category, b.vector._exact)
+        assert a.vector.values.tobytes() == b.vector.values.tobytes() == v.values.tobytes()
+    texts = []
+    for db in (counted, public):
+        save_database(db, scratch / "db-1.rdb")
+        texts.append((scratch / "db-1.rdb").read_bytes())
+    assert texts[0] == texts[1]
+    for shape, vector in zip(shapes, vectors):
+        got = [[(m.id, m.category, np.float64(m.distance).tobytes())
+                for m in query(db, vector, len(shapes), exclude_id=shape.id)]
+               for db in (counted, public)]
+        assert got[0] == got[1]
+
+
 @FIXED
 @given(mask=geometry_masks, cell_list=st.lists(cells, min_size=1, max_size=4))
 @example(mask=np.ones((1, 1), dtype=bool), cell_list=[(v, 1, 1) for v in VARIANTS])
