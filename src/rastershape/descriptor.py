@@ -20,10 +20,10 @@ checks everything it is given, and a database range-checks its values once.
 
 Every variant but ``circ_angular`` divides its counts by one denominator,
 ``count_denominator``: the sample count for the per-cycle variants, 1 for
-``spiral_fixed``. A vector whose values are such counts, with a squared
-count norm of at most ``EXACT_NORM``, is compared in exact integer
-arithmetic (see ``matcher``). ``_counted`` marks extracted vectors so for
-free; the public constructor checks its values once.
+``spiral_fixed``; ``circ_angular`` divides each shape's by its own cycle
+count. An extracted vector carries its integer counts and its denominator
+beside its values, so it is compared in exact integer arithmetic (see
+``matcher``); a vector built from values by hand carries none.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ VARIANT_KIND = {
     SPIRAL_FULL: KIND_SPIRAL,
     SPIRAL_FIXED: KIND_SPIRAL,
 }
-# Largest squared norm of a count vector compared exactly. A count is at
-# most its denominator s, and an extract has n cycles x s samples <=
-# MAX_LATTICE_POINTS = 2^21, so an extracted vector's squared count norm is
-# at most n s^2 <= 2^21 s <= 2^42 (2^21 for spiral_fixed). With both norms
-# at most 2^42, every term and partial sum of |c|^2, c.q and |c|^2 - 2 c.q
-# + |q|^2 lies below 2^44 < 2^53 in magnitude, so each is an exact integer
-# in float64, whatever the summation order.
-EXACT_NORM = 1 << 42
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +64,15 @@ class ShapeVector:
     Values lie in [0, 1]; any other, NaN and inf included, raises ValueError.
     Length follows the shape's extent for the per-cycle variants, so two shapes
     may differ in length under one spec; comparisons zero-pad the shorter one.
+    An extracted vector also carries ``_counts``, its values times ``_den``
+    as float64 integers; one built from values carries None in both.
     """
 
     variant: str
     spec: RasterSpec
     values: np.ndarray
-    # whether the values are whole counts over count_denominator() with a
-    # squared count norm of at most EXACT_NORM: compared exactly if so
-    _exact: bool = field(default=False, init=False, repr=False)
+    _counts: np.ndarray | None = field(default=None, init=False, repr=False)
+    _den: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         variant_kind(self.variant, self.spec)
@@ -88,26 +81,22 @@ class ShapeVector:
             raise ValueError("values must be one-dimensional")
         check_unit_range(values)
         values.flags.writeable = False
-        den = count_denominator(self.variant, self.spec)
-        counts = None if den is None else whole_counts(values, den)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_exact",
-                           counts is not None and bool(counts @ counts <= EXACT_NORM))
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-def _counted(variant: str, spec: RasterSpec, values: np.ndarray) -> ShapeVector:
-    """A ShapeVector of ``values``, a fresh 1-D float array of hit counts over
-    a positive sample count, or a view of a column of them that nothing
-    writes, made read-only in place; nothing is re-checked.
-    An extract of every variant but circ_angular holds whole counts over
-    count_denominator() within EXACT_NORM, so it is marked exact."""
+def _counted(variant: str, spec: RasterSpec, values: np.ndarray, counts: np.ndarray,
+             den: int) -> ShapeVector:
+    """A ShapeVector of ``values``, ``counts / den`` for ``counts`` whole
+    float64 counts of hits over a positive ``den``, each array fresh or a
+    view of a column that nothing writes, made read-only in place; nothing
+    is re-checked."""
     values.flags.writeable = False
+    counts.flags.writeable = False
     vector = object.__new__(ShapeVector)
-    vars(vector).update(variant=variant, spec=spec, values=values,
-                        _exact=variant != CIRC_ANGULAR)
+    vars(vector).update(variant=variant, spec=spec, values=values, _counts=counts, _den=den)
     return vector
 
 
@@ -118,14 +107,6 @@ def count_denominator(variant: str, spec: RasterSpec) -> int | None:
     if variant == CIRC_ANGULAR:
         return None
     return 1 if variant == SPIRAL_FIXED else spec.samples_per_cycle
-
-
-def whole_counts(values: np.ndarray, den: int) -> np.ndarray | None:
-    """``rint(values * den)``, in the layout of ``values``, if every value
-    is that count over ``den``, ``rint(v * den) / den == v``; else None."""
-    counts = values * den
-    np.rint(counts, out=counts)
-    return counts if np.array_equal(counts / den, values) else None
 
 
 def check_unit_range(values: np.ndarray) -> None:
@@ -168,8 +149,9 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     vectors = []
     for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs)):
         cycles = np.array([n])
-        counts = _grouped(variant, spec, hits, cycles)
-        vectors.append(_counted(variant, spec, _values(variant, spec, counts, cycles)))
+        counts = _grouped(variant, spec, hits, cycles).astype(float)
+        vectors.append(_counted(variant, spec, _values(variant, spec, counts, cycles), counts,
+                                count_denominator(variant, spec) or n))
     return vectors
 
 
@@ -250,13 +232,22 @@ def _lengths(variant: str, spec: RasterSpec, cycles):
     return cycles * samples if variant == SPIRAL_FIXED else cycles
 
 
+def _dens(variant: str, spec: RasterSpec, cycles: np.ndarray) -> np.ndarray:
+    """The denominator of each shape of ``cycles`` cycles: count_denominator(),
+    or for circ_angular the shape's own cycle count."""
+    den = count_denominator(variant, spec)
+    return cycles if den is None else np.full(len(cycles), den)
+
+
 def _values(variant: str, spec: RasterSpec, counts: np.ndarray,
             cycles: np.ndarray) -> np.ndarray:
-    """The values of ``_grouped``'s ``counts``, a fresh float array: each
-    count over count_denominator(), or for circ_angular over its shape's
-    own cycle count. Both are exact integers, so each value is the
-    correctly rounded quotient, whatever the counts' dtype."""
+    """The values of ``_grouped``'s ``counts``, as float64: each count over
+    its shape's ``_dens``. Both are exact integers, so each value is the
+    correctly rounded quotient. A fresh array, but counts over 1
+    (spiral_fixed) are their own values."""
     den = count_denominator(variant, spec)
+    if den == 1:
+        return counts
     if den is not None:
         return counts / den
     return (counts.reshape(-1, spec.samples_per_cycle) / cycles[:, np.newaxis]).ravel()

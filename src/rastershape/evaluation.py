@@ -12,9 +12,10 @@ config (``descriptor._hits``), and only its hits and cycle counts are
 kept. Blocks of at most _BLOCK_POINTS hits are grouped at once
 (``descriptor._grouped``, as ``extract_all`` groups one shape) into
 per-config columns of ids, categories, cycle counts and integer counts, in
-the narrowest dtype that holds them. A count database is built straight
-from those counts, and holds them once; only circ_angular's database and
-an experiment's query records divide them into values. So a stream holds
+the narrowest dtype that holds them. Every database is a count database,
+built straight from those counts and each shape's denominator, and holds
+them once; only an experiment's query records divide them into values,
+and each carries its counts beside them. So a stream holds
 one decoded image and one bounded block of hits, besides the columns, and
 it stops at the first shape that would take a config's database past the
 size cap, matcher.MAX_DATABASE_VALUES.
@@ -33,15 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .descriptor import (
-    _counted,
-    _grouped,
-    _hits,
-    _lengths,
-    _values,
-    count_denominator,
-    variant_kind,
-)
+from .descriptor import _counted, _dens, _grouped, _hits, _lengths, _values, variant_kind
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, _check_size, query
 from .raster import RasterSpec
@@ -119,11 +112,10 @@ class _Columns:
     each config's held hits are grouped at once, by one ``_grouped`` call,
     into one more block of its ``cycles`` (each shape's cycle count) and
     ``counts``, integers in the narrowest dtype that holds them. Once the
-    stream has ended, ``database(i)`` builds config i's database from its
-    columns, with no vector or record per row: a count database straight
-    from its counts, circ_angular's from their values. ``records(i)``
-    makes config i's values, one array, for its query records, each vector
-    a view of it.
+    stream has ended, ``database(i)`` builds config i's count database
+    straight from its columns, with no vector or record per row.
+    ``records(i)`` makes config i's counts as float64 and their values, one
+    array each, for its query records, each vector a view of both.
     """
 
     def __init__(self, configs: Sequence[tuple[str, RasterSpec]]) -> None:
@@ -186,27 +178,29 @@ class _Columns:
         return self.cycles[i][0], self.counts[i][0]
 
     def database(self, i: int) -> DescriptorDatabase:
-        """Config i's database, built from its columns."""
+        """Config i's count database, built from its columns."""
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
-        lengths = _lengths(variant, spec, cycles)
-        if count_denominator(variant, spec) is None:
-            return DescriptorDatabase(spec, variant, self.ids, self.categories, lengths,
-                                      _values(variant, spec, counts, cycles))
         return DescriptorDatabase._of_counts(spec, variant, self.ids, self.categories,
-                                             lengths, counts)
+                                             _lengths(variant, spec, cycles), counts,
+                                             _dens(variant, spec, cycles))
 
     def records(self, i: int) -> list[DescriptorRecord]:
         """Config i's records, each vector a read-only view of one array of
-        their values, made here."""
+        their counts and one of their values, both made here (one array
+        for spiral_fixed, whose counts are their values)."""
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
+        counts = counts.astype(float)
         values = _values(variant, spec, counts, cycles)
         lengths = _lengths(variant, spec, cycles)
         ends = np.cumsum(lengths).tolist()
-        return [DescriptorRecord(rec_id, category, _counted(variant, spec, values[end - n:end]))
-                for rec_id, category, n, end in zip(self.ids, self.categories,
-                                                     lengths.tolist(), ends)]
+        return [DescriptorRecord(rec_id, category,
+                                 _counted(variant, spec, values[end - n:end], counts[end - n:end],
+                                          den))
+                for rec_id, category, n, end, den in zip(
+                    self.ids, self.categories, lengths.tolist(), ends,
+                    _dens(variant, spec, cycles).tolist())]
 
 
 def _extracted(shapes: Iterable[BinaryShape], columns: _Columns) -> Iterator[BinaryShape]:

@@ -1,61 +1,54 @@
 """Descriptor databases and Euclidean top-k retrieval.
 
 A database is stored by column: record ids, categories, vector lengths and
-one read-only, zero-padded, column-major ``(N, L_max)`` float64 matrix,
-which holds a count database's counts (below) and any other database's
-values. Every database is built from those columns, by the one
-constructor or, for counts a stream extracted, by
-DescriptorDatabase._of_counts. The experiments and ``cli index`` extract
-straight into columns of integer counts (see ``evaluation``), with no
-vector, record or float value per row;
+one read-only, zero-padded, column-major ``(N, L_max)`` float64 matrix.
+Every database the program builds or loads is a count database: its
+matrix holds whole counts, and each row has its own denominator, the
+sample count for circ_radial and spiral_full, 1 for spiral_fixed, the
+shape's cycle count for circ_angular, and 10^6 for a loaded file. A value
+is made, ``count / den`` and so bit for bit the value it stands for, only
+where one is read (``matrix``, a record or save_database's text). The
+experiments and ``cli index`` extract straight into columns of integer
+counts (see ``evaluation``), with no vector, record or float value per
+row, and DescriptorDatabase._of_counts builds from them;
 DescriptorDatabase.from_records builds one from records a library caller
 holds; load_database reads a RASTERDB v1 file (UTF-8 text, one labeled
 vector per line, lines separated by line feeds alone, at most
 MAX_DATABASE_BYTES) straight into the columns, in one columnar pass with
-no loop over the lines and no per-record objects. It reads values only in the fixed
-6-decimal notation save_database writes, a digit, a dot and six digits:
-every value of the file is checked and converted at once, as integer
-millionths, and any other token is a bad record. Only a file that pass
-refuses is read line by line, to name its first fault. A database is the
-sequence of its records, each built when it is read.
+no loop over the lines and no per-record objects. It reads values only in
+the fixed 6-decimal notation save_database writes, a digit, a dot and six
+digits: every value of the file is checked and read at once, as a whole
+count of millionths, and any other token is a bad record. Only a file that
+pass refuses is read line by line, to name its first fault. The public
+constructor keeps the values a caller gives it. A database is the sequence
+of its records, each built when it is read.
 
-Retrieval takes one of two scans.
+One exact rule ranks a query that carries its counts, as every extracted
+vector does, in a count database. Take the query's counts q over p and a
+row's counts c over m, and divide p and m by their gcd g, to P and M (g is
+p's gcd with every row's denominator, so M is each row's own). Then the
+row's key, (P |c|^2 - 2 M c.q) / M^2 = (p^2 d^2 - |q|^2) / P, is monotone
+in the row's distance d. Its numerator is an exact integer in float64,
+whatever the summation order, while P |c|^2 and 2 M |c| |q| are below
+2^53: each query checks that from the largest squared count norm and the
+largest row denominator, both kept at build. Under one denominator M is
+one number, and the numerators themselves rank the rows; for the query's
+own denominator P = M = 1, and the key is |c|^2 - 2 c.q. Under per-row
+denominators the key is the numerator over M^2, correctly rounded, so no
+two keys order rows against their exact distances: the rows at or below
+the k-th key hold the exact top k, and only they are ranked again, by
+exact integers. Either way, records at equal exact distance keep insertion
+order. A match's distance is sqrt(N / (p M)^2) from the exact integer N =
+|P c - M q|^2, P times the numerator plus M^2 |q|^2 in Python integers:
+the correctly rounded root of the correctly rounded squared distance, and
+bit for bit the float kernel's whenever that kernel's sum is exact.
 
-A count database is one whose every value is a whole count over its
-variant's one denominator (descriptor.count_denominator: the sample count
-for circ_radial and spiral_full, 1 for spiral_fixed), with every squared
-count norm at most descriptor.EXACT_NORM, so every database extracted in
-this package is one. Its matrix holds the counts, as float64, and no
-values: a value is made, ``count / den`` and so bit for bit the value it
-stands for, only where one is read (``matrix``, a record, save_database's
-text, or the float scan of a query not known to hold counts). A query
-known to hold such counts (ShapeVector's ``_exact`` flag, set by
-extraction for free) is ranked in integer arithmetic: one matrix-vector
-product gives each row's |c|^2 - 2 c.q, exact in float64 under that norm
-bound, so records at equal exact distance tie exactly and ties keep
-insertion order. The reported distance is sqrt(|c - q|^2 / den^2) from the
-exact integer |c - q|^2: the correctly rounded root of the correctly
-rounded squared distance, and bit for bit the float kernel's distance
-whenever that kernel's sum is exact (any power-of-two denominator).
-
-Every other database (circ_angular, whose shapes each divide by their own
-cycle count, loaded RASTERDB v1 files whose 6-decimal values are not such
-counts, or values built by hand) and every other query take the float
-scan, pruned by a proven bound. One matrix-vector product gives every
-row's squared distance to the query up to one rounding margin per query,
-set by the largest row norm R and the query's norm. The bound relies on
-ShapeVector and DescriptorDatabase refusing values outside [0, 1]: so R <=
-sqrt(L_max), and no NaN, inf or overflow reaches a ranking. Only the rows
-within twice that margin of the k-th smallest estimate go through the
-exact distance kernel. It squares the differences in place in the copy of
-those rows that indexing makes and reads each row's sum from the last
-column of a ``cumsum``, which adds strictly left to right: each row is
-summed the same way whatever rows it is given with. One stable sort by
-distance then ranks the candidates. So a query returns the same matches,
-bit for bit, as ranking every row with that kernel; ties keep insertion
-order among records at equal floating-point distance, which records at
-equal exact distance need not be. Datasets here are a few hundred to a few
-thousand records, and the benchmark harness times exactly these scans.
+A query past that bound or built from values, and any query in a database
+built from values, takes the float kernel, _distances, over every row and
+one stable sort: records at equal floating-point distance keep insertion
+order. No workload of the program reaches it. Datasets here are a few
+hundred to a few thousand records, and the benchmark harness times exactly
+these scans.
 """
 
 from __future__ import annotations
@@ -69,14 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor import (
-    EXACT_NORM,
-    ShapeVector,
-    check_unit_range,
-    count_denominator,
-    variant_kind,
-    whole_counts,
-)
+from .descriptor import ShapeVector, _counted, check_unit_range, variant_kind
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
 from .shape_io import read_bounded
@@ -105,11 +91,8 @@ _DOT, _COMMA = np.frombuffer(b".,", np.uint8) - ord("0")
 _MICRO = 1_000_000
 # 10, 100, ..., 10^18: a count has one digit more than these it is not below
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
-# query()'s pruning margin, derived in _candidates: its slack over the worst
-# rounding error, the unit roundoff and the smallest subnormal
-_SLACK = 16
-_UNIT = 2.0 ** -53
-_TINY = 2.0 ** -1074
+# every integer below this is exact in float64
+_EXACT = 1 << 53
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +114,12 @@ class DescriptorDatabase(Sequence):
     itself.
 
     A count database (see the module docstring) holds one matrix,
-    ``_counts``: the values times their denominator ``_den``, as float64
-    in the same layout, with their squared row norms. Its values are made,
-    ``counts / den``, only where they are read: ``matrix`` and each record
-    make theirs at each read. Any other database holds its values,
-    ``_values``, with their squared row norms and the largest row norm,
-    and None in the count fields.
+    ``_counts``: whole counts as float64 in the same layout, row i over
+    ``_dens[i]``, with half of each row's squared norm, the largest squared
+    norm and the gcd and largest of the denominators. Its values are made, ``counts
+    / den``, only where they are read: ``matrix`` and each record, whose
+    vector carries its counts, make theirs at each read. A database built
+    from values holds them, ``_values``, and None in the count fields.
     """
 
     spec: RasterSpec
@@ -145,21 +128,18 @@ class DescriptorDatabase(Sequence):
     categories: tuple[str, ...]
     lengths: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
-    _den: int | None = field(repr=False)  # a count database's one denominator
     _counts: np.ndarray | None = field(repr=False)  # a count database's counts
-    _count_norms: np.ndarray | None = field(repr=False)  # each row of _counts' squared norm
-    _values: np.ndarray | None = field(repr=False)  # any other database's values
-    _norms: np.ndarray | None = field(repr=False)  # each row of _values' squared norm
-    _radius: float | None = field(repr=False)  # the largest row norm of _values
+    _dens: np.ndarray | None = field(repr=False)  # each row of _counts' denominator, as float64
+    _half_norms: np.ndarray | None = field(repr=False)  # each row of _counts' squared norm / 2
+    _norm_max: int = field(repr=False)  # the largest squared norm of a row of _counts
+    _den_gcd: int = field(repr=False)  # the gcd of _dens
+    _den_max: int = field(repr=False)  # the largest of _dens
+    _values: np.ndarray | None = field(repr=False)  # a database built from values
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
                  categories: Sequence[str], lengths: Sequence[int], values) -> None:
-        """``values``: every record's values in record order, each in [0, 1] (else ValueError).
-
-        The database is a count database, holding no values, when they are
-        whole counts over the variant's one denominator (and within
-        descriptor.EXACT_NORM): each then reads back bit for bit.
-        """
+        """``values``: every record's values in record order, each in [0, 1]
+        (else ValueError), kept as they are and ranked by the float kernel."""
         variant_kind(variant, spec)
         ids, categories = tuple(ids), tuple(categories)
         lengths = np.array(lengths, dtype=np.intp)
@@ -168,31 +148,39 @@ class DescriptorDatabase(Sequence):
                 or lengths.sum() != values.size):
             raise ValueError("ids, categories, lengths and values do not agree")
         check_unit_range(values)
-        self._fill(spec, variant, ids, categories, lengths, values, counted=False)
+        self._fill(spec, variant, ids, categories, lengths, values)
 
     @classmethod
     def _of_counts(cls, spec: RasterSpec, variant: str, ids: Sequence[str],
-                   categories: Sequence[str], lengths: Sequence[int],
-                   counts: np.ndarray) -> DescriptorDatabase:
-        """The database of extracted ``counts``, every record's whole counts
-        over count_denominator(), in record order and any unsigned dtype:
-        the constructor's database of their values, built with no values.
-        ``variant`` and ``spec`` are checked and ``lengths`` sum to the counts.
+                   categories: Sequence[str], lengths: Sequence[int], counts: np.ndarray,
+                   dens) -> DescriptorDatabase:
+        """The count database of ``counts``, every record's whole counts in
+        record order and any real dtype, record i's over ``dens[i]`` (or
+        over ``dens`` for every record), positive integers: the database of
+        their values, built with no values. ValueError if a count lies
+        outside [0, its denominator]. ``variant`` and ``spec`` are checked
+        and ``lengths`` sum to the counts.
         """
-        if int(counts.max(initial=0)) > count_denominator(variant, spec):
-            raise ValueError("descriptor values must lie in [0, 1]")
         db = object.__new__(cls)
-        db._fill(spec, variant, tuple(ids), tuple(categories), np.array(lengths, dtype=np.intp),
-                 counts, counted=True)
+        ids = tuple(ids)
+        db._fill(spec, variant, ids, tuple(categories), np.array(lengths, dtype=np.intp),
+                 counts, np.broadcast_to(dens, len(ids)).astype(np.int64))
         return db
 
     def _fill(self, spec: RasterSpec, variant: str, ids: tuple[str, ...],
               categories: tuple[str, ...], lengths: np.ndarray, flat: np.ndarray,
-              counted: bool) -> None:
+              dens: np.ndarray | None = None) -> None:
         """Set every field from columns that agree: ``flat`` holds every
-        record's values in [0, 1], or if ``counted`` their whole counts over
-        count_denominator(). ValueError past MAX_DATABASE_VALUES or at a
-        repeated id, before the matrix is allocated."""
+        record's values in [0, 1], or with ``dens`` their whole counts, row
+        i's over ``dens[i]``. ValueError at a count outside [0, its
+        denominator], past MAX_DATABASE_VALUES or at a repeated id, before
+        the matrix is allocated."""
+        if dens is not None:
+            den_gcd, den_max = int(np.gcd.reduce(dens)), int(dens.max(initial=0))
+            low, high = float(flat.min(initial=0)), float(flat.max(initial=0))
+            if (dens.min(initial=1) < 1 or not (low >= 0 and high <= den_max)
+                    or den_gcd != den_max and not (flat <= np.repeat(dens, lengths)).all()):
+                raise ValueError("descriptor values must lie in [0, 1]")
         n, width = len(ids), int(lengths.max(initial=0))
         _check_size(n, width)
         rows = dict(zip(ids, range(n)))
@@ -202,37 +190,27 @@ class DescriptorDatabase(Sequence):
                 if rec_id in seen:
                     raise ValueError(f"duplicate record id {rec_id!r}")
                 seen.add(rec_id)
-        den = count_denominator(variant, spec)
-        if den is not None and not counted:
-            # the first row first: a loaded file's 6-decimal values fail there at once
-            first = flat[:lengths[0]] if n else flat
-            counts = None if whole_counts(first, den) is None else whole_counts(flat, den)
-            flat, den = (flat, None) if counts is None else (counts, den)
         matrix = np.zeros((n, width), order="F")
         matrix[np.arange(width) < lengths[:, np.newaxis]] = flat
-        counts = count_norms = norms = radius = None
-        if den is not None:
-            count_norms = np.einsum("ij,ij->i", matrix, matrix)
-            if count_norms.max(initial=0.0) <= EXACT_NORM:
-                counts, matrix = matrix, None
-            else:  # the values, bit for bit: each is a whole count over den
-                matrix /= den
-                den = count_norms = None
-        if matrix is not None:
-            norms = np.einsum("ij,ij->i", matrix, matrix)  # read by query's bound
-            radius = math.sqrt(norms.max(initial=0.0))
-        for array in (lengths, counts, count_norms, matrix, norms):
+        counted = dict(_counts=None, _dens=None, _half_norms=None, _norm_max=0, _den_gcd=0,
+                       _den_max=0, _values=matrix)
+        if dens is not None:
+            norms = np.einsum("ij,ij->i", matrix, matrix)
+            counted = dict(_counts=matrix, _dens=dens.astype(float),
+                           _norm_max=int(norms.max(initial=0)),
+                           _half_norms=np.multiply(norms, 0.5, out=norms), _den_gcd=den_gcd,
+                           _den_max=den_max, _values=None)
+        for array in (lengths, matrix, counted["_dens"], counted["_half_norms"]):
             if array is not None:
                 array.flags.writeable = False
         vars(self).update(spec=spec, variant=variant, ids=ids, categories=categories,
-                          lengths=lengths, _rows=rows, _den=den, _counts=counts,
-                          _count_norms=count_norms, _values=matrix, _norms=norms,
-                          _radius=radius)
+                          lengths=lengths, _rows=rows, **counted)
 
     @classmethod
     def from_records(cls, spec: RasterSpec, variant: str,
                      records: Iterable[DescriptorRecord]) -> DescriptorDatabase:
-        """The database of ``records``, each extracted under ``spec`` and ``variant``."""
+        """The database of ``records``, each extracted under ``spec`` and
+        ``variant``: a count database if every vector carries its counts."""
         records = tuple(records)
         for rec in records:
             vector = rec.vector
@@ -241,10 +219,13 @@ class DescriptorDatabase(Sequence):
                 raise ValueError(
                     f"record {rec.id!r} was extracted under a different spec/variant"
                 )
-        values = [rec.vector.values for rec in records]
-        return cls(spec, variant, [rec.id for rec in records],
-                   [rec.category for rec in records], [v.size for v in values],
-                   np.concatenate([np.empty(0), *values]))
+        vectors = [rec.vector for rec in records]
+        columns = (spec, variant, [rec.id for rec in records],
+                   [rec.category for rec in records], [v.values.size for v in vectors])
+        if all(v._counts is not None for v in vectors):
+            counts = np.concatenate([np.empty(0), *(v._counts for v in vectors)])
+            return cls._of_counts(*columns, counts, [v._den for v in vectors])
+        return cls(*columns, np.concatenate([np.empty(0), *(v.values for v in vectors)]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -252,7 +233,7 @@ class DescriptorDatabase(Sequence):
         database makes them, ``counts / den``, at each read."""
         if self._counts is None:
             return self._values
-        matrix = self._counts / self._den
+        matrix = self._counts / self._dens[:, np.newaxis]
         matrix.flags.writeable = False
         return matrix
 
@@ -267,23 +248,18 @@ class DescriptorDatabase(Sequence):
         i = range(len(self))[i]
         if isinstance(i, range):  # a slice
             return [self[j] for j in i]
-        vector = ShapeVector(self.variant, self.spec, self._row(i))
+        if self._counts is None:
+            vector = ShapeVector(self.variant, self.spec, self._row(i))
+        else:  # an extracted record's vector, with its counts
+            vector = _counted(self.variant, self.spec, self._row(i),
+                              self._counts[i, :self.lengths[i]], int(self._dens[i]))
         return DescriptorRecord(self.ids[i], self.categories[i], vector)
 
     def _row(self, i: int) -> np.ndarray:
         """Record i's values: a view of ``_values``, or made from its counts."""
         if self._counts is None:
             return self._values[i, :self.lengths[i]]
-        return self._counts[i, :self.lengths[i]] / self._den
-
-    def _scanned(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The float scan's (matrix, squared row norms, largest row norm),
-        which a count database makes, as any other keeps them, at each call."""
-        if self._counts is None:
-            return self._values, self._norms, self._radius
-        matrix = self.matrix
-        norms = np.einsum("ij,ij->i", matrix, matrix)
-        return matrix, norms, math.sqrt(norms.max(initial=0.0))
+        return self._counts[i, :self.lengths[i]] / self._dens[i]
 
 
 def _check_size(n: int, width: int) -> None:
@@ -338,34 +314,48 @@ def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 def distance(a: ShapeVector, b: ShapeVector) -> float:
     """Euclidean distance; the shorter vector is zero-padded to the longer.
 
-    Two vectors that both hold exact counts are compared as query() compares
-    them in a count database, from the exact integer squared distance, so a
-    match there reports the very distance this returns; any other pair goes
-    through the float kernel.
+    Two vectors that both carry their counts are compared as query()
+    compares them in a count database, from the exact integer squared
+    distance, so a match there reports the very distance this returns; any
+    other pair, or one past the exact bound, goes through the float kernel.
     """
     if a.variant != b.variant or a.spec != b.spec:
         raise IncompatibleVectorError(
             f"cannot compare {a.variant}/{a.spec} with {b.variant}/{b.spec}"
         )
-    if a._exact and b._exact:
-        den = count_denominator(a.variant, a.spec)
-        if a.values.size < b.values.size:
-            a, b = b, a
-        diff = np.rint(a.values * den)
-        diff[:b.values.size] -= np.rint(b.values * den)
-        return math.sqrt(float(diff @ diff) / (den * den))
+    if a._counts is not None and b._counts is not None:
+        # a as the query, over p, and b as the row, over m (module docstring)
+        p, m = a._den, b._den
+        g = math.gcd(p, m)
+        big_p, big_m = p // g, m // g
+        a_norm, b_norm = int(a._counts @ a._counts), int(b._counts @ b._counts)
+        if _within_exact(big_p, big_m, b_norm, a_norm):
+            width = min(a.values.size, b.values.size)
+            dot = int(a._counts[:width] @ b._counts[:width])
+            exact = big_p * (big_p * b_norm - 2 * big_m * dot) + big_m * big_m * a_norm
+            return math.sqrt(exact / (p * big_m) ** 2)
     return float(_distances(b.values[np.newaxis].copy(), a.values)[0])
+
+
+def _within_exact(big_p: int, big_m: int, c_norm: int, q_norm: int) -> bool:
+    """Whether P |c|^2, 2 M |c| |q|, M^2 and |q|^2 are below 2^53, for
+    squared count norms |c|^2 and |q|^2: then P |c|^2 - 2 M c.q, every term
+    and partial sum of it in any order, M^2 and |q|^2 are exact integers in
+    float64. The test is in integers, 2 M |c| |q| squared."""
+    return (big_p * c_norm < _EXACT and q_norm < _EXACT and big_m * big_m < _EXACT
+            and 4 * big_m * big_m * c_norm * q_norm < _EXACT * _EXACT)
 
 
 def query(db: DescriptorDatabase, q: ShapeVector, k: int,
           exclude_id: str | None = None) -> list[Match]:
     """The k records nearest to ``q``, ascending by distance.
 
-    Ties keep database insertion order: ties at equal exact distance in a
-    count database, ties at equal floating-point distance otherwise (see
-    the module docstring). ``exclude_id`` drops one record
-    (used for leave-self-out evaluation). Returns fewer than k matches only
-    when the database, after exclusion, is smaller than k.
+    Ties keep database insertion order: ties at equal exact distance for a
+    query that carries its counts in a count database, ties at equal
+    floating-point distance otherwise (see the module docstring).
+    ``exclude_id`` drops one record (used for leave-self-out evaluation).
+    Returns fewer than k matches only when the database, after exclusion,
+    is smaller than k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -377,91 +367,62 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
     excluded = db._rows.get(exclude_id)
     if len(db) == (excluded is not None):  # no record, or only the excluded one
         raise EmptyDatabaseError("no records to query (database empty after exclusion)")
-    if q._exact and db._counts is not None:
-        return _exact_matches(db, q.values, k, excluded)
-    matrix, norms, radius = db._scanned()
-    rows = _candidates(matrix, norms, radius, q.values, k, excluded)
-    dists = _distances(matrix[rows], q.values).tolist()
-    rows = rows.tolist()
-    # the rows ascend, so a stable sort by distance keeps ties in insertion order
-    return [Match(db.ids[rows[j]], db.categories[rows[j]], dists[j])
-            for j in sorted(range(len(rows)), key=dists.__getitem__)[:k]]
+    if q._counts is not None and db._counts is not None:
+        matches = _exact_matches(db, q, k, excluded)
+        if matches is not None:
+            return matches
+    dists = _distances(db.matrix.copy(), q.values)
+    # a stable sort keeps ties in insertion order
+    rows = [i for i in np.argsort(dists, kind="stable").tolist() if i != excluded][:k]
+    return [Match(db.ids[i], db.categories[i], float(dists[i])) for i in rows]
 
 
-def _exact_matches(db: DescriptorDatabase, q: np.ndarray, k: int,
-                   excluded: int | None) -> list[Match]:
-    """query() in a count database for ``q``, whole counts over its denominator.
+def _exact_matches(db: DescriptorDatabase, q: ShapeVector, k: int,
+                   excluded: int | None) -> list[Match] | None:
+    """query() by the exact rule of the module docstring, for ``q`` and
+    ``db`` that both hold counts; None past its bound.
 
-    With c a row's counts and q the query's, |c - q|^2 = |c|^2 - 2 c.q + |q|^2
-    and every term is an exact integer (descriptor.EXACT_NORM), so ``gram``,
-    |c|^2 - 2 c.q from one matrix-vector product, ranks the rows exactly.
-    The rows at or below its k-th value, the excluded one set to inf, are
-    taken in insertion order, so one stable sort ranks exact ties in that
-    order too. Doubling is exact, so ``rint(q * -2 den)`` is -2 times the
-    query's counts.
+    ``num`` is half each row's key numerator, P |c|^2 / 2 - M c.q, from one
+    matrix-vector product and one subtraction from the halved squared row
+    norms: a multiple of 1/2 below 2^52, so exact too. The rows at or below
+    the k-th key, the excluded one set to inf, are taken in insertion
+    order, so one stable sort by an exact number ranks exact ties in that
+    order too.
     """
-    den = db._den
-    q = q * (-2 * den)
-    np.rint(q, out=q)
-    counts = db._counts
-    head = q[:counts.shape[1]]
-    gram = counts[:, :head.size] @ head
-    gram += db._count_norms
+    p, counts = q._den, db._counts
+    g = math.gcd(p, db._den_gcd)
+    big_p, big_m = p // g, db._den_max // g
+    q_norm = int(q._counts @ q._counts)
+    if not _within_exact(big_p, big_m, db._norm_max, q_norm):
+        return None
+    one = db._den_gcd == db._den_max  # every row's denominator is big_m
+    head = q._counts[:counts.shape[1]]
+    num = counts[:, :head.size] @ head
+    if not one:
+        m = db._dens if g == 1 else db._dens // g
+        num *= m
+    elif big_m != 1:
+        num *= big_m
+    np.subtract(db._half_norms if big_p == 1 else db._half_norms * big_p, num, out=num)
+    key = num if one else num / (m * m)
     if excluded is not None:
-        gram[excluded] = np.inf
-    at = min(k, gram.size - (excluded is not None)) - 1
-    rows = (gram <= np.partition(gram, at)[at]).nonzero()[0]
-    grams = gram[rows].tolist()
-    rows = rows.tolist()
-    q_norm = float(q @ q) / 4
-    scale = den * den
+        key[excluded] = np.inf
+    at = min(k, key.size - (excluded is not None)) - 1
+    rows = (key <= np.partition(key, at)[at]).nonzero()[0]
+    nums, rows = num[rows].tolist(), rows.tolist()
+    two_p = 2 * big_p  # N = 2 P num + M^2 |q|^2
+    if one:  # the numerators rank exactly
+        mq, scale = big_m * big_m * q_norm, (p * big_m) ** 2
+        return [Match(db.ids[rows[j]], db.categories[rows[j]],
+                      math.sqrt((int(two_p * nums[j]) + mq) / scale))
+                for j in sorted(range(len(rows)), key=nums.__getitem__)[:k]]
+    # over one common denominator, lcm(M)^2, the numerators rank exactly
+    ms = [int(mj) for mj in m[rows].tolist()]
+    common = math.lcm(*ms) ** 2
+    exact = [int(2 * n) * (common // (mj * mj)) for n, mj in zip(nums, ms)]
     return [Match(db.ids[rows[j]], db.categories[rows[j]],
-                  math.sqrt((grams[j] + q_norm) / scale))
-            for j in sorted(range(len(rows)), key=grams.__getitem__)[:k]]
-
-
-def _candidates(matrix: np.ndarray, norms: np.ndarray, radius: float, q: np.ndarray,
-                k: int, excluded: int | None) -> np.ndarray:
-    """The rows but ``excluded``, ascending, that can be among the k nearest to ``q``.
-
-    Why no row of the exact top k is dropped: pad every row ``r`` and ``q``
-    with zeros to W = max(width, len(q)), and let u = 2^-53, R the largest
-    row norm, ``radius``, and M = (R + |q|)^2, which bounds every |r - q|^2
-    and every term and partial sum below, whatever the row. The bound
-    relies on every value lying in [0, 1]: then M <= 4 W, so nothing
-    overflows or is NaN.
-
-    - ``approx`` is the Gram form |r|^2 - 2 r.q, from the rows' ``norms`` and
-      one matrix-vector product with -2 q; it leaves out |q|^2, the same for
-      every row. In any summation order, BLAS's included, it is within
-      about (W + 2) u M of the exact |r - q|^2 - |q|^2.
-    - _distances sums (r_i - q_i)^2 left to right, as ``cumsum`` adds, so
-      its square is within (W + 2) u M of the exact one too.
-    - Underflow adds at most about W + 2 smallest subnormals to either.
-
-    So e = (W + 2) (u M + 2^-1074) bounds both errors for every row, and
-    ``err`` is _SLACK = 16 times it. Let ``kth`` be the k-th smallest
-    ``approx``, the excluded row aside: k rows have kernel squares at most
-    kth + |q|^2 + 2e. A row kept out has ``approx`` above the computed
-    kth + 2 err, which rounding puts at most e below the exact sum, so its
-    kernel square is above kth + |q|^2 + 2 err - 3e. The gap is over 27 e:
-    as W + 2 >= 2, over 50 u times the larger square (or 54 subnormals),
-    and two squares 6 u apart already have distinct correctly rounded
-    square roots. So a pruned row is strictly farther than k others, and no
-    tie-break can bring it back. With k at or above the rows left, ``kth`` is
-    the largest finite ``approx``, so every row but the excluded one is kept.
-    """
-    n, width = matrix.shape
-    head = q[:width]
-    approx = matrix[:, :head.size] @ (head * -2)
-    approx += norms
-    reach = radius + math.sqrt(q @ q)
-    err = _SLACK * (max(width, q.size) + 2) * (reach * reach * _UNIT + _TINY)
-    if excluded is not None:
-        approx[excluded] = np.inf
-    at = min(k, n - (excluded is not None)) - 1
-    kth = float(np.partition(approx, at)[at])
-    return (approx <= kth + 2 * err).nonzero()[0]
+                  math.sqrt((int(two_p * nums[j]) + ms[j] * ms[j] * q_norm) / (p * ms[j]) ** 2))
+            for j in sorted(range(len(rows)), key=exact.__getitem__)[:k]]
 
 
 def _header_line(spec: RasterSpec, variant: str) -> str:
@@ -589,9 +550,10 @@ def _columns(spec: RasterSpec, variant: str, text: str) -> DescriptorDatabase | 
     separator are 9 bytes, so a line's value count is the bytes after its
     third tab, its line feed included, over 9. Each length field must spell
     its count as str() does: as many bytes as the count has digits, each
-    the count's digit of its place. _micro_units then checks every value;
-    ValueError from the constructor is a duplicate id, a value outside
-    [0, 1] or the size cap.
+    the count's digit of its place. _micro_units then checks every value,
+    and the database holds them as counts of millionths; ValueError from
+    DescriptorDatabase._of_counts is a duplicate id, a value outside [0,
+    1] or the size cap.
     """
     if not text.endswith("\n"):  # the last line may end without one
         text += "\n"
@@ -624,8 +586,8 @@ def _columns(spec: RasterSpec, variant: str, text: str) -> DescriptorDatabase | 
     micro, bad = _micro_units(fields[4::4])
     if bad is not None:
         return None
-    micro /= _MICRO
-    return DescriptorDatabase(spec, variant, fields[1::4], fields[2::4], found, micro)
+    return DescriptorDatabase._of_counts(spec, variant, fields[1::4], fields[2::4], found, micro,
+                                         _MICRO)
 
 
 def _first_fault(text: str) -> str | None:

@@ -360,16 +360,19 @@ def iter_directory(directory, threshold: int = 127,
     """Decode each .pbm/.pgm file in ``directory`` when it is reached, sorted by filename.
 
     The directory is listed at the first step, before anything is decoded;
-    a listing with no .pbm/.pgm file raises DatasetError naming ``directory``,
-    and two files with one stem (``a-1.pgm`` and ``a-1.pbm``) would give two
-    shapes one id, so they raise DatasetError naming both.
+    a listing with no .pbm/.pgm entry raises DatasetError naming
+    ``directory``, and so does an entry so named that is not a regular file
+    (a subdirectory, or a link to nothing), naming the entry; two files with
+    one stem (``a-1.pgm`` and ``a-1.pbm``) would give two shapes one id, so
+    they raise DatasetError naming both.
     """
-    paths = sorted(p for p in Path(directory).iterdir()
-                   if p.is_file() and p.suffix.lower() in (".pbm", ".pgm"))
+    paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in (".pbm", ".pgm"))
     if not paths:
         raise DatasetError(f"no input images (.pbm/.pgm) in '{directory}'")
     seen: dict[str, Path] = {}
     for p in paths:
+        if not p.is_file():
+            raise DatasetError(f"{p.name} in '{directory}' is not a regular file")
         if p.stem in seen:
             raise DatasetError(f"{seen[p.stem].name} and {p.name} would share the id {p.stem!r}")
         seen[p.stem] = p

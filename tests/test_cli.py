@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rastershape import matcher
 from rastershape.cli import build_parser, main
+from rastershape.descriptor import VARIANTS
 from rastershape.evaluation import (
     STANDARD_OCCLUSION_CONFIGS,
     OcclusionReport,
@@ -57,6 +59,17 @@ def test_index_unreadable_image_named(tmp_path, capsys):
     assert "broken-1" in capsys.readouterr().err
 
 
+def test_index_refuses_an_image_entry_that_is_not_a_file(toy_dir, tmp_path, capsys):
+    # x-1.pgm, a link to nothing, and y-1.pgm, a subdirectory, among the
+    # toy images: the index exits 2 naming the first, and writes nothing
+    (toy_dir / "x-1.pgm").symlink_to(tmp_path / "nonexistent")
+    (toy_dir / "y-1.pgm").mkdir()
+    out = tmp_path / "x.rdb"
+    assert main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)]) == 2
+    assert f"x-1.pgm in '{toy_dir}' is not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_query_self_match_and_format(toy_dir, tmp_path, capsys):
     out = tmp_path / "toy.rdb"
     main(["index", str(toy_dir), "--variant", "circ_radial", "--out", str(out)])
@@ -71,32 +84,38 @@ def test_query_self_match_and_format(toy_dir, tmp_path, capsys):
 
 def test_workloads_make_no_value_matrix_of_a_count_database(toy_dir, tmp_path, capsys,
                                                            monkeypatch):
-    # a count database holds its counts alone: index, an extracted query of
-    # a loaded count database (samples 8: each count over 8 is exact in 6
-    # decimals), sweep and occlude make neither its matrix of values nor
-    # the float scan's
-    made = []
+    # every database index, sweep and occlude build, and every loaded file,
+    # holds its counts alone and ranks every extracted query by the exact
+    # rule: for all four variants at 24 samples (not a power of two, so a
+    # count over 24 is not exact in 6 decimals), none makes a count
+    # database's matrix of values or runs the float kernel
+    made, kernel = [], []
+    matrix, distances = DescriptorDatabase.matrix.fget, matcher._distances
 
-    def watched(method):
-        def read(db):
-            if db._counts is not None:
-                made.append(db.variant)
-            return method(db)
-        return read
+    def watched(db):
+        if db._counts is not None:
+            made.append(db.variant)
+        return matrix(db)
 
-    monkeypatch.setattr(DescriptorDatabase, "matrix",
-                        property(watched(DescriptorDatabase.matrix.fget)))
-    monkeypatch.setattr(DescriptorDatabase, "_scanned", watched(DescriptorDatabase._scanned))
+    def float_kernel(rows, q):
+        kernel.append(rows.shape)
+        return distances(rows, q)
+
+    monkeypatch.setattr(DescriptorDatabase, "matrix", property(watched))
+    monkeypatch.setattr(matcher, "_distances", float_kernel)
     out = tmp_path / "toy.rdb"
-    for variant in ("circ_radial", "spiral_full", "spiral_fixed"):
+    for variant in VARIANTS:
         assert main(["index", str(toy_dir), "--variant", variant, "--sep", "8",
-                     "--samples", "8", "--out", str(out)]) == 0
+                     "--samples", "24", "--out", str(out)]) == 0
         assert load_database(out)._counts is not None
-        assert main(["query", str(out), str(toy_dir / "disk-1.pgm")]) == 0
+        for image in sorted(toy_dir.iterdir()):
+            assert main(["query", str(out), str(image)]) == 0
         assert main(["sweep", str(toy_dir), "--variant", variant, "--seps", "8", "16",
-                     "--samples", "4", "8"]) == 0
+                     "--samples", "24", "7"]) == 0
+        assert main(["occlude", str(toy_dir), "--variant", variant, "--seps", "8",
+                     "--samples", "24"]) == 0
     assert main(["occlude", str(toy_dir)]) == 0
-    assert made == []
+    assert made == [] and kernel == []
     load_database(out).matrix  # the watch sees a read
     assert made == ["spiral_fixed"]
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -15,10 +16,10 @@ from hypothesis.extra.numpy import arrays
 from rastershape.descriptor import (
     CIRC_ANGULAR,
     CIRC_RADIAL,
-    EXACT_NORM,
     SPIRAL_FIXED,
     SPIRAL_FULL,
     ShapeVector,
+    _counted,
     count_denominator,
 )
 from rastershape.errors import (
@@ -33,6 +34,7 @@ from rastershape.matcher import (
     DescriptorRecord,
     Match,
     _distances,
+    _within_exact,
     distance,
     load_database,
     query,
@@ -374,118 +376,156 @@ def test_long_query_memory_bounded():
 
 # --------------------------------------------------------------- exact scan
 
-def exact_topk(rows, q, den, k, exclude=None):
-    """The exact rational top k: ``rows`` and ``q`` are lists of counts over
-    ``den``, zero-padded to one length. Rows rank by squared distance as a
-    Fraction, then by insertion index; each distance is the correctly
-    rounded root of the correctly rounded square. (row, distance) pairs."""
-    def square(row):
+def exact_topk(rows, dens, q, p, k, exclude=None):
+    """The exact rational top k: ``rows`` are lists of counts, row i's over
+    ``dens[i]``, and ``q`` counts over ``p``, zero-padded to one length.
+    Rows rank by squared distance as a Fraction, then by insertion index;
+    each distance is the correctly rounded root of the correctly rounded
+    square. (row, distance) pairs."""
+    def square(row, m):
         width = max(len(row), len(q))
         a, b = list(row) + [0] * (width - len(row)), list(q) + [0] * (width - len(q))
-        return sum((Fraction(x, den) - Fraction(y, den)) ** 2 for x, y in zip(a, b))
-    ranked = sorted((square(row), i) for i, row in enumerate(rows) if i != exclude)
+        return sum((Fraction(x, m) - Fraction(y, p)) ** 2 for x, y in zip(a, b))
+    ranked = sorted((square(row, m), i) for i, (row, m) in enumerate(zip(rows, dens))
+                    if i != exclude)
     return [(i, math.sqrt(float(sq))) for sq, i in ranked[:k]]
 
 
-def counts_db(rows, variant, spec):
-    den = count_denominator(variant, spec)
-    return DescriptorDatabase.from_records(spec, variant, [
-        DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector(variant, spec, np.array(row) / den))
-        for i, row in enumerate(rows)])
+def counts_db(rows, variant, spec, dens):
+    """The count database of ``rows``, lists of counts, row i's over dens[i]
+    (or over ``dens`` for every row), through the count constructor."""
+    return DescriptorDatabase._of_counts(
+        spec, variant, [f"r-{i}" for i in range(len(rows))],
+        [f"c{i % 3}" for i in range(len(rows))], [len(row) for row in rows],
+        np.array([c for row in rows for c in row], dtype=float), dens)
+
+
+def counts_vector(counts, variant, spec, den):
+    """An extracted vector's form: its counts over ``den`` and their values."""
+    counts = np.array(counts, dtype=float)
+    return _counted(variant, spec, counts / den, counts, den)
+
+
+@contextlib.contextmanager
+def float_kernel_forbidden():
+    """Fail on any call of the float kernel, which the exact rule never makes."""
+    def forbidden(rows, q):
+        raise AssertionError("the float kernel ran")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rastershape.matcher._distances", forbidden)
+        yield
+
+
+ONE_DENOMINATOR = [
+    (CIRC_RADIAL, RasterSpec("circular", 8, 3)), (CIRC_RADIAL, SPEC),
+    (SPIRAL_FULL, RasterSpec("spiral", 8, 7)), (SPIRAL_FIXED, RasterSpec("spiral", 8, 24)),
+    (CIRC_RADIAL, RasterSpec("circular", 8, 49)),  # (1 / 49) * 49 rounds below 1
+    (CIRC_RADIAL, RasterSpec("circular", 8, (1 << 21) - 1))]
 
 
 @st.composite
 def count_cases(draw):
-    """Counts over one denominator: few distinct counts, so exact ties are
-    common; near 2^21 (the largest s), one count per vector keeps the
-    squared count norm within EXACT_NORM."""
-    variant, spec = draw(st.sampled_from([
-        (CIRC_RADIAL, RasterSpec("circular", 8, 3)), (CIRC_RADIAL, SPEC),
-        (SPIRAL_FULL, RasterSpec("spiral", 8, 7)), (SPIRAL_FIXED, RasterSpec("spiral", 8, 24)),
-        (CIRC_RADIAL, RasterSpec("circular", 8, 49)),  # (1 / 49) * 49 rounds below 1
-        (CIRC_RADIAL, RasterSpec("circular", 8, (1 << 21) - 1))]))
-    den = count_denominator(variant, spec)
-    counts = st.sampled_from(sorted({0, 1, den // 3, den // 2, den - 1, den}))
-    vectors = st.lists(counts, max_size=1 if den > 1 << 20 else 6)
-    rows = draw(st.lists(vectors, max_size=12))
-    q = draw(vectors)
+    """Counts over one denominator, counts over per-row denominators (as
+    circ_angular's cycle counts), or rows over 10^6 (as a loaded file's)
+    with a query over 24: few distinct counts, so exact ties are common;
+    near 2^21 (the largest s), one count per vector."""
+    kind = draw(st.sampled_from(("one", "rows", "loaded")))
+    if kind == "one":
+        variant, spec = draw(st.sampled_from(ONE_DENOMINATOR))
+        p = count_denominator(variant, spec)
+        row_den = st.just(p)
+    elif kind == "rows":
+        variant, spec = CIRC_ANGULAR, RasterSpec("circular", 8, 4)
+        row_den = st.sampled_from((1, 2, 3, 4, 6, 7, 12))
+        p = draw(row_den)
+    else:
+        variant, spec, row_den, p = CIRC_RADIAL, SPEC, st.just(10 ** 6), 24
+
+    def vector(den):
+        counts = st.sampled_from(sorted({0, 1, den // 3, den // 2, den - 1, den}))
+        return draw(st.lists(counts, max_size=1 if den > 1 << 20 else 6))
+
+    dens = draw(st.lists(row_den, max_size=12))
+    rows = [vector(m) for m in dens]
+    q = vector(p)
     k = draw(st.integers(1, len(rows) + 2))
     exclude = draw(st.none() | st.integers(0, len(rows)))
-    return variant, spec, rows, q, k, exclude
+    return variant, spec, rows, dens, q, p, k, exclude
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=count_cases())
-@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 6), [[4, 4], [6, 4]], [5, 2], 1, None))
-@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 49), [[0], [2]], [1], 2, None))
+@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 6), [[4, 4], [6, 4]], [6, 6], [5, 2], 6,
+               1, None))
+@example(case=(CIRC_RADIAL, RasterSpec("circular", 8, 49), [[0], [2]], [49, 49], [1], 49, 2,
+               None))
+@example(case=(CIRC_ANGULAR, RasterSpec("circular", 8, 4), [[1, 1], [2, 2], [0, 3]], [3, 6, 7],
+               [1, 1], 3, 1, 0))
+# keys -1 + 1/m^2 that round to one float: only the exact compare puts the
+# second row, exactly nearer, first
+@example(case=(CIRC_ANGULAR, RasterSpec("circular", 8, 4), [[999949], [999950]],
+               [999950, 999951], [1], 1, 2, None))
 def test_count_database_query_is_the_exact_rational_top_k(case):
-    variant, spec, rows, q, k, exclude = case
-    db = counts_db(rows, variant, spec)
-    den = count_denominator(variant, spec)
-    query_vector = ShapeVector(variant, spec, np.array(q) / den)
-    assert db._counts is not None and query_vector._exact
+    variant, spec, rows, dens, q, p, k, exclude = case
+    db = counts_db(rows, variant, spec, dens)
+    query_vector = counts_vector(q, variant, spec, p)
     exclude_id = None if exclude is None else f"r-{exclude}"
-    expected = exact_topk(rows, q, den, k, exclude)
-    if not expected:
-        with pytest.raises(EmptyDatabaseError):
-            query(db, query_vector, k, exclude_id=exclude_id)
-        return
-    got = query(db, query_vector, k, exclude_id=exclude_id)
-    assert [(m.id, m.distance) for m in got] == [(f"r-{i}", dist) for i, dist in expected]
-    for m in got:
-        assert m.distance == distance(query_vector, db[int(m.id[2:])].vector)
+    expected = exact_topk(rows, dens, q, p, k, exclude)
+    with float_kernel_forbidden():
+        if not expected:
+            with pytest.raises(EmptyDatabaseError):
+                query(db, query_vector, k, exclude_id=exclude_id)
+            return
+        got = query(db, query_vector, k, exclude_id=exclude_id)
+        assert [(m.id, m.distance) for m in got] == [(f"r-{i}", dist) for i, dist in expected]
+        for m in got:
+            assert m.distance == distance(query_vector, db[int(m.id[2:])].vector)
 
 
 def test_exact_ties_keep_insertion_order_where_rounding_does_not():
     # both rows are sqrt(5)/6 from the query in exact arithmetic, yet the
     # float kernel puts the first a rounding above the second
     spec = RasterSpec("circular", 8, 6)
-    db = counts_db([[4, 4], [6, 4]], CIRC_RADIAL, spec)
-    q = ShapeVector(CIRC_RADIAL, spec, np.array([5, 2]) / 6)
+    db = counts_db([[4, 4], [6, 4]], CIRC_RADIAL, spec, 6)
+    q = counts_vector([5, 2], CIRC_RADIAL, spec, 6)
     floats = _distances(db.matrix.copy(), q.values)
     assert floats[0] > floats[1]
     tie = math.sqrt(5 / 36)
-    assert query(db, q, 2) == [Match("r-0", "c0", tie), Match("r-1", "c1", tie)]
-    assert query(db, q, 1) == [Match("r-0", "c0", tie)]
+    with float_kernel_forbidden():
+        assert query(db, q, 2) == [Match("r-0", "c0", tie), Match("r-1", "c1", tie)]
+        assert query(db, q, 1) == [Match("r-0", "c0", tie)]
 
 
 def test_count_norms_stay_within_the_exact_bound_at_the_lattice_cap():
     # An extract has n cycles x s samples <= MAX_LATTICE_POINTS, so its
     # squared count norm n s^2 is largest at n = 1 and s = MAX_LATTICE_POINTS:
-    # each cell below holds vectors of n counts s, that largest norm for its s
+    # each cell below holds vectors of n counts s, that largest norm for its
+    # s, and a query over the same s (P = M = 1) is ranked exactly
     for s in (3, 24, 1 << 10, (1 << 21) - 1, 1 << 21):
         spec = RasterSpec("circular", 8, s)
         n = MAX_LATTICE_POINTS // s
-        full, part = np.ones(n), np.full(n, (s // 3) / s)
-        db = DescriptorDatabase(spec, CIRC_RADIAL, ["full", "part", "none"], "abc",
-                                [n, n, 0], np.concatenate([full, part]))
-        assert db._counts is not None
-        assert db._count_norms.max() == n * s * s <= 2 ** 21 * s <= EXACT_NORM
-        q = ShapeVector(CIRC_RADIAL, spec, part)
-        assert q._exact
-        assert query(db, q, 3) == [
-            Match("part", "b", 0.0),
-            Match("none", "c", math.sqrt(n * (s // 3) ** 2 / s ** 2)),
-            Match("full", "a", math.sqrt(n * (s - s // 3) ** 2 / s ** 2))]
-    spec = RasterSpec("spiral", 8, 24)
-    fixed = ShapeVector(SPIRAL_FIXED, spec, np.ones(MAX_LATTICE_POINTS))
-    assert fixed._exact and fixed.values @ fixed.values == 2 ** 21
+        db = counts_db([[s] * n, [s // 3] * n, []], CIRC_RADIAL, spec, s)
+        assert db._norm_max == n * s * s <= 2 ** 21 * s <= 2 ** 42
+        assert _within_exact(1, 1, n * s * s, n * s * s)
+        q = counts_vector([s // 3] * n, CIRC_RADIAL, spec, s)
+        with float_kernel_forbidden():
+            assert [(m.id, m.distance) for m in query(db, q, 3)] == [
+                ("r-1", 0.0), ("r-2", math.sqrt(n * (s // 3) ** 2 / s ** 2)),
+                ("r-0", math.sqrt(n * (s - s // 3) ** 2 / s ** 2))]
+    # spiral_fixed: 2^21 counts of 1 over 1
+    assert _within_exact(1, 1, MAX_LATTICE_POINTS, MAX_LATTICE_POINTS)
 
 
 def test_count_database_beyond_the_exact_bound_takes_the_float_scan():
-    spec = RasterSpec("circular", 8, 1 << 21)
-    db = db_of_spec(spec, [1.0, 1.0], [1.0], [0.5, 0.5])
-    assert db._counts is None  # the first row's squared count norm is 2^43
-    assert not ShapeVector(CIRC_RADIAL, spec, [1.0, 1.0])._exact
-    q = ShapeVector(CIRC_RADIAL, spec, [1.0])
-    assert q._exact
+    # counts over 2^26: the first row's squared count norm is 2^53, past the bound
+    den = 1 << 26
+    db = counts_db([[den, den], [den], [den // 2, den // 2]], CIRC_RADIAL, SPEC, den)
+    assert db._norm_max == 2 ** 53
+    q = counts_vector([den], CIRC_RADIAL, SPEC, den)
+    assert not _within_exact(1, 1, db._norm_max, den * den)
     assert scan_bits(db, q, 3) == full_scan_bits(db, q, 3)
-
-
-def db_of_spec(spec, *vectors):
-    return DescriptorDatabase.from_records(spec, CIRC_RADIAL, [
-        DescriptorRecord(f"r-{i}", f"c{i % 3}", ShapeVector(CIRC_RADIAL, spec, v))
-        for i, v in enumerate(vectors)])
+    with float_kernel_forbidden(), pytest.raises(AssertionError, match="float kernel"):
+        query(db, q, 3)
 
 
 def scan_bits(db, q, k, exclude_id=None):
@@ -494,27 +534,32 @@ def scan_bits(db, q, k, exclude_id=None):
 
 
 def full_scan_bits(db, q, k, exclude_id=None):
-    """The float kernel over every row, ranked by one stable sort: the
-    ranking and distances of query() before the exact scan."""
+    """The float kernel over every row, ranked by one stable sort."""
     dists = _distances(db.matrix.copy(), q.values)
     order = [i for i in np.argsort(dists, kind="stable").tolist() if db.ids[i] != exclude_id]
     return [(db.ids[i], db.categories[i], dists[i].tobytes()) for i in order[:k]]
 
 
-def test_loaded_and_circ_angular_databases_keep_the_float_scan(toy_corpus, tmp_path):
-    # 6-decimal values over 24 are no whole counts, and circ_angular divides
-    # each shape by its own cycle count: both rank as the float kernel does
+def test_loaded_and_circ_angular_databases_rank_exactly(toy_corpus, tmp_path):
+    # a loaded file holds counts over 10^6, and circ_angular each shape's
+    # counts over its own cycle count: both rank an extracted query by the
+    # exact rule, as the exact rational ranking of their counts does
     circular = RasterSpec("circular", 8, 24)
     radial, angular = extract_databases(toy_corpus, [(CIRC_RADIAL, circular),
                                                      (CIRC_ANGULAR, circular)])
     save_database(radial, tmp_path / "toy.rdb")
     loaded = load_database(tmp_path / "toy.rdb")
+    assert loaded._dens.tolist() == [10 ** 6] * len(loaded)
+    assert sorted(set(angular._dens.tolist())) != [angular._den_max]  # per-row denominators
     for db, recs in ((loaded, radial), (angular, angular)):
-        assert db._counts is None
-        for rec in recs:
-            for k in (1, 3, len(db)):
-                assert scan_bits(db, rec.vector, k, exclude_id=rec.id) == \
-                    full_scan_bits(db, rec.vector, k, exclude_id=rec.id)
+        rows = [db._counts[i, :n].astype(int).tolist() for i, n in enumerate(db.lengths)]
+        for j, rec in enumerate(recs):
+            q = rec.vector
+            expected = exact_topk(rows, db._dens.astype(int).tolist(),
+                                  q._counts.astype(int).tolist(), q._den, len(db), j)
+            with float_kernel_forbidden():
+                got = query(db, q, len(db), exclude_id=rec.id)
+            assert [(m.id, m.distance) for m in got] == [(db.ids[i], d) for i, d in expected]
 
 
 # ----------------------------------------------------------------- database

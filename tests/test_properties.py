@@ -10,6 +10,7 @@ database, so a run is reproducible and leaves no files behind.
 import contextlib
 import io
 import math
+from fractions import Fraction
 import re
 import tracemalloc
 import warnings
@@ -280,8 +281,10 @@ def test_column_stream_equals_lone_extract_alls(mask_list, cell_list, block, cap
         assert [db.matrix[j, :len(w)].tobytes() for j, w in enumerate(want)] == \
             [w.values.tobytes() for w in want]
         for rec, w in zip(records, want):
-            assert (rec.vector.variant, rec.vector.spec, rec.vector._exact) == (variant, spec, w._exact)
+            assert (rec.vector.variant, rec.vector.spec, rec.vector._den) == (variant, spec, w._den)
+            assert rec.vector._counts.tobytes() == w._counts.tobytes()
             assert not rec.vector.values.flags.writeable
+            assert not rec.vector._counts.flags.writeable
 
 
 @pytest.fixture(scope="module")
@@ -291,17 +294,19 @@ def scratch(tmp_path_factory):
 
 @FIXED
 @given(mask_list=st.lists(geometry_masks, min_size=2, max_size=6),
-       cell=st.tuples(st.sampled_from(("circ_radial", "spiral_full", "spiral_fixed")),
-                      st.integers(1, 12), st.integers(1, 24)),
-       block=st.sampled_from((2, 3, 40, 1 << 16)))
+       cell=cells, block=st.sampled_from((2, 3, 40, 1 << 16)))
 @example(mask_list=[np.ones((5, 3), dtype=bool), np.ones((1, 9), dtype=bool),
                     _framed(_ring((4, 11)), (2, 0, 1, 5))],
          cell=("spiral_fixed", 2, 4), block=3)
 @example(mask_list=[np.ones((3, 3), dtype=bool)] * 2, cell=("circ_radial", 1, 24), block=1 << 16)
+@example(mask_list=[np.ones((3, 3), dtype=bool), np.ones((9, 9), dtype=bool)],
+         cell=("circ_angular", 1, 6), block=2)
 def test_count_database_from_columns_equals_publicly_built_one(scratch, mask_list, cell, block):
     # a database built from a stream's integer counts, in blocks from one
-    # shape to the whole stream, and one the public constructor builds from
-    # the same shapes' extracted values read and rank the same, bit for bit
+    # shape to the whole stream, and one from_records builds from the same
+    # shapes' extracted vectors, which carry their counts, read and rank
+    # the same, bit for bit; the public constructor over their values
+    # keeps values, and reads the same
     variant, d, s = cell
     spec = RasterSpec(VARIANT_KIND[variant], d, s)
     shapes = [BinaryShape(m, id=f"s{i}-1", category=f"c{i % 3}") for i, m in enumerate(mask_list)]
@@ -309,26 +314,89 @@ def test_count_database_from_columns_equals_publicly_built_one(scratch, mask_lis
         patch.setattr(evaluation, "_BLOCK_POINTS", block)
         [counted] = evaluation.extract_databases(iter(shapes), [(variant, spec)])
     vectors = [extract(shape, spec, variant) for shape in shapes]
+    records = DescriptorDatabase.from_records(spec, variant, [
+        DescriptorRecord(sh.id, sh.category, v) for sh, v in zip(shapes, vectors)])
     public = DescriptorDatabase(spec, variant, [sh.id for sh in shapes],
                                 [sh.category for sh in shapes], [len(v) for v in vectors],
                                 np.concatenate([v.values for v in vectors]))
-    for db in (counted, public):
+    for db in (counted, records):
         assert db._counts is not None and db._values is None
-    assert counted.matrix.tobytes(order="A") == public.matrix.tobytes(order="A")
-    assert counted.matrix.flags.f_contiguous and public.matrix.flags.f_contiguous
-    for a, b, v in zip(counted, public, vectors):
-        assert (a.id, a.category, a.vector._exact) == (b.id, b.category, b.vector._exact)
-        assert a.vector.values.tobytes() == b.vector.values.tobytes() == v.values.tobytes()
+        assert db._dens.tobytes() == counted._dens.tobytes()
+    assert public._counts is None and public._values is not None
+    for db in (records, public):
+        assert counted.matrix.tobytes(order="A") == db.matrix.tobytes(order="A")
+        assert db.matrix.flags.f_contiguous
+        for a, b, v in zip(counted, db, vectors):
+            assert (a.id, a.category) == (b.id, b.category)
+            assert a.vector.values.tobytes() == b.vector.values.tobytes() == v.values.tobytes()
+    for a, b, v in zip(counted, records, vectors):
+        assert a.vector._den == b.vector._den == v._den
+        assert a.vector._counts.tobytes() == b.vector._counts.tobytes() == v._counts.tobytes()
     texts = []
-    for db in (counted, public):
+    for db in (counted, records, public):
         save_database(db, scratch / "db-1.rdb")
         texts.append((scratch / "db-1.rdb").read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
     for shape, vector in zip(shapes, vectors):
         got = [[(m.id, m.category, np.float64(m.distance).tobytes())
                 for m in query(db, vector, len(shapes), exclude_id=shape.id)]
-               for db in (counted, public)]
+               for db in (counted, records)]
         assert got[0] == got[1]
+
+
+def rational_ranking(rows, q, k, exclude):
+    """The exact top k of ``rows`` and ``q``, lists of Fractions zero-padded
+    to one length: by squared distance, then insertion index. Each distance
+    is the correctly rounded root of the correctly rounded square."""
+    def square(row):
+        width = max(len(row), len(q))
+        return sum((a - b) ** 2 for a, b in zip(row + [0] * (width - len(row)),
+                                                 q + [0] * (width - len(q))))
+    ranked = sorted((square(row), i) for i, row in enumerate(rows) if i != exclude)
+    return [(i, math.sqrt(float(sq))) for sq, i in ranked[:k]]
+
+
+@FIXED
+@given(mask_list=st.lists(geometry_masks, min_size=1, max_size=5),
+       copies=st.lists(st.integers(0, 4), max_size=3), cell=cells, k=st.integers(1, 9))
+@example(mask_list=[np.ones((3, 3), dtype=bool), np.ones((9, 9), dtype=bool)], copies=[0, 1],
+         cell=("circ_angular", 1, 6), k=2)
+@example(mask_list=[_ring((7, 7)), np.ones((1, 9), dtype=bool)], copies=[1],
+         cell=("spiral_full", 2, 24), k=1)
+def test_every_query_is_the_exact_rational_ranking(scratch, mask_list, copies, cell, k):
+    # all four variants: an extracted database, and the same database saved
+    # and loaded, rank every shape's extracted query as the exact rational
+    # ranking does, ties (copies of a shape) in insertion order. A value is
+    # read as its count over its denominator (the sample count, 1, or for
+    # circ_angular the shape's own cycle count); a loaded value as the
+    # decimal fraction it is written as
+    variant, d, s = cell
+    spec = RasterSpec(VARIANT_KIND[variant], d, s)
+    masks = mask_list + [mask_list[i % len(mask_list)] for i in copies]
+    shapes = [BinaryShape(m, id=f"s{i}-1", category=f"c{i % 3}") for i, m in enumerate(masks)]
+    [db] = evaluation.extract_databases(shapes, [(variant, spec)])
+    save_database(db, scratch / "exact-1.rdb")
+    loaded = load_database(scratch / "exact-1.rdb")
+    queries = [extract(shape, spec, variant) for shape in shapes]
+
+    def rational(vector, shape):
+        den = {"circ_angular": cycle_count(spec, max_radius(shape)), "spiral_fixed": 1}.get(
+            variant, s)
+        return [Fraction(round(v * den), den) for v in vector.values.tolist()]
+
+    exact = [rational(v, shape) for v, shape in zip(queries, shapes)]
+    lines = (scratch / "exact-1.rdb").read_text().splitlines()[1:]
+    written = [[Fraction(t) for t in line.split("\t")[3].split(",") if t] for line in lines]
+    for target, rows in ((db, exact), (loaded, written)):
+        for j, (shape, vector) in enumerate(zip(shapes, queries)):
+            expected = rational_ranking(rows, exact[j], k, j)
+            if not expected:
+                with pytest.raises(EmptyDatabaseError):
+                    query(target, vector, k, exclude_id=shape.id)
+                continue
+            got = query(target, vector, k, exclude_id=shape.id)
+            assert [(m.id, m.distance) for m in got] == [(shapes[i].id, dist)
+                                                        for i, dist in expected]
 
 
 @FIXED
@@ -349,9 +417,14 @@ def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
         assert vector.values.dtype == public.values.dtype
         assert vector.values.shape == public.values.shape
         assert vector.values.tobytes() == public.values.tobytes()
-        # marked exact for free as the public constructor marks it by value
-        assert vector._exact is public._exact is (variant != "circ_angular")
-        assert not vector.values.flags.writeable
+        # it carries its counts over its denominator; a vector built from values carries none
+        n = cycle_count(spec, max_radius(shape))
+        assert vector._den == {"circ_angular": n, "spiral_fixed": 1}.get(variant,
+                                                                         spec.samples_per_cycle)
+        assert vector._counts.dtype == float and vector._counts.shape == vector.values.shape
+        assert (vector._counts / vector._den).tobytes() == vector.values.tobytes()
+        assert public._counts is None and public._den is None
+        assert not vector.values.flags.writeable and not vector._counts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             vector.values[...] = 0
 
@@ -363,11 +436,11 @@ def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
 @example(bad=-math.inf, at=1)
 def test_database_refuses_values_its_vectors_did_not_check(bad, at):
     # a vector built by extract_all's private path is never range-checked
-    # itself; the database still checks every value it is given
+    # itself; the database still checks every count it is given
     spec = RasterSpec("circular", 8, 4)
     values = np.linspace(0, 1, 4)
     values[at] = bad
-    vector = descriptor._counted("circ_radial", spec, values.copy())
+    vector = descriptor._counted("circ_radial", spec, values.copy(), values * 4, 4)
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
         DescriptorDatabase.from_records(spec, "circ_radial", [DescriptorRecord("a-1", "a", vector)])
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):

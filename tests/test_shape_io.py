@@ -477,7 +477,7 @@ def test_iter_directory_decodes_one_file_per_step(tmp_path):
 
 def test_directory_without_images_raises_at_the_first_step(tmp_path, monkeypatch):
     write(tmp_path / "notes.txt", "ignored")
-    (tmp_path / "sub.pgm").mkdir()  # a directory is not an image, whatever its name
+    (tmp_path / "sub").mkdir()
     monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
     shapes = iter_directory(tmp_path)
     with pytest.raises(DatasetError, match=r"^no input images \(\.pbm/\.pgm\) in '.+'$"):
@@ -487,6 +487,23 @@ def test_directory_without_images_raises_at_the_first_step(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     with pytest.raises(DatasetError, match=r"in '\.'$"):
         load_directory(".")
+
+
+@pytest.mark.parametrize("make", [
+    lambda entry: entry.symlink_to(entry.parent / "nonexistent"),
+    lambda entry: entry.mkdir(),
+])
+def test_directory_refuses_an_image_entry_that_is_not_a_file(tmp_path, monkeypatch, make):
+    # a link to nothing or a subdirectory named like an image is refused,
+    # naming it, before anything is decoded, not skipped
+    write(tmp_path / "a-1.pgm", "P2\n1 1\n255\n255\n")
+    make(tmp_path / "x-1.pgm")
+    write(tmp_path / "z-1.pbm", "P1\n1 1\n1\n")
+    monkeypatch.setattr("rastershape.shape_io.load_image", lambda *a, **kw: pytest.fail("decoded"))
+    shapes = iter_directory(tmp_path)
+    refusal = re.escape(f"x-1.pgm in '{tmp_path}' is not a regular file")
+    with pytest.raises(DatasetError, match=refusal):
+        next(shapes)
 
 
 def test_load_directory_refuses_one_stem_twice_before_decoding(tmp_path, monkeypatch):
