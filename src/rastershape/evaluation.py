@@ -17,8 +17,9 @@ built straight from those counts and each shape's denominator, and holds
 them once; only an experiment's query records divide them into values,
 and each carries its counts beside them. So a stream holds
 one decoded image and one bounded block of hits, besides the columns, and
-it stops at the first shape that would take a config's database past the
-size cap, matcher.MAX_DATABASE_VALUES.
+it stops at the first shape that would take a config's database, or the
+sum of all its configs' databases, past the size cap,
+matcher.MAX_DATABASE_VALUES.
 """
 
 from __future__ import annotations
@@ -136,16 +137,24 @@ class _Columns:
 
         DatasetError naming ``shape``, which is then not held, if a config's
         records would pass the database cap (matcher.MAX_DATABASE_VALUES)
-        with it: so the stream stops at the first shape past the cap.
+        with it, or all configs' records together would: each config's
+        database is its rows times its widest row, so they are held to the
+        cap in sum, and the stream stops at the first shape past either.
         """
         widths = [max(width, _lengths(variant, spec, n))
                   for width, (variant, spec), (_, n) in zip(self._widths, self.configs, found)]
+        rows = len(self.ids) + 1
         try:
-            _check_size(len(self.ids) + 1, max(widths))
+            _check_size(rows, max(widths))
         except ValueError as exc:
             variant, spec = self.configs[widths.index(max(widths))]
             raise DatasetError(f"holding {shape.id!r} under {variant} sep={spec.separation_px} "
                                f"samples={spec.samples_per_cycle}: {exc}") from None
+        try:
+            _check_size(rows, sum(widths))
+        except ValueError as exc:
+            raise DatasetError(f"holding {shape.id!r} under {len(widths)} configs together: "
+                               f"{exc}") from None
         self._widths = widths
         self.ids.append(shape.id)
         self.categories.append(shape.category)

@@ -523,7 +523,7 @@ def load_database(path) -> DescriptorDatabase:
 def _read_capped(path: Path) -> bytes:
     """The bytes of ``path``; DatabaseFormatError past MAX_DATABASE_BYTES,
     of which at most one more byte is read."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         data = read_bounded(f, MAX_DATABASE_BYTES + 1)
     if len(data) > MAX_DATABASE_BYTES:
         raise DatabaseFormatError(f"{path.name}: longer than {MAX_DATABASE_BYTES} bytes, "

@@ -23,16 +23,20 @@ foreground.
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
 allocated, and each raster is decoded as a whole (P1 as one byte array,
 P2 by streaming one ``int()`` per token into an array, P4/P5 from one
-``np.frombuffer``). A P4 raster is already packed rows and is kept as it
-is; the other three pack their foreground once. It reads no more than the
-format needs, whatever the input: the header, which must end within
-``MAX_HEADER_BYTES``, then for P4/P5 only the raster bytes the header
-declares (trailing bytes stay unread), and for P1/P2 at most
+``np.frombuffer``). A P4 raster is already packed rows and is copied as it
+is; the other three pack their foreground once, straight into the shape.
+The file is opened unbuffered, so each read is one system call into the
+bytes it returns, and a regular P4/P5 file is read whole by one. It reads
+no more than the format needs, whatever the input: the header, which must
+end within ``MAX_HEADER_BYTES``, then for P4/P5 only the raster bytes the
+header declares (trailing bytes stay unread), and for P1/P2 at most
 ``MAX_PLAIN_BYTES`` in all, so an endless input such as ``/dev/zero`` is
 refused, not read until memory runs out. A PGM value is compared with the
-threshold scaled to the file's maxval. ``iter_directory`` decodes a
-directory one file at a time, so a caller that drops each shape holds one
-image, not all of them.
+threshold scaled to the file's maxval. A P2 value above maxval or below 0
+is refused; a P5 byte can be neither at maxval 255, so only a P5 file of a
+lower maxval is checked. ``iter_directory`` lists a directory in one pass
+that reads each entry's type from the listing, and decodes it one file at
+a time, so a caller that drops each shape holds one image, not all of them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -151,13 +155,16 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
     the file's maxval) are foreground; PBM black bits are foreground.
     ``invert`` flips either rule for datasets with the
     opposite polarity. The file stem becomes the shape id and everything
-    before its last dash the category.
+    before its last dash the category. The file is opened unbuffered, so
+    each read is one system call straight into the bytes it returns, and
+    a regular P4/P5 file is read whole by the first. P2 values are checked
+    against 0 and maxval, P5 bytes only against a maxval below 255.
     """
     if not 0 <= threshold <= 255:
         raise ValueError(f"threshold must be in [0, 255], got {threshold}")
     path = Path(path)
-    name = path.name
-    with open(path, "rb") as f:
+    name, stem = path.name, path.stem
+    with open(path, "rb", buffering=0) as f:
         magic, (width, height, maxval), data, pos = _read_netpbm(f, name)
     count = width * height
 
@@ -192,24 +199,27 @@ def load_image(path, threshold: int = 127, invert: bool = False) -> BinaryShape:
             raise PnmFormatError(f"{name}: raster truncated ({len(data) - pos} of {need} bytes)")
         rows = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, row_bytes)
         if magic == b"P4":
-            # the raster is the packed rows; a file may set its padding bits
+            # the raster is the packed rows, copied; a file may set its padding bits
             bits = np.invert(rows) if invert else rows.copy()
             if width % 8:
                 bits[:, -1] &= 0xFF00 >> width % 8 & 0xFF
-            return _fill(object.__new__(BinaryShape), bits, width, path.stem,
-                         category_of(path.stem))
+            return _fill(object.__new__(BinaryShape), bits, width, stem, category_of(stem))
         values = rows
     if magic in (b"P2", b"P5"):
-        if values.min() < 0 or values.max() > maxval:
+        # a P2 value is the int() of any token, but a P5 byte is never below
+        # 0, nor above a maxval of 255
+        is_p2 = magic == b"P2"
+        if (is_p2 and values.min() < 0
+                or (is_p2 or maxval < 255) and values.max() > maxval):
             v = values[(values < 0) | (values > maxval)][0]
             raise PnmFormatError(f"{name}: pixel value {v} exceeds maxval {maxval}")
         # value * 255 > threshold * maxval compares with the threshold scaled to
         # maxval; for integer values that is value > (threshold * maxval) // 255
         cut = threshold * maxval // 255
         foreground = values <= cut if invert else values > cut
-
-    return BinaryShape(foreground.reshape(height, width), id=path.stem,
-                       category=category_of(path.stem))
+    return _fill(object.__new__(BinaryShape),
+                 np.packbits(foreground.reshape(height, width), axis=1), width, stem,
+                 category_of(stem))
 
 
 def _plain_values(plain: bytes, count: int, name: str) -> np.ndarray:
@@ -277,17 +287,22 @@ def _read_netpbm(f, name: str) -> tuple[bytes, tuple[int, int, int], bytes | byt
     header or an input beyond the format's caps.
 
     ``data`` holds every byte read, the raster read onto the header's
-    bytes by ``read_bounded``. The first read takes a regular file
-    whole, up to MAX_HEADER_BYTES, and any other input's first 64 bytes;
-    reads that double in size follow until the header ends, which it must
-    within MAX_HEADER_BYTES, or a read comes back empty at the end of the
-    input. The size is then checked, and only then is the raster read: for
-    P4/P5 only the bytes the header declares, for P1/P2 the rest of the
-    file, refused past MAX_PLAIN_BYTES in all.
+    bytes by ``read_bounded``. The first read asks for a regular file
+    whole, up to MAX_HEADER_BYTES, and for any other input's first 64
+    bytes; from a file opened unbuffered, as load_image opens it, that is
+    one system call straight into the bytes returned. A read may return
+    fewer bytes than asked, as from a pipe: reads go on until the magic
+    number's two bytes are in, then reads that double in size follow until
+    the header ends, which it must within MAX_HEADER_BYTES, or a read comes
+    back empty at the end of the input. The size is then checked, and only
+    then is the raster read: for P4/P5 only the bytes the header declares,
+    for P1/P2 the rest of the file, refused past MAX_PLAIN_BYTES in all.
     """
     left = _left(f)
-    # read1: one system call straight into the bytes returned
-    data = f.read1(min(left + 1, MAX_HEADER_BYTES)) if left else f.read(64)
+    data = f.read(min(left + 1, MAX_HEADER_BYTES) if left else 64)
+    # a pipe may return fewer bytes than asked, and the magic number takes two
+    while 0 < len(data) < 2 and (more := f.read(64)):
+        data += more
     magic = data[:2]
     if magic not in _HEADER_FIELDS:
         raise PnmFormatError(f"{name}: unsupported netpbm magic {magic!r} "
@@ -359,25 +374,40 @@ def iter_directory(directory, threshold: int = 127,
                    invert: bool = False) -> Iterator[BinaryShape]:
     """Decode each .pbm/.pgm file in ``directory`` when it is reached, sorted by filename.
 
-    The directory is listed at the first step, before anything is decoded;
-    a listing with no .pbm/.pgm entry raises DatasetError naming
-    ``directory``, and so does an entry so named that is not a regular file
-    (a subdirectory, or a link to nothing), naming the entry; two files with
-    one stem (``a-1.pgm`` and ``a-1.pbm``) would give two shapes one id, so
-    they raise DatasetError naming both.
+    The directory is listed at the first step, before anything is decoded,
+    in one ``os.scandir`` pass: the images are the entries whose Path
+    suffix is .pbm or .pgm in any case, sorted by name, as their sorted
+    Paths are, and each shape's id is its entry's Path stem. Each entry's
+    type comes with the listing, so a regular file costs no ``stat``; a
+    link is followed, as ``Path.is_file`` follows it. A listing with no
+    .pbm/.pgm entry raises DatasetError naming ``directory``, and so does an
+    entry so named that is not a regular file (a subdirectory, or a link to
+    nothing), naming the entry; two files with one stem (``a-1.pgm`` and
+    ``a-1.pbm``) would give two shapes one id, so they raise DatasetError
+    naming both. Each image is then read by ``load_image``.
     """
-    paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in (".pbm", ".pgm"))
-    if not paths:
+    images = []
+    with os.scandir(Path(directory)) as listing:
+        for entry in listing:
+            name = PurePath(entry.name)
+            if name.suffix.lower() in (".pbm", ".pgm"):
+                images.append((entry.name, name.stem, entry))
+    if not images:
         raise DatasetError(f"no input images (.pbm/.pgm) in '{directory}'")
-    seen: dict[str, Path] = {}
-    for p in paths:
-        if not p.is_file():
-            raise DatasetError(f"{p.name} in '{directory}' is not a regular file")
-        if p.stem in seen:
-            raise DatasetError(f"{seen[p.stem].name} and {p.name} would share the id {p.stem!r}")
-        seen[p.stem] = p
-    for p in paths:
-        yield load_image(p, threshold=threshold, invert=invert)
+    images.sort()  # by name: no two entries share one
+    seen: dict[str, str] = {}
+    for name, stem, entry in images:
+        try:
+            regular = entry.is_file()
+        except OSError:  # such as a link loop: Path.is_file says which errors mean no file
+            regular = Path(entry.path).is_file()
+        if not regular:
+            raise DatasetError(f"{name} in '{directory}' is not a regular file")
+        if stem in seen:
+            raise DatasetError(f"{seen[stem]} and {name} would share the id {stem!r}")
+        seen[stem] = name
+    for _, _, entry in images:
+        yield load_image(entry.path, threshold=threshold, invert=invert)
 
 
 def load_directory(directory, threshold: int = 127, invert: bool = False) -> list[BinaryShape]:

@@ -434,11 +434,51 @@ def test_stream_stops_at_the_first_shape_past_the_database_cap(synthetic_corpus,
         f"{past + 1} records x {widths[past]} values is above the cap of {cap} values")
     assert read == [s.id for s in synthetic_corpus[:past + 1]]
     assert peak < cap * 8  # the bytes of a float64 matrix at the cap
-    # a sweep refuses at the same shape, under its widest cell
+    # a sweep of that one cell refuses at the same shape, naming the cell
     read.clear()
     with pytest.raises(DatasetError, match=f"^holding {synthetic_corpus[past].id!r} under "
                                            "spiral_fixed sep=8 samples=24: "):
-        sweep(stream(), SPIRAL_FIXED, separations=(16, 8), samples=(24,))
+        sweep(stream(), SPIRAL_FIXED, separations=(8,), samples=(24,))
+    assert len(read) == past + 1
+
+
+def test_stream_stops_at_the_first_shape_past_the_cap_over_all_configs(synthetic_corpus,
+                                                                       monkeypatch):
+    # a run holds every config's columns at once, so the cap bounds their
+    # sum too: with it lowered to 2^15, a four-cell spiral_fixed sweep stops
+    # at the first shape whose rows times the sum of the cells' widest rows
+    # pass it, while each cell alone is still within the cap, and names it;
+    # no later shape is read, and what the run held stays below the cap
+    cap = 1 << 15
+    monkeypatch.setattr("rastershape.matcher.MAX_DATABASE_VALUES", cap)
+    separations = (8, 16, 24, 32)
+    widths = np.array([np.maximum.accumulate([24 * cycle_count(RasterSpec("spiral", d, 24),
+                                                                max_radius(s))
+                                              for s in synthetic_corpus])
+                       for d in separations])
+    rows = np.arange(1, len(synthetic_corpus) + 1)
+    past = int(np.argmax(widths.sum(axis=0) * rows > cap))
+    assert 10 < past < 100
+    assert (widths[:, past] * (past + 1) <= cap).all()
+    read = []
+
+    def stream():
+        for shape in synthetic_corpus:
+            read.append(shape.id)
+            yield shape
+
+    refused, peak = traced_peak(sweep, stream(), SPIRAL_FIXED, separations, (24,))
+    assert isinstance(refused, DatasetError)
+    assert str(refused) == (
+        f"holding {synthetic_corpus[past].id!r} under 4 configs together: "
+        f"{past + 1} records x {widths[:, past].sum()} values is above the cap of {cap} values")
+    assert read == [s.id for s in synthetic_corpus[:past + 1]]
+    assert peak < cap * 8  # the bytes of float64 matrices at the cap in all
+    # extract_databases holds its configs to the same sum
+    read.clear()
+    refused, _ = traced_peak(extract_databases, stream(),
+                             [(SPIRAL_FIXED, RasterSpec("spiral", d, 24)) for d in separations])
+    assert str(refused).startswith(f"holding {synthetic_corpus[past].id!r} under 4 configs")
     assert len(read) == past + 1
 
 

@@ -230,6 +230,17 @@ def test_p5_raw(tmp_path):
     assert shape.mask.tolist() == [[False, True], [True, False]]
 
 
+@pytest.mark.parametrize("invert", [False, True])
+def test_p5_at_maxval_255_cuts_every_byte_value(tmp_path, invert):
+    # a P5 byte is within maxval 255 whatever it is, so no range check runs
+    # there: every value 0-255 decodes, foreground exactly above the cut
+    values = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    p = write(tmp_path / "all-1.pgm", b"P5\n16 16\n255\n" + values.tobytes())
+    for threshold in (0, 127, 254, 255):
+        mask = load_image(p, threshold=threshold, invert=invert).mask
+        assert np.array_equal(mask, values <= threshold if invert else values > threshold)
+
+
 def test_unsupported_magic_names_bytes(tmp_path):
     p = write(tmp_path / "x-1.pgm", "P6\n1 1\n255\nabc")
     with pytest.raises(PnmFormatError, match="P6"):
@@ -352,6 +363,44 @@ def test_endless_streams_are_read_within_the_caps(monkeypatch):
     assert peak < 1.5 * cap
 
 
+class TrickleStream(io.RawIOBase):
+    """``data`` as a pipe may give it: one byte per read."""
+
+    def __init__(self, data: bytes):
+        self._left = memoryview(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), len(self._left), 1)
+        buffer[:n] = self._left[:n]
+        self._left = self._left[n:]
+        return n
+
+
+def test_short_reads_give_what_one_whole_read_gives(tmp_path):
+    # an input read one byte at a time gives the header, the raster and
+    # every refusal that the same file read whole by load_image's open gives
+    files = [b"P1\n# bits\n3 2\n101\n0 1 0\n", b"P2 2 1 15\n3 15\n", b"P4\n10 2\n\xff\xc0\x12\x34",
+             b"P5\n#c\n3 1\n255\n\x00\x80\xff\x07", b"P", b"P5", b"P6 1 1 255\n\x00",
+             b"P5 3 1", b"P5 3 1 255\n\x00", b"P4 2 1 x\n"]
+
+    def read(f):
+        try:
+            magic, size, data, pos = _read_netpbm(f, "t")
+        except PnmFormatError as exc:
+            return str(exc)
+        if magic in (b"P4", b"P5"):  # a stream is read as far as the raster goes
+            data = data[:pos + 1 + ((size[0] + 7) // 8 if magic == b"P4" else size[0]) * size[1]]
+        return magic, size, bytes(data), pos
+
+    for body in files:
+        with open(write(tmp_path / "t.pgm", body), "rb", buffering=0) as f:
+            whole = read(f)
+        assert read(TrickleStream(body)) == whole
+
+
 def test_mutated_files_decode_or_raise_format_error(tmp_path):
     # truncations, insertions and replacements of valid files never escape
     # as anything but a BinaryShape or a PnmFormatError
@@ -466,6 +515,32 @@ def test_load_directory_sorted(tmp_path):
     assert [s.id for s in shapes] == ["a-1", "b-2", "c-1"]
 
 
+def test_directory_lists_images_by_the_rule_of_paths(tmp_path):
+    # the images are the entries whose Path suffix is .pbm or .pgm in any
+    # case, a link to a regular file among them, in the order of their
+    # sorted Paths; each id is the Path stem and each category its part up
+    # to the last dash
+    d = tmp_path / "d"
+    d.mkdir()
+    names = ["a-1.PGM", "B-1.pgm", "b-1.pgm", "x.tar-1.pgm", "..pgm", "\u00fc-1.pbm"]
+    for width, name in enumerate(names, 1):
+        if name.endswith(".pbm"):
+            write(d / name, f"P1\n{width} 1\n" + "1" * width)
+        else:
+            write(d / name, f"P2\n{width} 1\n255\n" + " 255" * width)
+    write(tmp_path / "linked.pgm", "P2\n9 1\n255\n" + " 255" * 9)
+    (d / "l-1.pgm").symlink_to(tmp_path / "linked.pgm")
+    for name in (".pgm", "e.", "notes.txt"):
+        write(d / name, "not an image")
+    images = sorted(p for p in d.iterdir() if p.suffix.lower() in (".pbm", ".pgm"))
+    assert len(images) == 7
+    shapes = list(iter_directory(d))
+    assert [s.id for s in shapes] == [p.stem for p in images]
+    assert [s.category for s in shapes] == [p.stem.rsplit("-", 1)[0] for p in images]
+    assert [s.width for s in shapes] == [9 if p.name == "l-1.pgm" else names.index(p.name) + 1
+                                         for p in images]
+
+
 def test_iter_directory_decodes_one_file_per_step(tmp_path):
     write(tmp_path / "a-1.pgm", "P2\n1 1\n255\n255\n")
     write(tmp_path / "b-1.pgm", "P9\nnope")
@@ -492,10 +567,11 @@ def test_directory_without_images_raises_at_the_first_step(tmp_path, monkeypatch
 @pytest.mark.parametrize("make", [
     lambda entry: entry.symlink_to(entry.parent / "nonexistent"),
     lambda entry: entry.mkdir(),
+    lambda entry: entry.symlink_to(entry),
 ])
 def test_directory_refuses_an_image_entry_that_is_not_a_file(tmp_path, monkeypatch, make):
-    # a link to nothing or a subdirectory named like an image is refused,
-    # naming it, before anything is decoded, not skipped
+    # a link to nothing, a subdirectory or a link to itself named like an
+    # image is refused, naming it, before anything is decoded, not skipped
     write(tmp_path / "a-1.pgm", "P2\n1 1\n255\n255\n")
     make(tmp_path / "x-1.pgm")
     write(tmp_path / "z-1.pbm", "P1\n1 1\n1\n")
