@@ -16,8 +16,10 @@ sums (each byte's pixel count and the sum of its bit places come from
 foreground pixel (the leading and trailing zeros of its first and last
 nonzero byte). Pixels are looked up by byte and bit: ``contains_points``
 reads each point's byte with one ``take`` and tests its bit, and
-``occlude`` unpacks only the rows from the first to the last that hold
-foreground.
+``occlude`` unpacks and projects only the foreground's bounding box, in
+whole bytes. Its cut angle is the one ``np.random.default_rng(seed)``
+would draw, computed in Python integers by ``_angle``, so that occlusion
+never loads ``numpy.random`` and its memory.
 
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
@@ -505,45 +507,106 @@ def contains_points(shape: BinaryShape, xs, ys) -> np.ndarray:
     return np.logical_and(byte & _BIT.take(index & 7), inside)
 
 
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _angle(seed: int) -> float:
+    """``np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)``, bit for
+    bit, for an int ``seed`` >= 0, without importing ``numpy.random``.
+
+    The same chain in integer arithmetic: ``SeedSequence`` hashes the
+    seed's little-endian 32-bit words into a pool of four and draws
+    ``generate_state(4, uint64)`` from it; PCG64 takes its 128-bit state
+    and increment from those four words; one step and one XSL-RR output
+    give 64 bits, whose top 53 make the uniform double.
+    """
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _HASH_MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _HASH_INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _M32
+        value = value * const & _M32
+        state.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    # seeding steps from state 0, adds the initial state and steps again;
+    # the draw steps once more and outputs
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    state = (state * _PCG_MULT + inc) & _M128
+    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+    x = (x >> rot | x << (64 - rot)) & _M64
+    return (x >> 11) * 2.0 ** -53 * (2.0 * math.pi)
+
+
 def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     """Erase roughly ``fraction`` of the foreground with a half-plane cut.
 
-    A cut direction is drawn deterministically from ``seed``. A clean cut
-    erases every foreground pixel whose projection onto it lies above some
-    level, so pixels that tie in projection stay on one side. Of the clean
-    cuts that keep a pixel, the one erasing the count nearest ceil(fraction
-    * N) wins, the smaller on a tie. With t the target-th largest
-    projection (one rank select), the two candidates erase every pixel
-    above t or every pixel at or above t. Only the rows from the first to
-    the last that hold foreground are unpacked; their pixels are found and
-    erased by flat index, ``divmod`` by the width gives their (y, x) for
-    the projection, and the rows are packed back into a copy of the bits.
+    ``seed`` is an integer >= 0 (a Python or numpy integer). The cut
+    direction is the angle ``np.random.default_rng(seed).uniform(0, 2 pi)``
+    would draw, computed by ``_angle`` so that occlusion never loads
+    ``numpy.random`` (about 5 MB of memory); any other rule would move
+    every occluded mask. A clean cut erases every foreground pixel whose
+    projection onto the direction lies above some level, so pixels that tie
+    in projection stay on one side. Of the clean cuts that keep a pixel,
+    the one erasing the count nearest ceil(fraction * N) wins, the smaller
+    on a tie. With t the target-th largest projection (one rank select),
+    the two candidates erase every pixel above t or every pixel at or above
+    t. Only the foreground's bounding box, in whole bytes, is unpacked and
+    projected (padding bits are clear, so its extra columns hold no
+    foreground), and it is packed back into a copy of the bits.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     bits = shape.bits
     used = np.flatnonzero(bits.any(axis=1))
     if used.size == 0:
         raise _empty(shape)
     y0, y1 = used[0], used[-1] + 1
-    band = np.unpackbits(bits[y0:y1], axis=1, count=shape.width).view(bool)
-    # foreground pixels by flat index into the band, in row-major order
-    flat = np.flatnonzero(band)
-    n = flat.size
+    span = np.flatnonzero(bits[y0:y1].any(axis=0))
+    b0, b1 = span[0], span[-1] + 1
+    band = np.unpackbits(bits[y0:y1, b0:b1], axis=1).view(bool)
+    n = np.count_nonzero(band)
     target = math.ceil(fraction * n)
-
-    rng = np.random.default_rng(seed)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    ys, xs = np.divmod(flat, shape.width)
-    ys += y0
-    proj = xs * math.cos(angle) + ys * math.sin(angle)
-    bits = bits.copy()
     if target:
-        t = np.partition(proj, n - target)[n - target]
-        above, at_or_above = proj > t, proj >= t
-        low, high = np.count_nonzero(above), np.count_nonzero(at_or_above)
-        erase = at_or_above if high < n and high - target < target - low else above
-        band.ravel()[flat[erase]] = False
-        bits[y0:y1] = np.packbits(band, axis=1)
+        angle = _angle(seed)
+        # each element is fl(fl(x cos) + fl(y sin)), as a per-pixel sum would be
+        proj = (np.arange(8 * b0, 8 * b1) * math.cos(angle)
+                + (np.arange(y0, y1) * math.sin(angle))[:, None])
+        values = proj[band]
+        values.partition(n - target)
+        t = values[n - target]
+        low, high = np.count_nonzero(values > t), np.count_nonzero(values >= t)
+        band &= proj < t if high < n and high - target < target - low else proj <= t
+        bits = bits.copy()
+        bits[y0:y1, b0:b1] = np.packbits(band, axis=1)
     return _fill(object.__new__(BinaryShape), bits, shape.width, shape.id + "-occ",
                  shape.category)

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rastershape
 from rastershape import matcher
 from rastershape.cli import build_parser, main
 from rastershape.descriptor import VARIANTS
@@ -260,6 +263,19 @@ def test_occlude_standard_configs(toy_dir, tmp_path, capsys):
     rows = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
     assert set(rows) == {"circ_radial", "spiral_full", "spiral_fixed", "circ_angular"}
     assert rows["spiral_full"] >= rows["spiral_fixed"]
+
+
+def test_occlude_never_loads_numpy_random(toy_dir):
+    # a fresh interpreter, since this suite's own conftest imports numpy.random
+    script = ("import sys; from rastershape.cli import main; "
+              f"code = main(['occlude', {str(toy_dir)!r}, '--per-category', '1', '--k', '1']); "
+              "print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(rastershape.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_occlude_per_category_below_one_exits_2(toy_dir, tmp_path, capsys, monkeypatch):

@@ -163,9 +163,20 @@ def _direction(seed):
 # the nearest clean cuts erase 2 of 2 and 3 of 3 pixels: a pixel is kept
 @example(mask=np.ones((1, 2), dtype=bool), fraction=0.75, seed=0)
 @example(mask=np.ones((3, 1), dtype=bool), fraction=0.9, seed=0)
+# foreground only in the last, partial byte of a 61-wide frame; a 1x1 mask;
+# foreground on all four frame edges
+@example(mask=np.eye(3, 61, 58, dtype=bool), fraction=0.5, seed=2)
+@example(mask=np.ones((1, 1), dtype=bool), fraction=0.5, seed=1)
+@example(mask=(np.arange(7)[:, None] == 3) | (np.arange(10) == 4), fraction=0.3, seed=3)
 def test_occlude_equals_full_sort_oracle(mask, fraction, seed):
     cut = occlude(BinaryShape(mask, id="o-1"), fraction, seed)
     assert cut.mask.tolist() == ref_occlude(mask.tolist(), fraction, *_direction(seed))
+
+
+@FIXED
+@given(seed=st.integers(0, 2**200))
+def test_angle_equals_the_numpy_draw_for_any_seed(seed):
+    assert shape_io._angle(seed) == np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
 
 
 @FIXED

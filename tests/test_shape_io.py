@@ -28,7 +28,7 @@ from rastershape.shape_io import (
     occlude,
     save_image,
 )
-from rastershape.shape_io import _read_netpbm
+from rastershape.shape_io import _angle, _read_netpbm
 
 from conftest import EndlessStream, blob_shape, random_blob_mask, traced_peak
 from oracles import (
@@ -810,6 +810,31 @@ def test_occlude_fraction_validation():
         occlude(shape, -0.1, 0)
     with pytest.raises(ValueError):
         occlude(shape, 1.0, 0)
+
+
+def test_occlude_takes_only_an_integer_seed_of_zero_or_more():
+    shape = blob_shape(7)
+    for seed in (None, 1.0, 2.5, "1", [1, 2], (3,), np.array([1, 2])):
+        with pytest.raises(TypeError):
+            occlude(shape, 0.2, seed)
+    assert np.array_equal(occlude(shape, 0.2, np.uint32(5)).bits, occlude(shape, 0.2, 5).bits)
+    assert np.array_equal(occlude(shape, 0.2, np.int64(5)).bits, occlude(shape, 0.2, 5).bits)
+    # the seed is checked before any work: an empty shape still reports its seed
+    empty = BinaryShape(np.zeros((3, 3), dtype=bool), id="void-1")
+    for target in (shape, empty):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            occlude(target, 0.2, -1)
+        with pytest.raises(TypeError):
+            occlude(target, 0.2, None)
+
+
+def test_angle_equals_the_numpy_draw():
+    words = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128 + 7, 10**40]
+    for seed in [*range(20_001), *words]:
+        assert _angle(seed) == np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi), seed
+    for kind in (np.int8, np.int64, np.uint32, np.uint64):
+        seed = kind(np.iinfo(kind).max)
+        assert _angle(int(seed)) == np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
 
 
 def test_centroid_pixel_inside_convex_shapes():
