@@ -16,10 +16,12 @@ sums (each byte's pixel count and the sum of its bit places come from
 foreground pixel (the leading and trailing zeros of its first and last
 nonzero byte). Pixels are looked up by byte and bit: ``contains_points``
 reads each point's byte with one ``take`` and tests its bit, and
-``occlude`` unpacks and projects only the foreground's bounding box, in
-whole bytes. Its cut angle is the one ``np.random.default_rng(seed)``
-would draw, computed in Python integers by ``_angle``, so that occlusion
-never loads ``numpy.random`` and its memory.
+``occlude`` unpacks only the foreground's bounding box, in whole bytes,
+and projects it in tiles of bounded size. Its cut angle is the one
+``np.random.default_rng(seed)`` would draw, computed in Python integers by
+``_angle``, so that occlusion itself never loads ``numpy.random`` and its
+memory (numpy 1.x loads that package with ``import numpy``, so the saving
+holds on numpy >= 2).
 
 ``load_image`` decodes all four formats: one regex reads the header
 tokens, the size is checked against ``MAX_PIXELS`` before anything is
@@ -564,22 +566,45 @@ def _angle(seed: int) -> float:
     return (x >> 11) * 2.0 ** -53 * (2.0 * math.pi)
 
 
+# box pixels projected at once by occlude: 128 KiB of float64
+_TILE = 1 << 14
+
+
+def _tiles(band, xc, ys):
+    """(view of ``band``, its projections) over tiles of at most ``_TILE``
+    pixels, so a sparse foreground in a large box costs bounded floats.
+
+    A tile is a block of whole rows, or one row's run of columns when a
+    row is wider than ``_TILE``, so the tiles run in row-major order. Each
+    projection is ``fl(xc[j] + ys[i])`` with ``xc = fl(x cos)`` and
+    ``ys = fl(y sin)``: the same float a per-pixel ``x cos + y sin`` gives.
+    """
+    cols = min(len(xc), _TILE)
+    rows = _TILE // cols
+    for i in range(0, len(ys), rows):
+        for j in range(0, len(xc), cols):
+            yield band[i:i + rows, j:j + cols], xc[j:j + cols] + ys[i:i + rows, None]
+
+
 def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     """Erase roughly ``fraction`` of the foreground with a half-plane cut.
 
     ``seed`` is an integer >= 0 (a Python or numpy integer). The cut
     direction is the angle ``np.random.default_rng(seed).uniform(0, 2 pi)``
     would draw, computed by ``_angle`` so that occlusion never loads
-    ``numpy.random`` (about 5 MB of memory); any other rule would move
+    ``numpy.random`` (about 5 MB of memory on numpy >= 2; numpy 1.x loads
+    it with ``import numpy``); any other rule would move
     every occluded mask. A clean cut erases every foreground pixel whose
     projection onto the direction lies above some level, so pixels that tie
     in projection stay on one side. Of the clean cuts that keep a pixel,
     the one erasing the count nearest ceil(fraction * N) wins, the smaller
     on a tie. With t the target-th largest projection (one rank select),
     the two candidates erase every pixel above t or every pixel at or above
-    t. Only the foreground's bounding box, in whole bytes, is unpacked and
-    projected (padding bits are clear, so its extra columns hold no
-    foreground), and it is packed back into a copy of the bits.
+    t. Only the foreground's bounding box, in whole bytes, is unpacked
+    (padding bits are clear, so its extra columns hold no foreground) and
+    projected tile by tile to gather the foreground's values in row-major
+    order; the kept ones are written back through the box as a mask, which
+    is packed into a copy of the bits.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
@@ -598,14 +623,18 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     target = math.ceil(fraction * n)
     if target:
         angle = _angle(seed)
-        # each element is fl(fl(x cos) + fl(y sin)), as a per-pixel sum would be
-        proj = (np.arange(8 * b0, 8 * b1) * math.cos(angle)
-                + (np.arange(y0, y1) * math.sin(angle))[:, None])
-        values = proj[band]
-        values.partition(n - target)
-        t = values[n - target]
+        xc = np.arange(8 * b0, 8 * b1) * math.cos(angle)
+        ys = np.arange(y0, y1) * math.sin(angle)
+        # the foreground's values in row-major order, which the tiles keep
+        values, at = np.empty(n), 0
+        for part, proj in _tiles(band, xc, ys):
+            fg = proj[part]
+            values[at:at + fg.size] = fg
+            at += fg.size
+        t = np.partition(values, n - target)[n - target]
         low, high = np.count_nonzero(values > t), np.count_nonzero(values >= t)
-        band &= proj < t if high < n and high - target < target - low else proj <= t
+        keep = np.less if high < n and high - target < target - low else np.less_equal
+        band[band] = keep(values, t)
         bits = bits.copy()
         bits[y0:y1, b0:b1] = np.packbits(band, axis=1)
     return _fill(object.__new__(BinaryShape), bits, shape.width, shape.id + "-occ",

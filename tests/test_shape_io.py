@@ -28,7 +28,7 @@ from rastershape.shape_io import (
     occlude,
     save_image,
 )
-from rastershape.shape_io import _angle, _read_netpbm
+from rastershape.shape_io import _read_netpbm
 
 from conftest import EndlessStream, blob_shape, random_blob_mask, traced_peak
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     ref_contains,
     ref_load_pnm,
     ref_max_radius,
+    ref_occlude,
 )
 
 
@@ -828,13 +829,29 @@ def test_occlude_takes_only_an_integer_seed_of_zero_or_more():
             occlude(target, 0.2, None)
 
 
-def test_angle_equals_the_numpy_draw():
-    words = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128 + 7, 10**40]
-    for seed in [*range(20_001), *words]:
-        assert _angle(seed) == np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi), seed
-    for kind in (np.int8, np.int64, np.uint32, np.uint64):
-        seed = kind(np.iinfo(kind).max)
-        assert _angle(int(seed)) == np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+def test_occlude_in_small_tiles_equals_full_sort_oracle(monkeypatch):
+    # tiles of one pixel, of runs of one row's columns, and of blocks of rows
+    rng = np.random.default_rng(34)
+    masks = [random_blob_mask(rng, 20) for _ in range(3)] + [np.eye(3, 61, 58, dtype=bool)]
+    for tile in (1, 7, 64):
+        monkeypatch.setattr("rastershape.shape_io._TILE", tile)
+        for i, mask in enumerate(masks):
+            for fraction, seed in ((0.3, i), (0.7, i + 5)):
+                angle = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+                cut = occlude(BinaryShape(mask, id="t-1"), fraction, seed)
+                expected = ref_occlude(mask.tolist(), fraction, math.cos(angle), math.sin(angle))
+                assert cut.mask.tolist() == expected
+
+
+def test_occlude_of_a_sparse_large_frame_holds_no_float_per_box_pixel():
+    # an outline's bounding box is its whole 2048 x 2048 frame: the unpacked
+    # box is 1 byte per pixel, and a float per box pixel would add 8 more
+    mask = np.zeros((2048, 2048), dtype=bool)
+    mask[[0, -1]] = True
+    mask[:, [0, -1]] = True
+    cut, peak = traced_peak(occlude, BinaryShape(mask, id="outline-1"), 0.3, 1)
+    assert np.count_nonzero(cut.mask) == np.count_nonzero(mask) - math.ceil(0.3 * 8188)
+    assert peak < 2 * mask.size
 
 
 def test_centroid_pixel_inside_convex_shapes():
