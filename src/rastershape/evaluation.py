@@ -39,7 +39,7 @@ from .descriptor import _counted, _dens, _grouped, _hits, _lengths, _values, var
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, _check_size, query
 from .raster import RasterSpec
-from .shape_io import BinaryShape, occlude
+from .shape_io import BinaryShape, _integer, occlude
 
 DEFAULT_SEPARATIONS = (8, 16, 24, 32)
 DEFAULT_SAMPLES = (4, 6, 8, 12, 24)
@@ -295,7 +295,7 @@ def timed_retrieval(db: DescriptorDatabase, queries: Sequence[DescriptorRecord],
 def _check_run(k: int, threads: int) -> None:
     if threads != 1:  # perfbench/measure.py still passes threads=1
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
@@ -345,6 +345,7 @@ def select_occlusion_queries(dataset: Iterable[BinaryShape], per_category: int,
     ones. Each copy gets its own cut direction derived from ``seed`` plus
     its position, so the whole set is reproducible from one seed.
     """
+    per_category, seed = _integer("per_category", per_category), _integer("seed", seed)
     if per_category < 1:
         raise ValueError(f"per_category must be >= 1, got {per_category}")
     if seed < 0:

@@ -1,13 +1,17 @@
 """Descriptor databases and Euclidean top-k retrieval.
 
 A database is stored by column: record ids, categories, vector lengths and
-one read-only, zero-padded, column-major ``(N, L_max)`` float64 matrix.
-Every database the program builds or loads is a count database: its
-matrix holds whole counts, and each row has its own denominator, the
-sample count for circ_radial and spiral_full, 1 for spiral_fixed, the
-shape's cycle count for circ_angular, and 10^6 for a loaded file. A value
-is made, ``count / den`` and so bit for bit the value it stands for, only
-where one is read (``matrix``, a record or save_database's text). The
+one read-only, zero-padded, column-major ``(N, L_max)`` matrix. Every
+database the program builds or loads is a count database: its matrix
+holds whole counts, and each row has its own denominator, the sample
+count for circ_radial and spiral_full, 1 for spiral_fixed, the shape's
+cycle count for circ_angular, and 10^6 for a loaded file. The counts are
+float32 where L_max times the largest denominator squared is below 2^24,
+so that every dot product of two such rows is an integer float32 holds,
+and float64 otherwise, as in every loaded file. A value is made from the
+counts as float64, ``count / den`` and so bit for bit the value it stands
+for, only where one is read (``matrix``, a record or save_database's
+text). A database built from values holds them as float64. The
 experiments and ``cli index`` extract straight into columns of integer
 counts (see ``evaluation``), with no vector, record or float value per
 row, and DescriptorDatabase._of_counts builds from them;
@@ -31,7 +35,12 @@ row's key, (P |c|^2 - 2 M c.q) / M^2 = (p^2 d^2 - |q|^2) / P, is monotone
 in the row's distance d. Its numerator is an exact integer in float64,
 whatever the summation order, while P |c|^2 and 2 M |c| |q| are below
 2^53: each query checks that from the largest squared count norm and the
-largest row denominator, both kept at build. Under one denominator M is
+largest row denominator, both kept at build. Its one matrix-vector
+product, c.q for every row, runs in the matrix's own dtype, float32 where
+the matrix is, while the largest squared count norm times |q|^2 is below
+2^48: then c.q <= |c| |q| < 2^24, as is every partial sum of its
+nonnegative terms, so float32 is exact too; past that bound the product
+runs in float64. Under one denominator M is
 one number, and the numerators themselves rank the rows; for the query's
 own denominator P = M = 1, and the key is |c|^2 - 2 c.q. Under per-row
 denominators the key is the numerator over M^2, correctly rounded, so no
@@ -65,12 +74,13 @@ import numpy as np
 from .descriptor import ShapeVector, _counted, check_unit_range, variant_kind
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
-from .shape_io import read_bounded
+from .shape_io import _integer, read_bounded
 
 FORMAT_NAME = "RASTERDB"
 FORMAT_VERSION = "v1"
 HEADER_FIELDS = ("kind", "variant", "sep", "samples")
-# largest N x L_max matrix a database may hold (512 MiB of float64), checked before allocating
+# largest N x L_max matrix a database may hold (512 MiB of float64; 256 MiB
+# where a count database holds float32), checked before allocating
 MAX_DATABASE_VALUES = 1 << 26
 # largest RASTERDB file read: 9 bytes ("d.dddddd," or with a line feed) for
 # each value at MAX_DATABASE_VALUES, and one more per value (64 MiB in all)
@@ -78,6 +88,8 @@ MAX_DATABASE_VALUES = 1 << 26
 MAX_DATABASE_BYTES = 10 * MAX_DATABASE_VALUES
 # largest array a query beyond the matrix width sums at once (8 MiB of float64)
 _BLOCK_VALUES = 1 << 20
+# places of a database's matrix filled at once, through a mask of as many bytes
+_FILL_PLACES = 1 << 16
 # the line boundaries str.splitlines() knows besides "\n"
 _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a tab or any line boundary would split a record line
@@ -93,6 +105,8 @@ _MICRO = 1_000_000
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 # every integer below this is exact in float64
 _EXACT = 1 << 53
+# every integer below this is exact in float32
+_EXACT32 = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +128,14 @@ class DescriptorDatabase(Sequence):
     itself.
 
     A count database (see the module docstring) holds one matrix,
-    ``_counts``: whole counts as float64 in the same layout, row i over
-    ``_dens[i]``, with half of each row's squared norm, the largest squared
-    norm and the gcd and largest of the denominators. Its values are made, ``counts
-    / den``, only where they are read: ``matrix`` and each record, whose
-    vector carries its counts, make theirs at each read. A database built
-    from values holds them, ``_values``, and None in the count fields.
+    ``_counts``: whole counts in the same layout, as float32 where every
+    dot product of two rows is exact in float32 and as float64 otherwise,
+    row i over ``_dens[i]``, with half of each row's squared norm, the
+    largest squared norm and the gcd and largest of the denominators. Its
+    values are made, ``counts / den`` from counts made float64 first, only
+    where they are read: ``matrix`` and each record, whose vector carries
+    its counts as float64, make theirs at each read. A database built from
+    values holds them, ``_values``, and None in the count fields.
     """
 
     spec: RasterSpec
@@ -128,7 +144,7 @@ class DescriptorDatabase(Sequence):
     categories: tuple[str, ...]
     lengths: np.ndarray = field(repr=False)
     _rows: dict[str, int] = field(repr=False)
-    _counts: np.ndarray | None = field(repr=False)  # a count database's counts
+    _counts: np.ndarray | None = field(repr=False)  # a count database's counts, float32 or 64
     _dens: np.ndarray | None = field(repr=False)  # each row of _counts' denominator, as float64
     _half_norms: np.ndarray | None = field(repr=False)  # each row of _counts' squared norm / 2
     _norm_max: int = field(repr=False)  # the largest squared norm of a row of _counts
@@ -190,12 +206,26 @@ class DescriptorDatabase(Sequence):
                 if rec_id in seen:
                     raise ValueError(f"duplicate record id {rec_id!r}")
                 seen.add(rec_id)
-        matrix = np.zeros((n, width), order="F")
-        matrix[np.arange(width) < lengths[:, np.newaxis]] = flat
+        # float32 where a dot product of two count vectors of this width, at
+        # most width den_max^2, and so each of its partial sums, is below 2^24
+        exact32 = dens is not None and width * den_max * den_max < _EXACT32
+        matrix = np.zeros((n, width), np.float32 if exact32 else float, order="F")
+        # row i's values fill its first lengths[i] places, a block of rows at
+        # a time through a mask of at most _FILL_PLACES bytes, which np.repeat
+        # makes alone (a broadcast comparison also takes buffers of int64)
+        step, start = max(1, _FILL_PLACES // max(width, 1)), 0
+        for i in range(0, n, step):
+            part = lengths[i:i + step]
+            mask = np.repeat(np.tile((True, False), part.size),
+                             np.column_stack((part, width - part)).ravel())
+            stop = start + int(part.sum())
+            matrix[i:i + step][mask.reshape(part.size, width)] = flat[start:stop]
+            start = stop
         counted = dict(_counts=None, _dens=None, _half_norms=None, _norm_max=0, _den_gcd=0,
                        _den_max=0, _values=matrix)
         if dens is not None:
-            norms = np.einsum("ij,ij->i", matrix, matrix)
+            # exact in either dtype: a row's squared norm is a dot product too
+            norms = np.einsum("ij,ij->i", matrix, matrix).astype(float, copy=False)
             counted = dict(_counts=matrix, _dens=dens.astype(float),
                            _norm_max=int(norms.max(initial=0)),
                            _half_norms=np.multiply(norms, 0.5, out=norms), _den_gcd=den_gcd,
@@ -233,7 +263,7 @@ class DescriptorDatabase(Sequence):
         database makes them, ``counts / den``, at each read."""
         if self._counts is None:
             return self._values
-        matrix = self._counts / self._dens[:, np.newaxis]
+        matrix = np.divide(self._counts, self._dens[:, np.newaxis], dtype=float)
         matrix.flags.writeable = False
         return matrix
 
@@ -250,16 +280,21 @@ class DescriptorDatabase(Sequence):
             return [self[j] for j in i]
         if self._counts is None:
             vector = ShapeVector(self.variant, self.spec, self._row(i))
-        else:  # an extracted record's vector, with its counts
-            vector = _counted(self.variant, self.spec, self._row(i),
-                              self._counts[i, :self.lengths[i]], int(self._dens[i]))
+        else:  # an extracted record's vector, with its counts as float64
+            counts = self._counts[i, :self.lengths[i]].astype(float)
+            vector = _counted(self.variant, self.spec, counts / self._dens[i], counts,
+                              int(self._dens[i]))
         return DescriptorRecord(self.ids[i], self.categories[i], vector)
 
     def _row(self, i: int) -> np.ndarray:
-        """Record i's values: a view of ``_values``, or made from its counts."""
+        """Record i's values: a view of ``_values``, or made from its counts.
+
+        Counts are made float64 before they are divided: under numpy 1.x's
+        value-based casting, float32 counts over a float64 scalar would stay
+        float32."""
         if self._counts is None:
             return self._values[i, :self.lengths[i]]
-        return self._counts[i, :self.lengths[i]] / self._dens[i]
+        return self._counts[i, :self.lengths[i]].astype(float) / self._dens[i]
 
 
 def _check_size(n: int, width: int) -> None:
@@ -354,9 +389,11 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
     query that carries its counts in a count database, ties at equal
     floating-point distance otherwise (see the module docstring).
     ``exclude_id`` drops one record (used for leave-self-out evaluation).
-    Returns fewer than k matches only when the database, after exclusion,
-    is smaller than k.
+    ``k`` is a Python or numpy integer >= 1: TypeError for any other type,
+    ValueError below 1. Returns fewer than k matches only when the
+    database, after exclusion, is smaller than k.
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # a query extracted under the database's spec holds that very spec object
@@ -397,7 +434,12 @@ def _exact_matches(db: DescriptorDatabase, q: ShapeVector, k: int,
         return None
     one = db._den_gcd == db._den_max  # every row's denominator is big_m
     head = q._counts[:counts.shape[1]]
-    num = counts[:, :head.size] @ head
+    if db._norm_max * q_norm < _EXACT32 * _EXACT32:
+        # c.q <= |c| |q| < 2^24 (Cauchy-Schwarz), and so is every partial sum of
+        # its nonnegative terms: exact in the matrix's own dtype, float32 or float64
+        num = (counts[:, :head.size] @ head.astype(counts.dtype)).astype(float, copy=False)
+    else:  # copy=False: a float64 matrix is not copied at each query
+        num = counts[:, :head.size].astype(float, copy=False) @ head
     if not one:
         m = db._dens if g == 1 else db._dens // g
         num *= m
@@ -410,18 +452,20 @@ def _exact_matches(db: DescriptorDatabase, q: ShapeVector, k: int,
     at = min(k, key.size - (excluded is not None)) - 1
     rows = (key <= np.partition(key, at)[at]).nonzero()[0]
     nums, rows = num[rows].tolist(), rows.tolist()
-    two_p = 2 * big_p  # N = 2 P num + M^2 |q|^2
+    # N = P (2 num) + M^2 |q|^2 in Python integers: 2 num is exact in
+    # float64, but P times it need not be
     if one:  # the numerators rank exactly
         mq, scale = big_m * big_m * q_norm, (p * big_m) ** 2
         return [Match(db.ids[rows[j]], db.categories[rows[j]],
-                      math.sqrt((int(two_p * nums[j]) + mq) / scale))
+                      math.sqrt((big_p * int(2 * nums[j]) + mq) / scale))
                 for j in sorted(range(len(rows)), key=nums.__getitem__)[:k]]
     # over one common denominator, lcm(M)^2, the numerators rank exactly
     ms = [int(mj) for mj in m[rows].tolist()]
     common = math.lcm(*ms) ** 2
     exact = [int(2 * n) * (common // (mj * mj)) for n, mj in zip(nums, ms)]
     return [Match(db.ids[rows[j]], db.categories[rows[j]],
-                  math.sqrt((int(two_p * nums[j]) + ms[j] * ms[j] * q_norm) / (p * ms[j]) ** 2))
+                  math.sqrt((big_p * int(2 * nums[j]) + ms[j] * ms[j] * q_norm)
+                            / (p * ms[j]) ** 2))
             for j in sorted(range(len(rows)), key=exact.__getitem__)[:k]]
 
 

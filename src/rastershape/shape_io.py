@@ -423,6 +423,37 @@ def _empty(shape: BinaryShape) -> EmptyShapeError:
     return EmptyShapeError(f"shape {shape.id!r} has no foreground pixels")
 
 
+def _integer(name: str, value) -> int:
+    """``value``, a Python or numpy integer, as an int (``operator.index``);
+    TypeError naming ``name`` for anything else, a float or None included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _box(shape: BinaryShape) -> tuple[int, int, int, int, np.ndarray]:
+    """``(y0, y1, b0, b1, used)``: the foreground's bounding box in whole
+    bytes, rows ``y0:y1`` and byte columns ``b0:b1`` of ``shape.bits``, and
+    which bytes of that box are nonzero; EmptyShapeError if there are none.
+
+    The first and last nonzero bytes of the flat bits give the rows; the
+    columns come from the nonzero bytes of those rows alone.
+    """
+    bits = shape.bits
+    row_bytes = bits.shape[1]
+    nonzero = bits.ravel() != 0
+    first = int(nonzero.argmax())
+    if not nonzero[first]:
+        raise _empty(shape)
+    y0 = first // row_bytes
+    y1 = (nonzero.size - 1 - int(nonzero[::-1].argmax())) // row_bytes + 1
+    used = nonzero[y0 * row_bytes:y1 * row_bytes].reshape(-1, row_bytes)
+    span = np.flatnonzero(used.any(axis=0))
+    b0, b1 = int(span[0]), int(span[-1]) + 1
+    return y0, y1, b0, b1, used[:, b0:b1]
+
+
 def _geometry(shape: BinaryShape) -> tuple[Centroid, float]:
     """(centroid, r_max) from one pass over the bytes of the foreground's
     bounding box, kept on the shape.
@@ -436,18 +467,9 @@ def _geometry(shape: BinaryShape) -> tuple[Centroid, float]:
     so one of the two is the row's farthest pixel, bit for bit.
     """
     if shape._geometry is None:
-        bits = shape.bits
-        row_bytes = bits.shape[1]
-        nonzero = bits.ravel() != 0
-        first = nonzero.argmax()
-        if not nonzero[first]:
-            raise _empty(shape)
-        y0 = first // row_bytes
-        y1 = (nonzero.size - 1 - nonzero[::-1].argmax()) // row_bytes + 1
-        band = bits[y0:y1]
-        used = nonzero[y0 * row_bytes:y1 * row_bytes].reshape(-1, row_bytes)
-        span = np.flatnonzero(used.any(axis=0))
-        b0, b1 = span[0], span[-1] + 1
+        y0, y1, b0, b1, used = _box(shape)
+        row_bytes = shape.bits.shape[1]
+        band = shape.bits[y0:y1]
         both = _PLACES_AND_COUNT.take(band[:, b0:b1])
         rows = both.sum(axis=1) & _COUNT
         cols = both.sum(axis=0)
@@ -455,7 +477,6 @@ def _geometry(shape: BinaryShape) -> tuple[Centroid, float]:
         sum_x = int((cols & _COUNT) @ np.arange(8 * b0, 8 * b1, 8)) + int((cols >> 32).sum())
         c = Centroid(sum_x / n, int(rows @ np.arange(y0, y1)) / n)
         # each row's first and last nonzero byte
-        used = used[:, b0:b1]
         lo = used.argmax(axis=1) + b0
         hi = (b1 - 1) - used[:, ::-1].argmax(axis=1)
         at = np.arange(y1 - y0) * row_bytes
@@ -608,16 +629,11 @@ def occlude(shape: BinaryShape, fraction: float, seed: int = 0) -> BinaryShape:
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"occlusion fraction must be in [0, 1), got {fraction}")
-    seed = operator.index(seed)
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     bits = shape.bits
-    used = np.flatnonzero(bits.any(axis=1))
-    if used.size == 0:
-        raise _empty(shape)
-    y0, y1 = used[0], used[-1] + 1
-    span = np.flatnonzero(bits[y0:y1].any(axis=0))
-    b0, b1 = span[0], span[-1] + 1
+    y0, y1, b0, b1, _ = _box(shape)
     band = np.unpackbits(bits[y0:y1, b0:b1], axis=1).view(bool)
     n = np.count_nonzero(band)
     target = math.ceil(fraction * n)

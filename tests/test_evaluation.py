@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,36 @@ def test_k_below_one_is_refused_before_extraction(toy_corpus, monkeypatch):
     assert calls == []
 
 
+def test_integer_arguments_are_checked_before_the_first_shape_is_read(toy_corpus):
+    # k, seed and per_category must be Python or numpy integers: anything
+    # else is refused by name before the stream is read, where a float
+    # used to fail only once every shape had been read, or at the first
+    read = []
+
+    def stream():
+        for shape in toy_corpus:
+            read.append(shape.id)
+            yield shape
+
+    for bad in (2.5, 3.0, None, "3"):
+        got = re.escape(repr(bad))
+        with pytest.raises(TypeError, match=f"^k must be an integer, got {got}$"):
+            sweep(stream(), CIRC_RADIAL, k=bad)
+        for name in ("k", "seed", "per_category"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {got}$"):
+                occlusion_experiment(stream(), **{name: bad})
+        with pytest.raises(TypeError, match=f"^per_category must be an integer, got {got}$"):
+            select_occlusion_queries(stream(), bad, 0.2, 0)
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {got}$"):
+            select_occlusion_queries(stream(), 2, 0.2, bad)
+    assert read == []
+    configs = [(CIRC_RADIAL, 8, 4)]
+    assert occlusion_experiment(stream(), configs, per_category=np.int64(1), seed=np.uint8(2),
+                                k=np.int32(1)) == \
+        occlusion_experiment(toy_corpus, configs, per_category=1, seed=2, k=1)
+    assert read == [shape.id for shape in toy_corpus]
+
+
 def test_lattice_parameters_are_checked_before_extraction(toy_corpus, monkeypatch):
     calls = []
     monkeypatch.setattr("rastershape.evaluation._hits", lambda *a: calls.append(a))
@@ -484,13 +515,14 @@ def test_stream_stops_at_the_first_shape_past_the_cap_over_all_configs(synthetic
 
 def test_count_database_from_its_columns_holds_one_matrix(synthetic_corpus):
     # the benchmark's widest cell, spiral_fixed 8/24: 460 vectors of up to
-    # 504 counts. Built from its columns, the database holds its float64
-    # count matrix and no other copy of the cell, at no point of the build
+    # 504 counts. Built from its columns, the database holds its float32
+    # count matrix and no other copy of the cell, float64 or float32, at no
+    # point of the build
     spec = RasterSpec("spiral", 8, 24)
     columns = _extract_columns(synthetic_corpus, [(SPIRAL_FIXED, spec)])
     db, peak = traced_peak(columns.database, 0)
     assert db._counts is not None and db._values is None
-    assert db._counts.nbytes == len(synthetic_corpus) * 504 * 8
+    assert db._counts.nbytes == len(synthetic_corpus) * 504 * 4
     assert peak <= 1.5 * db._counts.nbytes
 
 

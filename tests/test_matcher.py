@@ -123,6 +123,10 @@ def test_query_validation():
                             (DescriptorRecord("a-1", "a", vec([0.5])),))
     with pytest.raises(ValueError):
         query(db, vec([0.5]), 0)
+    for k in (1.0, 2.5, None):
+        with pytest.raises(TypeError, match=f"^k must be an integer, got {k!r}$"):
+            query(db, vec([0.5]), k)
+    assert query(db, vec([0.5]), np.int64(1)) == query(db, vec([0.5]), 1)
     with pytest.raises(IncompatibleVectorError):
         query(db, vec([0.5], spec=RasterSpec("circular", 16, 24)), 1)
 
@@ -482,6 +486,56 @@ def test_count_database_query_is_the_exact_rational_top_k(case):
             assert m.distance == distance(query_vector, db[int(m.id[2:])].vector)
 
 
+@st.composite
+def float32_cases(draw):
+    """Count databases at the edge of float32: L_max counts over at most
+    den_max, with L_max den_max^2 just below 2^24 (held as float32) or at
+    or just past it (float64), rows over den_max or a little less and
+    counts up to den_max, so a dot product reaches the edge; queries over
+    den_max (within the per-query bound |c|^2 |q|^2 < 2^48) or over 10^6
+    (past it, on a float32 matrix too, so the product runs in float64)."""
+    width = draw(st.integers(1, 6))
+    edge = math.isqrt((2 ** 24 - 1) // width)  # the largest float32 den_max
+    den_max = edge + draw(st.sampled_from((0, 0, 1, 2)))
+    row_den = st.sampled_from((den_max, den_max - 1, den_max - 2))
+    dens = [den_max] + draw(st.lists(row_den, max_size=7))
+
+    def vector(den, size):
+        counts = st.sampled_from(sorted({0, 1, den // 2, den - 1, den}))
+        return draw(st.lists(counts, min_size=size, max_size=size))
+
+    rows = [vector(m, draw(st.integers(0, width))) for m in dens]
+    rows[0] = vector(den_max, width)  # the matrix is width wide
+    p = draw(st.sampled_from((den_max, 10 ** 6)))
+    q = vector(p, draw(st.integers(0, width + 2)))
+    k = draw(st.integers(1, len(rows)))
+    return rows, dens, q, p, k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=float32_cases())
+# one count each over 4095 and 4096: 4095^2 is the largest product below
+# 2^24, and 4096 takes the matrix to float64
+@example(case=([[4095], [4094], [0]], [4095, 4095, 4094], [4095], 4095, 3))
+@example(case=([[4096], [4095], [1]], [4096, 4096, 4095], [4096], 4096, 3))
+# a query of 10^6 over 10^6 against a float32 matrix: past the per-query bound
+@example(case=([[4095, 0], [4094, 4095]], [4095, 4095], [10 ** 6, 10 ** 6], 10 ** 6, 2))
+# P = 10^6 over rows' 2047: P times twice the key numerator passes 2^53
+@example(case=([[0, 0, 0, 0], [1023], []], [2047] * 3, [999999], 10 ** 6, 1))
+def test_float32_counts_rank_as_the_exact_rational_top_k(case):
+    rows, dens, q, p, k = case
+    spec = RasterSpec("circular", 8, 4)
+    db = counts_db(rows, CIRC_ANGULAR, spec, dens)
+    width, den_max = db._counts.shape[1], max(dens)
+    assert db._counts.dtype == (np.float32 if width * den_max ** 2 < 2 ** 24 else np.float64)
+    query_vector = counts_vector(q, CIRC_ANGULAR, spec, p)
+    expected = exact_topk(rows, dens, q, p, k)
+    with float_kernel_forbidden():
+        got = query(db, query_vector, k)
+    assert [(m.id, np.float64(m.distance).tobytes()) for m in got] == \
+        [(f"r-{i}", np.float64(dist).tobytes()) for i, dist in expected]
+
+
 def test_exact_ties_keep_insertion_order_where_rounding_does_not():
     # both rows are sqrt(5)/6 from the query in exact arithmetic, yet the
     # float kernel puts the first a rounding above the second
@@ -550,6 +604,8 @@ def test_loaded_and_circ_angular_databases_rank_exactly(toy_corpus, tmp_path):
     save_database(radial, tmp_path / "toy.rdb")
     loaded = load_database(tmp_path / "toy.rdb")
     assert loaded._dens.tolist() == [10 ** 6] * len(loaded)
+    # counts over 10^6 are held as float64, an extracted database's as float32
+    assert (loaded._counts.dtype, radial._counts.dtype) == (np.float64, np.float32)
     assert sorted(set(angular._dens.tolist())) != [angular._den_max]  # per-row denominators
     for db, recs in ((loaded, radial), (angular, angular)):
         rows = [db._counts[i, :n].astype(int).tolist() for i, n in enumerate(db.lengths)]
@@ -560,6 +616,33 @@ def test_loaded_and_circ_angular_databases_rank_exactly(toy_corpus, tmp_path):
             with float_kernel_forbidden():
                 got = query(db, q, len(db), exclude_id=rec.id)
             assert [(m.id, m.distance) for m in got] == [(db.ids[i], d) for i, d in expected]
+
+
+def test_float32_counts_are_read_as_float64_values(toy_corpus, tmp_path):
+    # every reader makes float32 counts float64 before it divides: under
+    # numpy 1.x's value-based casting, a float32 array over a float64 scalar
+    # stays float32. So the values, the records and the saved text are
+    # those of the exact counts, for all four variants
+    circular, spiral = RasterSpec("circular", 8, 24), RasterSpec("spiral", 8, 24)
+    configs = [(CIRC_RADIAL, circular), (CIRC_ANGULAR, circular), (SPIRAL_FULL, spiral),
+               (SPIRAL_FIXED, spiral)]
+    for db in extract_databases(toy_corpus, configs):
+        assert db._counts.dtype == np.float32
+        counts = [[int(c) for c in db._counts[i, :n]] for i, n in enumerate(db.lengths)]
+        dens = [int(m) for m in db._dens]
+        values = [[c / m for c in row] for row, m in zip(counts, dens)]
+        width = db._counts.shape[1]
+        assert db.matrix.dtype == np.float64
+        assert db.matrix.tolist() == [row + [0.0] * (width - len(row)) for row in values]
+        for i, rec in enumerate(db):
+            assert db._row(i).dtype == rec.vector.values.dtype == rec.vector._counts.dtype \
+                == np.float64
+            assert db._row(i).tolist() == rec.vector.values.tolist() == values[i]
+            assert rec.vector._counts.tolist() == counts[i]
+        save_database(db, tmp_path / "db.rdb")
+        lines = (tmp_path / "db.rdb").read_text(encoding="utf-8").split("\n")[1:-1]
+        assert [line.split("\t")[3] for line in lines] == \
+            [",".join(f"{c / m:.6f}" for c in row) for row, m in zip(counts, dens)]
 
 
 # ----------------------------------------------------------------- database
