@@ -71,7 +71,7 @@ def cmd_sweep(args) -> int:
     def progress(cell):
         print(
             f"sep={cell.separation_px} samples={cell.samples_per_cycle} "
-            f"efficiency={cell.efficiency_pct:.1f}% total={cell.total_time_s:.3f}s",
+            f"efficiency={cell.efficiency_pct:.1f}% total={cell.total_time_s:.6f}s",
             file=sys.stderr,
         )
 
@@ -114,25 +114,21 @@ def cmd_report(args) -> int:
     report = read_sweep_csv(args.csv)
     metric = {
         "efficiency": ("efficiency_pct", "{:.1f}"),
-        "total_time": ("total_time_s", "{:.3f}"),
-        "avg_time": ("avg_time_s", "{:.3f}"),
+        "total_time": ("total_time_s", "{:.6f}"),
+        "avg_time": ("avg_time_s", "{:.6f}"),
     }[args.metric]
     field, fmt = metric
     seps = list(dict.fromkeys(c.separation_px for c in report.cells))
     samples = list(dict.fromkeys(c.samples_per_cycle for c in report.cells))
-    values = {(c.separation_px, c.samples_per_cycle): getattr(c, field)
-              for c in report.cells}
+    texts = {(c.separation_px, c.samples_per_cycle): fmt.format(getattr(c, field))
+             for c in report.cells}
+    # a space before every cell, however long a time is
+    width = max(9, 1 + max(map(len, texts.values())))
 
     print(f"{report.variant} on {report.dataset} ({field})")
-    width = 9
-    header = "sep\\smp".rjust(width) + "".join(str(s).rjust(width) for s in samples)
-    print(header)
+    print("sep\\smp".rjust(width) + "".join(str(s).rjust(width) for s in samples))
     for d in seps:
-        row = str(d).rjust(width)
-        for s in samples:
-            v = values.get((d, s))
-            row += (fmt.format(v) if v is not None else "-").rjust(width)
-        print(row)
+        print(str(d).rjust(width) + "".join(texts.get((d, s), "-").rjust(width) for s in samples))
     return 0
 
 

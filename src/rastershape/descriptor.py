@@ -7,12 +7,13 @@ hits per row (radial / full-cycle) or per column (angular), or keeps them
 all (fixed-angle, one per spiral arc segment). It runs in three steps that
 a stream of shapes (``evaluation``) runs too: ``_hits`` measures and looks
 up one shape under every config, ``_grouped`` counts the hits of a run of
-shapes under one config at once, and ``_values`` divides those counts, so a
-vector is bit for bit the same whether it is grouped alone or in a block.
-A stream keeps the integer counts and hands them to its databases; only
-its query vectors are divided.
+shapes under one config at once, and ``_vectors`` builds the run's vectors
+from those counts, each divided by ``_values``, so a vector is bit for bit
+the same whether it is grouped alone or in a block. A stream keeps the
+integer counts and hands them to its databases; only its query records
+are built into vectors.
 
-``extract_all`` builds its vectors through one private path, ``_counted``,
+``_vectors`` is the one way from counts to vectors, through ``_counted``,
 which skips the public constructor's checks: the config was checked on the
 way in, and each value is a count of hits over a positive sample count, so
 it lies in [0, 1] by construction. The public ``ShapeVector(...)`` still
@@ -137,11 +138,9 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     """One vector per ``(variant, spec)`` config of ``shape``, in order.
 
     Every config is checked first. The lookups are ``_hits``'s, the
-    grouping ``_grouped``'s and the division ``_values``', the very calls
+    grouping ``_grouped``'s and the vectors ``_vectors``', the very calls
     a stream of shapes makes (see ``evaluation``), so each vector is bit
-    for bit that stream's. Each is built by ``_counted``: its values are
-    hits over a positive sample count, so they lie in [0, 1] and need no
-    re-check.
+    for bit that stream's.
     """
     configs = list(configs)
     for variant, spec in configs:
@@ -149,9 +148,7 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     vectors = []
     for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs)):
         cycles = np.array([n])
-        counts = _grouped(variant, spec, hits, cycles).astype(float)
-        vectors.append(_counted(variant, spec, _values(variant, spec, counts, cycles), counts,
-                                count_denominator(variant, spec) or n))
+        vectors += _vectors(variant, spec, _grouped(variant, spec, hits, cycles), cycles)
     return vectors
 
 
@@ -251,3 +248,17 @@ def _values(variant: str, spec: RasterSpec, counts: np.ndarray,
     if den is not None:
         return counts / den
     return (counts.reshape(-1, spec.samples_per_cycle) / cycles[:, np.newaxis]).ravel()
+
+
+def _vectors(variant: str, spec: RasterSpec, counts: np.ndarray,
+             cycles: np.ndarray) -> list[ShapeVector]:
+    """The ShapeVectors of ``_grouped``'s ``counts`` of shapes of ``cycles``
+    cycles, each built by ``_counted`` as a read-only view of one array of
+    the counts as float64 and one of their ``_values`` (one array for
+    spiral_fixed, whose counts are their values), over its ``_dens``."""
+    counts = counts.astype(float)
+    values = _values(variant, spec, counts, cycles)
+    lengths = _lengths(variant, spec, cycles).tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [_counted(variant, spec, values[end - n:end], counts[end - n:end], den)
+            for n, end, den in zip(lengths, ends, _dens(variant, spec, cycles).tolist())]

@@ -15,7 +15,8 @@ per-config columns of ids, categories, cycle counts and integer counts, in
 the narrowest dtype that holds them. Every database is a count database,
 built straight from those counts and each shape's denominator, and holds
 them once; only an experiment's query records divide them into values,
-and each carries its counts beside them. So a stream holds
+by ``descriptor._vectors`` as ``extract_all`` does, and each carries its
+counts beside them. So a stream holds
 one decoded image and one bounded block of hits, besides the columns, and
 it stops at the first shape that would take a config's database, or the
 sum of all its configs' databases, past the size cap,
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .descriptor import _counted, _dens, _grouped, _hits, _lengths, _values, variant_kind
+from .descriptor import _dens, _grouped, _hits, _lengths, _vectors, variant_kind
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, _check_size, query
 from .raster import RasterSpec
@@ -115,8 +116,8 @@ class _Columns:
     ``counts``, integers in the narrowest dtype that holds them. Once the
     stream has ended, ``database(i)`` builds config i's count database
     straight from its columns, with no vector or record per row.
-    ``records(i)`` makes config i's counts as float64 and their values, one
-    array each, for its query records, each vector a view of both.
+    ``records(i)`` builds config i's query records by ``descriptor._vectors``,
+    each vector a view of one array of counts as float64 and one of values.
     """
 
     def __init__(self, configs: Sequence[tuple[str, RasterSpec]]) -> None:
@@ -195,21 +196,12 @@ class _Columns:
                                              _dens(variant, spec, cycles))
 
     def records(self, i: int) -> list[DescriptorRecord]:
-        """Config i's records, each vector a read-only view of one array of
-        their counts and one of their values, both made here (one array
-        for spiral_fixed, whose counts are their values)."""
+        """Config i's records, their vectors built from its columns by
+        ``descriptor._vectors``, as ``extract_all`` builds one shape's."""
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
-        counts = counts.astype(float)
-        values = _values(variant, spec, counts, cycles)
-        lengths = _lengths(variant, spec, cycles)
-        ends = np.cumsum(lengths).tolist()
-        return [DescriptorRecord(rec_id, category,
-                                 _counted(variant, spec, values[end - n:end], counts[end - n:end],
-                                          den))
-                for rec_id, category, n, end, den in zip(
-                    self.ids, self.categories, lengths.tolist(), ends,
-                    _dens(variant, spec, cycles).tolist())]
+        return [DescriptorRecord(rec_id, category, vector) for rec_id, category, vector in zip(
+            self.ids, self.categories, _vectors(variant, spec, counts, cycles))]
 
 
 def _extracted(shapes: Iterable[BinaryShape], columns: _Columns) -> Iterator[BinaryShape]:
@@ -425,10 +417,11 @@ def _write_csv(dest, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_sweep_csv(report: SweepReport, dest) -> None:
-    """CSV with one row per cell: efficiency at 1 decimal, times at 3."""
+    """CSV with one row per cell: efficiency at 1 decimal, times at 6, so
+    a query of a few microseconds still reads above zero."""
     _write_csv(dest, SWEEP_CSV_COLUMNS, (
         [report.variant, report.dataset, cell.separation_px, cell.samples_per_cycle,
-         f"{cell.efficiency_pct:.1f}", f"{cell.total_time_s:.3f}", f"{cell.avg_time_s:.3f}"]
+         f"{cell.efficiency_pct:.1f}", f"{cell.total_time_s:.6f}", f"{cell.avg_time_s:.6f}"]
         for cell in report.cells))
 
 

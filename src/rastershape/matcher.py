@@ -57,7 +57,8 @@ built from values, takes the float kernel, _distances, over every row and
 one stable sort: records at equal floating-point distance keep insertion
 order. No workload of the program reaches it. Datasets here are a few
 hundred to a few thousand records, and the benchmark harness times exactly
-these scans.
+these scans. distance(a, b) is query() of ``a`` over the one-record
+database of ``b``: the one scorer, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -188,14 +189,14 @@ class DescriptorDatabase(Sequence):
               dens: np.ndarray | None = None) -> None:
         """Set every field from columns that agree: ``flat`` holds every
         record's values in [0, 1], or with ``dens`` their whole counts, row
-        i's over ``dens[i]``. ValueError at a count outside [0, its
+        i's over ``dens[i]``. ValueError at a count outside [0, the largest
         denominator], past MAX_DATABASE_VALUES or at a repeated id, before
-        the matrix is allocated."""
+        the matrix is allocated, and at a row's count above its own
+        denominator once the matrix is filled, from each row's largest."""
         if dens is not None:
             den_gcd, den_max = int(np.gcd.reduce(dens)), int(dens.max(initial=0))
             low, high = float(flat.min(initial=0)), float(flat.max(initial=0))
-            if (dens.min(initial=1) < 1 or not (low >= 0 and high <= den_max)
-                    or den_gcd != den_max and not (flat <= np.repeat(dens, lengths)).all()):
+            if dens.min(initial=1) < 1 or not (low >= 0 and high <= den_max):
                 raise ValueError("descriptor values must lie in [0, 1]")
         n, width = len(ids), int(lengths.max(initial=0))
         _check_size(n, width)
@@ -224,6 +225,8 @@ class DescriptorDatabase(Sequence):
         counted = dict(_counts=None, _dens=None, _half_norms=None, _norm_max=0, _den_gcd=0,
                        _den_max=0, _values=matrix)
         if dens is not None:
+            if den_gcd != den_max and (matrix.max(axis=1, initial=0) > dens).any():
+                raise ValueError("descriptor values must lie in [0, 1]")
             # exact in either dtype: a row's squared norm is a dot product too
             norms = np.einsum("ij,ij->i", matrix, matrix).astype(float, copy=False)
             counted = dict(_counts=matrix, _dens=dens.astype(float),
@@ -349,27 +352,12 @@ def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 def distance(a: ShapeVector, b: ShapeVector) -> float:
     """Euclidean distance; the shorter vector is zero-padded to the longer.
 
-    Two vectors that both carry their counts are compared as query()
-    compares them in a count database, from the exact integer squared
-    distance, so a match there reports the very distance this returns; any
-    other pair, or one past the exact bound, goes through the float kernel.
+    It is query() with ``a`` over the one-record database of ``b``, so a
+    match there reports the very distance this returns, and a pair of
+    another variant or spec raises its IncompatibleVectorError.
     """
-    if a.variant != b.variant or a.spec != b.spec:
-        raise IncompatibleVectorError(
-            f"cannot compare {a.variant}/{a.spec} with {b.variant}/{b.spec}"
-        )
-    if a._counts is not None and b._counts is not None:
-        # a as the query, over p, and b as the row, over m (module docstring)
-        p, m = a._den, b._den
-        g = math.gcd(p, m)
-        big_p, big_m = p // g, m // g
-        a_norm, b_norm = int(a._counts @ a._counts), int(b._counts @ b._counts)
-        if _within_exact(big_p, big_m, b_norm, a_norm):
-            width = min(a.values.size, b.values.size)
-            dot = int(a._counts[:width] @ b._counts[:width])
-            exact = big_p * (big_p * b_norm - 2 * big_m * dot) + big_m * big_m * a_norm
-            return math.sqrt(exact / (p * big_m) ** 2)
-    return float(_distances(b.values[np.newaxis].copy(), a.values)[0])
+    db = DescriptorDatabase.from_records(b.spec, b.variant, [DescriptorRecord("", "", b)])
+    return query(db, a, 1)[0].distance
 
 
 def _within_exact(big_p: int, big_m: int, c_norm: int, q_norm: int) -> bool:

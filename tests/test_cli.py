@@ -373,6 +373,31 @@ def test_report_renders_grid(toy_dir, tmp_path, capsys):
     assert "avg_time_s" in capsys.readouterr().out
 
 
+def test_sweep_writes_and_prints_microsecond_query_times(toy_dir, tmp_path, capsys):
+    # a toy-corpus query takes microseconds, which 3 decimals of a second
+    # would write, and report print, as 0.000
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(toy_dir), "--variant", "spiral_fixed", "--seps", "8", "32",
+                 "--samples", "4", "24", "--out", str(out)]) == 0
+    progress = capsys.readouterr().err.splitlines()
+    assert len(progress) == 4
+    assert all(float(line.rpartition("total=")[2].rstrip("s")) > 0 for line in progress)
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(float(row.split(",")[6]) > 0 for row in rows)
+    for metric in ("avg_time", "total_time"):
+        assert main(["report", str(out), "--metric", metric]) == 0
+        table = capsys.readouterr().out.splitlines()[2:]
+        cells = [float(text) for line in table for text in line.split()[1:]]
+        assert len(cells) == 4 and min(cells) > 0
+    # a cell of 10 s or more keeps a space before it in the table
+    out.write_text(out.read_text().replace(rows[0], rows[0].rsplit(",", 2)[0] + ",123.5,1.0"))
+    assert main(["report", str(out), "--metric", "total_time"]) == 0
+    table = capsys.readouterr().out.splitlines()[2:]
+    assert [len(line.split()) for line in table] == [3, 3]
+    assert table[0].split()[1] == "123.500000"
+
+
 def test_report_rejects_bad_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("hello\n")

@@ -221,14 +221,15 @@ def test_sweep_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == \
         "variant,dataset,separation,samples,efficiency_pct,total_time_s,avg_time_s"
+    # times at 6 decimals: a query of a few microseconds reads above zero
+    assert text.splitlines()[1:] == ["circ_radial,toy,8,4,83.3,0.123457,0.010288",
+                                     "circ_radial,toy,8,24,100.0,0.200000,0.016667"]
     parsed = read_sweep_csv(io.StringIO(text))
     assert parsed.variant == "circ_radial" and parsed.dataset == "toy"
-    assert parsed.cells[0] == SweepCell(8, 4, 83.3, 0.123, 0.010)
+    assert parsed.cells[0] == SweepCell(8, 4, 83.3, 0.123457, 0.010288)
     buf2 = io.StringIO()
     write_sweep_csv(parsed, buf2)
-    assert buf2.getvalue() == text.replace("83.3333", "83.3") \
-        .replace("0.1234567", "0.123").replace("0.0102881", "0.010") \
-        .replace("0.2,", "0.200,").replace("0.0166666", "0.017")
+    assert buf2.getvalue() == text
 
 
 def test_read_sweep_csv_rejects_garbage():

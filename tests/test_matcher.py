@@ -43,7 +43,7 @@ from rastershape.matcher import (
 from rastershape.evaluation import extract_databases
 from rastershape.raster import MAX_LATTICE_POINTS, RasterSpec
 
-from conftest import regimes
+from conftest import regimes, traced_peak
 from oracles import ref_distance, ref_topk
 
 SPEC = RasterSpec("circular", 8, 24)
@@ -580,6 +580,49 @@ def test_count_database_beyond_the_exact_bound_takes_the_float_scan():
     assert scan_bits(db, q, 3) == full_scan_bits(db, q, 3)
     with float_kernel_forbidden(), pytest.raises(AssertionError, match="float kernel"):
         query(db, q, 3)
+
+
+def test_distance_beyond_the_exact_bound_is_the_float_kernels():
+    # counts over 2^26 whose squared norms pass 2^53: both orders take the
+    # float kernel, as query() does past the bound, and return its bits
+    den = 1 << 26
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        a, b = (counts_vector([den, den, *rng.integers(0, den + 1, int(rng.integers(0, 6)))],
+                              CIRC_RADIAL, SPEC, den) for _ in range(2))
+        assert not _within_exact(1, 1, int(b._counts @ b._counts), int(a._counts @ a._counts))
+        for x, y in ((a, b), (b, a)):
+            expected = _distances(y.values[np.newaxis].copy(), x.values)[0]
+            assert np.float64(distance(x, y)).tobytes() == expected.tobytes()
+            with float_kernel_forbidden(), pytest.raises(AssertionError, match="float kernel"):
+                distance(x, y)
+
+
+def test_per_row_denominators_are_checked_in_no_more_memory_than_one():
+    # circ_angular's form: 40,000 rows of 24 uint8 counts, row i over its
+    # own cycle count; the check of each row against its own denominator
+    # costs no array per value, so the build peaks as one denominator's does
+    n, width = 40_000, 24
+    rng = np.random.default_rng(36)
+    dens = rng.integers(1, 201, n)
+    counts = (rng.random((n, width)) * (dens[:, np.newaxis] + 1)).astype(np.uint8).ravel()
+    ids, categories, lengths = [f"r-{i}" for i in range(n)], ["c"] * n, [width] * n
+    spec = RasterSpec("circular", 16, width)
+
+    def build(dens):
+        return DescriptorDatabase._of_counts(spec, CIRC_ANGULAR, ids, categories, lengths,
+                                             counts, dens)
+
+    build(dens), build(200)  # numpy's first calls of a loop cache what they look up
+    per_row, per_row_peak = traced_peak(build, dens)
+    one, one_peak = traced_peak(build, 200)
+    assert per_row._dens.tolist() == dens.tolist() and one._den_max == 200
+    assert per_row_peak <= one_peak
+    # a count above its own row's denominator, but not above the largest one
+    over = counts.copy()
+    over[np.argmin(dens) * width] = dens.min() + 1
+    with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
+        DescriptorDatabase._of_counts(spec, CIRC_ANGULAR, ids, categories, lengths, over, dens)
 
 
 def scan_bits(db, q, k, exclude_id=None):
