@@ -191,9 +191,9 @@ class _Columns:
         """Config i's count database, built from its columns."""
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
-        return DescriptorDatabase._of_counts(spec, variant, self.ids, self.categories,
-                                             _lengths(variant, spec, cycles), counts,
-                                             _dens(variant, spec, cycles))
+        return DescriptorDatabase(spec, variant, self.ids, self.categories,
+                                  _lengths(variant, spec, cycles), counts,
+                                  _dens(variant, spec, cycles))
 
     def records(self, i: int) -> list[DescriptorRecord]:
         """Config i's records, their vectors built from its columns by

@@ -11,10 +11,11 @@ so that every dot product of two such rows is an integer float32 holds,
 and float64 otherwise, as in every loaded file. A value is made from the
 counts as float64, ``count / den`` and so bit for bit the value it stands
 for, only where one is read (``matrix``, a record or save_database's
-text). A database built from values holds them as float64. The
-experiments and ``cli index`` extract straight into columns of integer
-counts (see ``evaluation``), with no vector, record or float value per
-row, and DescriptorDatabase._of_counts builds from them;
+text). A database built from values holds them as float64. Every
+database is built by one constructor, DescriptorDatabase(), from columns
+with one denominator per record or from values: the experiments and ``cli
+index`` extract straight into columns of integer counts (see
+``evaluation``), with no vector, record or float value per row;
 DescriptorDatabase.from_records builds one from records a library caller
 holds; load_database reads a RASTERDB v1 file (UTF-8 text, one labeled
 vector per line, lines separated by line feeds alone, at most
@@ -23,9 +24,8 @@ no loop over the lines and no per-record objects. It reads values only in
 the fixed 6-decimal notation save_database writes, a digit, a dot and six
 digits: every value of the file is checked and read at once, as a whole
 count of millionths, and any other token is a bad record. Only a file that
-pass refuses is read line by line, to name its first fault. The public
-constructor keeps the values a caller gives it. A database is the sequence
-of its records, each built when it is read.
+pass refuses is read line by line, to name its first fault. A database is
+the sequence of its records, each built when it is read.
 
 One exact rule ranks a query that carries its counts, as every extracted
 vector does, in a count database. Take the query's counts q over p and a
@@ -154,46 +154,28 @@ class DescriptorDatabase(Sequence):
     _values: np.ndarray | None = field(repr=False)  # a database built from values
 
     def __init__(self, spec: RasterSpec, variant: str, ids: Sequence[str],
-                 categories: Sequence[str], lengths: Sequence[int], values) -> None:
-        """``values``: every record's values in record order, each in [0, 1]
-        (else ValueError), kept as they are and ranked by the float kernel."""
+                 categories: Sequence[str], lengths: Sequence[int], values,
+                 dens=None) -> None:
+        """Record i is ``ids[i]``, ``categories[i]`` and the next
+        ``lengths[i]`` of ``values``: values in [0, 1], kept as float64 and
+        ranked by the float kernel, or with ``dens`` whole counts in any real
+        dtype, record i's over ``dens[i]`` (or ``dens`` for all), positive
+        integers. ValueError if ``variant`` does not fit ``spec``, the columns
+        disagree, an id repeats, the matrix passes MAX_DATABASE_VALUES or a
+        value lies outside [0, 1]; a count is checked against the largest
+        denominator before the matrix is allocated, and against its own
+        row's once it is filled, from each row's largest."""
         variant_kind(variant, spec)
         ids, categories = tuple(ids), tuple(categories)
         lengths = np.array(lengths, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
+        flat = np.asarray(values, dtype=float if dens is None else None)
         if (len(categories) != len(ids) or lengths.shape != (len(ids),) or (lengths < 0).any()
-                or lengths.sum() != values.size):
+                or lengths.sum() != flat.size):
             raise ValueError("ids, categories, lengths and values do not agree")
-        check_unit_range(values)
-        self._fill(spec, variant, ids, categories, lengths, values)
-
-    @classmethod
-    def _of_counts(cls, spec: RasterSpec, variant: str, ids: Sequence[str],
-                   categories: Sequence[str], lengths: Sequence[int], counts: np.ndarray,
-                   dens) -> DescriptorDatabase:
-        """The count database of ``counts``, every record's whole counts in
-        record order and any real dtype, record i's over ``dens[i]`` (or
-        over ``dens`` for every record), positive integers: the database of
-        their values, built with no values. ValueError if a count lies
-        outside [0, its denominator]. ``variant`` and ``spec`` are checked
-        and ``lengths`` sum to the counts.
-        """
-        db = object.__new__(cls)
-        ids = tuple(ids)
-        db._fill(spec, variant, ids, tuple(categories), np.array(lengths, dtype=np.intp),
-                 counts, np.broadcast_to(dens, len(ids)).astype(np.int64))
-        return db
-
-    def _fill(self, spec: RasterSpec, variant: str, ids: tuple[str, ...],
-              categories: tuple[str, ...], lengths: np.ndarray, flat: np.ndarray,
-              dens: np.ndarray | None = None) -> None:
-        """Set every field from columns that agree: ``flat`` holds every
-        record's values in [0, 1], or with ``dens`` their whole counts, row
-        i's over ``dens[i]``. ValueError at a count outside [0, the largest
-        denominator], past MAX_DATABASE_VALUES or at a repeated id, before
-        the matrix is allocated, and at a row's count above its own
-        denominator once the matrix is filled, from each row's largest."""
-        if dens is not None:
+        if dens is None:
+            check_unit_range(flat)
+        else:
+            dens = np.broadcast_to(dens, len(ids)).astype(np.int64)
             den_gcd, den_max = int(np.gcd.reduce(dens)), int(dens.max(initial=0))
             low, high = float(flat.min(initial=0)), float(flat.max(initial=0))
             if dens.min(initial=1) < 1 or not (low >= 0 and high <= den_max):
@@ -257,7 +239,7 @@ class DescriptorDatabase(Sequence):
                    [rec.category for rec in records], [v.values.size for v in vectors])
         if all(v._counts is not None for v in vectors):
             counts = np.concatenate([np.empty(0), *(v._counts for v in vectors)])
-            return cls._of_counts(*columns, counts, [v._den for v in vectors])
+            return cls(*columns, counts, [v._den for v in vectors])
         return cls(*columns, np.concatenate([np.empty(0), *(v.values for v in vectors)]))
 
     @property
@@ -584,8 +566,8 @@ def _columns(spec: RasterSpec, variant: str, text: str) -> DescriptorDatabase | 
     its count as str() does: as many bytes as the count has digits, each
     the count's digit of its place. _micro_units then checks every value,
     and the database holds them as counts of millionths; ValueError from
-    DescriptorDatabase._of_counts is a duplicate id, a value outside [0,
-    1] or the size cap.
+    the DescriptorDatabase constructor is a duplicate id, a value outside
+    [0, 1] or the size cap.
     """
     if not text.endswith("\n"):  # the last line may end without one
         text += "\n"
@@ -618,8 +600,7 @@ def _columns(spec: RasterSpec, variant: str, text: str) -> DescriptorDatabase | 
     micro, bad = _micro_units(fields[4::4])
     if bad is not None:
         return None
-    return DescriptorDatabase._of_counts(spec, variant, fields[1::4], fields[2::4], found, micro,
-                                         _MICRO)
+    return DescriptorDatabase(spec, variant, fields[1::4], fields[2::4], found, micro, _MICRO)
 
 
 def _first_fault(text: str) -> str | None:

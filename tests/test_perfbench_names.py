@@ -50,6 +50,9 @@ def test_traced_run_counts_every_stage(toy_corpus):
     # the sweep runs one untimed warm-up query, then the timed loop
     assert metrics["matcher.query_calls"] == len(toy_corpus) + 1 + len(occlusion.queries)
     assert metrics["matcher.distances"] > 0  # counted from each database's records
+    # every database, built from columns as the experiments build theirs,
+    # passes the one constructor the tracer wraps
+    assert metrics["matcher.db_build_s"] > 0
     assert metrics["evaluation.timed_match_s"] > 0
     assert metrics["shape_io.occlude_s"] > 0
     assert all(metrics[f"{layer}.errors"] == 0 for layer in tracing.LAYERS)

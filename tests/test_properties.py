@@ -705,8 +705,8 @@ def test_query_equals_oracle_before_and_after_round_trip(db_path, rows, q, copy,
 
 
 def full_scan(db, q, k, exclude_id=None):
-    """query() as an unpruned scan: the exact kernel over a copy of every
-    row, one stable argsort, then the exclusion."""
+    """The full-scan reference for query()'s float path: the float kernel
+    over a copy of every row, one stable argsort, then the exclusion."""
     dists = _distances(db.matrix.copy(), q.values)
     order = np.argsort(dists, kind="stable")
     if exclude_id in db.ids:
@@ -762,7 +762,7 @@ def scan_db(rows):
 
 @settings(FIXED, max_examples=400)
 @given(case=scan_cases())
-def test_pruned_query_is_the_full_scan_bit_for_bit(case):
+def test_float_query_is_the_full_scan_bit_for_bit(case):
     rows, q, k, exclude = case
     db = scan_db(rows)
     query_vector = ShapeVector("circ_radial", db.spec, q)
@@ -771,10 +771,9 @@ def test_pruned_query_is_the_full_scan_bit_for_bit(case):
         scan_outcome(full_scan, db, query_vector, k, exclude_id)
 
 
-def test_pruned_query_at_the_bound_edges():
-    # r-0 and r-1 both lie at 0.0, the square of r-1's distance underflowing;
-    # the Gram form rounds r-0's square up to a subnormal, which only the
-    # bound's absolute term covers
+def test_float_query_at_an_underflowing_distance():
+    # r-0 and r-1 both lie at 0.0, the square of r-1's difference underflowing
+    # to zero: the tie keeps insertion order, r-0 first
     db = scan_db([np.array([6.9e-162]), np.array([6.8e-162])])
     q = ShapeVector("circ_radial", db.spec, np.array([6.9e-162]))
     assert scan_outcome(query, db, q, 1, None) == scan_outcome(full_scan, db, q, 1, None) \
