@@ -8,23 +8,24 @@ all (fixed-angle, one per spiral arc segment). It runs in three steps that
 a stream of shapes (``evaluation``) runs too: ``_hits`` measures and looks
 up one shape under every config, ``_grouped`` counts the hits of a run of
 shapes under one config at once, and ``_vectors`` builds the run's vectors
-from those counts, each divided by ``_values``, so a vector is bit for bit
-the same whether it is grouped alone or in a block. A stream keeps the
-integer counts and hands them to its databases; only its query records
-are built into vectors.
+from those counts, so a vector is bit for bit the same whether it is
+grouped alone or in a block. A stream keeps the integer counts and hands
+them to its databases; only its query records are built into vectors.
 
-``_vectors`` is the one way from counts to vectors, through ``_counted``,
-which skips the public constructor's checks: the config was checked on the
-way in, and each value is a count of hits over a positive sample count, so
-it lies in [0, 1] by construction. The public ``ShapeVector(...)`` still
-checks everything it is given, and a database range-checks its values once.
-
-Every variant but ``circ_angular`` divides its counts by one denominator,
-``count_denominator``: the sample count for the per-cycle variants, 1 for
-``spiral_fixed``; ``circ_angular`` divides each shape's by its own cycle
-count. An extracted vector carries its integer counts and its denominator
-beside its values, so it is compared in exact integer arithmetic (see
-``matcher``); a vector built from values by hand carries none.
+``_layout`` is the one place a variant decides its vectors' shape: a
+shape of n cycles gets a vector of n counts over s samples each (radial,
+full-cycle), s counts over n cycles each (angular), or n s counts over 1
+each (fixed-angle). ``_grouped`` keeps counts in the narrowest unsigned
+dtype that holds the largest denominator, and ``_vectors``, the one way
+from counts to ShapeVectors (a database's records too), divides each
+count by its vector's denominator. It skips the public constructor's
+checks: the config was checked on the way in, and each value is a count
+of hits over a positive sample count, so it lies in [0, 1] by
+construction. The public ``ShapeVector(...)`` still checks everything it
+is given, and a database range-checks its values once. An extracted
+vector carries its integer counts and its denominator beside its values,
+so it is compared in exact integer arithmetic (see ``matcher``); a vector
+built from values by hand carries none.
 """
 
 from __future__ import annotations
@@ -88,28 +89,6 @@ class ShapeVector:
         return int(self.values.size)
 
 
-def _counted(variant: str, spec: RasterSpec, values: np.ndarray, counts: np.ndarray,
-             den: int) -> ShapeVector:
-    """A ShapeVector of ``values``, ``counts / den`` for ``counts`` whole
-    float64 counts of hits over a positive ``den``, each array fresh or a
-    view of a column that nothing writes, made read-only in place; nothing
-    is re-checked."""
-    values.flags.writeable = False
-    counts.flags.writeable = False
-    vector = object.__new__(ShapeVector)
-    vars(vector).update(variant=variant, spec=spec, values=values, _counts=counts, _den=den)
-    return vector
-
-
-def count_denominator(variant: str, spec: RasterSpec) -> int | None:
-    """The one denominator of every value of ``variant`` under ``spec``:
-    samples per cycle (circ_radial, spiral_full), 1 (spiral_fixed), or None
-    for circ_angular, whose shapes each divide by their own cycle count."""
-    if variant == CIRC_ANGULAR:
-        return None
-    return 1 if variant == SPIRAL_FIXED else spec.samples_per_cycle
-
-
 def check_unit_range(values: np.ndarray) -> None:
     """ValueError unless every value lies in [0, 1]; NaN fails both tests."""
     # compared as Python floats, which never warn; initial=0 accepts an empty array
@@ -148,7 +127,8 @@ def extract_all(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     vectors = []
     for (variant, spec), (hits, n) in zip(configs, _hits(shape, configs)):
         cycles = np.array([n])
-        vectors += _vectors(variant, spec, _grouped(variant, spec, hits, cycles), cycles)
+        vectors += _vectors(variant, spec, _grouped(variant, spec, hits, cycles),
+                            *_layout(variant, spec, cycles))
     return vectors
 
 
@@ -194,71 +174,59 @@ def _hits(shape: BinaryShape, configs: Sequence[tuple[str, RasterSpec]]
     return found
 
 
+def _layout(variant: str, spec: RasterSpec, cycles):
+    """The vector lengths and denominators of shapes of ``cycles`` cycles,
+    an int or an array of them, as ``cycles`` is: n values over s (radial,
+    full-cycle), s over n (angular) or n s over 1 (fixed-angle)."""
+    samples = spec.samples_per_cycle
+    if variant == CIRC_ANGULAR:
+        return cycles * 0 + samples, cycles
+    if variant == SPIRAL_FIXED:
+        return cycles * samples, cycles * 0 + 1
+    return cycles, cycles * 0 + samples
+
+
 def _grouped(variant: str, spec: RasterSpec, hits: np.ndarray,
              cycles: np.ndarray) -> np.ndarray:
     """The counts of a run of shapes under ``(variant, spec)``, their vectors
-    one after another, each ``_lengths`` long.
+    one after another, each as ``_layout`` lays it out.
 
     ``hits`` holds their ``_hits`` one after another, ``cycles[j]`` rows of
     s samples for shape j. A vector counts each cycle's hits (radial,
     full-cycle), each angle's hits over the shape's own cycles (angular),
     or keeps every hit (fixed-angle). No count is above its vector's
-    denominator, so the counts are kept in the narrowest unsigned dtype
-    that holds it: count_denominator, or the run's largest cycle count for
-    circ_angular. Counts are exact, so a vector is bit for bit the same
-    whatever run it is grouped in.
+    denominator, and no denominator grows as the cycle count falls, so the
+    counts are kept in the narrowest unsigned dtype that holds the
+    denominator of the run's largest cycle count. Counts are exact, so a
+    vector is bit for bit the same whatever run it is grouped in.
     """
-    samples = spec.samples_per_cycle
-    rows = hits.reshape(-1, samples)
+    dtype = np.min_scalar_type(_layout(variant, spec, int(cycles.max(initial=0)))[1])
+    rows = hits.reshape(-1, spec.samples_per_cycle)
     if variant in (CIRC_RADIAL, SPIRAL_FULL):
-        return rows.sum(axis=1, dtype=np.min_scalar_type(samples))
+        return rows.sum(axis=1, dtype=dtype)
     if variant == CIRC_ANGULAR:
         starts = np.cumsum(cycles) - cycles
-        dtype = np.min_scalar_type(int(cycles.max(initial=0)))
         return np.add.reduceat(rows, starts, axis=0, dtype=dtype).ravel()
-    return hits.astype(np.uint8)
+    return hits.astype(dtype)
 
 
-def _lengths(variant: str, spec: RasterSpec, cycles):
-    """The vector length of shapes of ``cycles`` cycles, an int or an array
-    of them, as ``cycles`` is: n (radial, full-cycle), s (angular) or n s
-    (fixed-angle)."""
-    samples = spec.samples_per_cycle
-    if variant == CIRC_ANGULAR:
-        return cycles * 0 + samples
-    return cycles * samples if variant == SPIRAL_FIXED else cycles
-
-
-def _dens(variant: str, spec: RasterSpec, cycles: np.ndarray) -> np.ndarray:
-    """The denominator of each shape of ``cycles`` cycles: count_denominator(),
-    or for circ_angular the shape's own cycle count."""
-    den = count_denominator(variant, spec)
-    return cycles if den is None else np.full(len(cycles), den)
-
-
-def _values(variant: str, spec: RasterSpec, counts: np.ndarray,
-            cycles: np.ndarray) -> np.ndarray:
-    """The values of ``_grouped``'s ``counts``, as float64: each count over
-    its shape's ``_dens``. Both are exact integers, so each value is the
-    correctly rounded quotient. A fresh array, but counts over 1
-    (spiral_fixed) are their own values."""
-    den = count_denominator(variant, spec)
-    if den == 1:
-        return counts
-    if den is not None:
-        return counts / den
-    return (counts.reshape(-1, spec.samples_per_cycle) / cycles[:, np.newaxis]).ravel()
-
-
-def _vectors(variant: str, spec: RasterSpec, counts: np.ndarray,
-             cycles: np.ndarray) -> list[ShapeVector]:
-    """The ShapeVectors of ``_grouped``'s ``counts`` of shapes of ``cycles``
-    cycles, each built by ``_counted`` as a read-only view of one array of
-    the counts as float64 and one of their ``_values`` (one array for
-    spiral_fixed, whose counts are their values), over its ``_dens``."""
+def _vectors(variant: str, spec: RasterSpec, counts: np.ndarray, lengths,
+             dens) -> list[ShapeVector]:
+    """The ShapeVectors of ``counts``, vector j the next ``lengths[j]`` of
+    them over ``dens[j]``, as ``_layout`` gives them: read-only views of one
+    array of the counts as float64 and one of their values, each the
+    correctly rounded quotient of two exact integers (one array where every
+    denominator is 1)."""
+    lengths, dens = np.asarray(lengths), np.asarray(dens)
     counts = counts.astype(float)
-    values = _values(variant, spec, counts, cycles)
-    lengths = _lengths(variant, spec, cycles).tolist()
-    ends = np.cumsum(lengths).tolist()
-    return [_counted(variant, spec, values[end - n:end], counts[end - n:end], den)
-            for n, end, den in zip(lengths, ends, _dens(variant, spec, cycles).tolist())]
+    values = counts if dens.max(initial=1) == 1 else counts / np.repeat(dens, lengths)
+    values.flags.writeable = False
+    counts.flags.writeable = False
+    vectors, at = [], 0
+    for n, den in zip(lengths.tolist(), dens.tolist()):
+        vector = object.__new__(ShapeVector)
+        vars(vector).update(variant=variant, spec=spec, values=values[at:at + n],
+                            _counts=counts[at:at + n], _den=den)
+        vectors.append(vector)
+        at += n
+    return vectors

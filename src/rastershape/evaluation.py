@@ -12,15 +12,15 @@ config (``descriptor._hits``), and only its hits and cycle counts are
 kept. Blocks of at most _BLOCK_POINTS hits are grouped at once
 (``descriptor._grouped``, as ``extract_all`` groups one shape) into
 per-config columns of ids, categories, cycle counts and integer counts, in
-the narrowest dtype that holds them. Every database is a count database,
-built straight from those counts and each shape's denominator, and holds
-them once; only an experiment's query records divide them into values,
-by ``descriptor._vectors`` as ``extract_all`` does, and each carries its
-counts beside them. So a stream holds
-one decoded image and one bounded block of hits, besides the columns, and
-it stops at the first shape that would take a config's database, or the
-sum of all its configs' databases, past the size cap,
-matcher.MAX_DATABASE_VALUES.
+the narrowest dtype that holds them. ``descriptor._layout`` gives each
+shape's vector length and denominator from its cycle count. Every
+database is a count database, built straight from those columns, and
+holds the counts once; only an experiment's query records divide them
+into values, by ``descriptor._vectors`` as ``extract_all`` does, and each
+carries its counts beside them. So a stream holds one decoded image and
+one bounded block of hits, besides the columns, and it stops at the first
+shape that would take a config's database, or the sum of all its
+configs' databases, past the size cap, matcher.MAX_DATABASE_VALUES.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .descriptor import _dens, _grouped, _hits, _lengths, _vectors, variant_kind
+from .descriptor import _grouped, _hits, _layout, _vectors, variant_kind
 from .errors import DatasetError, RasterShapeError
 from .matcher import DescriptorDatabase, DescriptorRecord, _check_size, query
 from .raster import RasterSpec
@@ -142,7 +142,7 @@ class _Columns:
         database is its rows times its widest row, so they are held to the
         cap in sum, and the stream stops at the first shape past either.
         """
-        widths = [max(width, _lengths(variant, spec, n))
+        widths = [max(width, _layout(variant, spec, n)[0])
                   for width, (variant, spec), (_, n) in zip(self._widths, self.configs, found)]
         rows = len(self.ids) + 1
         try:
@@ -191,9 +191,8 @@ class _Columns:
         """Config i's count database, built from its columns."""
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
-        return DescriptorDatabase(spec, variant, self.ids, self.categories,
-                                  _lengths(variant, spec, cycles), counts,
-                                  _dens(variant, spec, cycles))
+        lengths, dens = _layout(variant, spec, cycles)
+        return DescriptorDatabase(spec, variant, self.ids, self.categories, lengths, counts, dens)
 
     def records(self, i: int) -> list[DescriptorRecord]:
         """Config i's records, their vectors built from its columns by
@@ -201,7 +200,8 @@ class _Columns:
         variant, spec = self.configs[i]
         cycles, counts = self.column(i)
         return [DescriptorRecord(rec_id, category, vector) for rec_id, category, vector in zip(
-            self.ids, self.categories, _vectors(variant, spec, counts, cycles))]
+            self.ids, self.categories, _vectors(variant, spec, counts,
+                                                *_layout(variant, spec, cycles)))]
 
 
 def _extracted(shapes: Iterable[BinaryShape], columns: _Columns) -> Iterator[BinaryShape]:

@@ -55,10 +55,11 @@ bit for bit the float kernel's whenever that kernel's sum is exact.
 A query past that bound or built from values, and any query in a database
 built from values, takes the float kernel, _distances, over every row and
 one stable sort: records at equal floating-point distance keep insertion
-order. No workload of the program reaches it. Datasets here are a few
-hundred to a few thousand records, and the benchmark harness times exactly
-these scans. distance(a, b) is query() of ``a`` over the one-record
-database of ``b``: the one scorer, with no arithmetic of its own.
+order. No benchmark workload reaches it; ``cli query`` of a loaded file of
+long vectors can. Datasets here are a few hundred to a few thousand
+records, and the benchmark harness times exactly these scans. distance(a,
+b) is query() of ``a`` over the one-record database of ``b``: the one
+scorer, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor import ShapeVector, _counted, check_unit_range, variant_kind
+from .descriptor import ShapeVector, _vectors, check_unit_range, variant_kind
 from .errors import DatabaseFormatError, EmptyDatabaseError, IncompatibleVectorError
 from .raster import RasterSpec
 from .shape_io import _integer, read_bounded
@@ -266,9 +267,8 @@ class DescriptorDatabase(Sequence):
         if self._counts is None:
             vector = ShapeVector(self.variant, self.spec, self._row(i))
         else:  # an extracted record's vector, with its counts as float64
-            counts = self._counts[i, :self.lengths[i]].astype(float)
-            vector = _counted(self.variant, self.spec, counts / self._dens[i], counts,
-                              int(self._dens[i]))
+            [vector] = _vectors(self.variant, self.spec, self._counts[i, :self.lengths[i]],
+                                self.lengths[i:i + 1], [int(self._dens[i])])
         return DescriptorRecord(self.ids[i], self.categories[i], vector)
 
     def _row(self, i: int) -> np.ndarray:
@@ -298,14 +298,16 @@ class Match:
 
 def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``q`` to each row of ``rows``, an ``(n, width)``
-    array the kernel owns: it is overwritten with the squared differences.
+    array the kernel owns: it is overwritten with the squared differences,
+    then their running sums, so no second array of its size is allocated.
 
     Implicit zero-padding: missing trailing cycles hold no shape samples, so
     ``q`` and the rows are both padded with zeros to the longer width. Each
-    row's sum is the last column of ``cumsum(axis=1)``, which adds strictly
-    left to right, whatever the array's layout or number of rows. Extra zero
-    columns then add exact zeros, and a record's distance does not depend on
-    the width of the matrix it is in or on the other rows it is given with.
+    row's sum is the last column of ``cumsum(axis=1)``, taken in place, which
+    adds strictly left to right, whatever the array's layout or number of
+    rows. Extra zero columns then add exact zeros, and a record's distance
+    does not depend on the width of the matrix it is in or on the other rows
+    it is given with.
 
     The part of ``q`` beyond the matrix adds the same squares to every row.
     Those go in column blocks of at most ``_BLOCK_VALUES`` values, each
@@ -317,7 +319,7 @@ def _distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     head = q[:width]
     rows[:, :head.size] -= head
     rows *= rows
-    sums = rows.cumsum(axis=1)[:, -1] if width else np.zeros(n)
+    sums = np.cumsum(rows, axis=1, out=rows)[:, -1] if width else np.zeros(n)
     tail = q[width:]
     if tail.size:
         tail = tail * tail
@@ -378,7 +380,10 @@ def query(db: DescriptorDatabase, q: ShapeVector, k: int,
         matches = _exact_matches(db, q, k, excluded)
         if matches is not None:
             return matches
-    dists = _distances(db.matrix.copy(), q.values)
+    # the kernel overwrites its rows: stored values are copied, made ones are its own
+    values = db._values.copy() if db._counts is None else db.matrix
+    values.flags.writeable = True
+    dists = _distances(values, q.values)
     # a stable sort keeps ties in insertion order
     rows = [i for i in np.argsort(dists, kind="stable").tolist() if i != excluded][:k]
     return [Match(db.ids[i], db.categories[i], float(dists[i])) for i in rows]

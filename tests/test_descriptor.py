@@ -99,6 +99,25 @@ def test_lengths_per_variant():
             assert len(extract(shape, spec, SPIRAL_FIXED)) == n * s
 
 
+@pytest.mark.parametrize("variant, spec, cycles, dtype", [
+    (SPIRAL_FIXED, RasterSpec("spiral", 8, 300), (3, 1), np.uint8),
+    (CIRC_RADIAL, RasterSpec("circular", 8, 255), (3, 1), np.uint8),
+    (CIRC_RADIAL, RasterSpec("circular", 8, 300), (3, 1), np.uint16),
+    (SPIRAL_FULL, RasterSpec("spiral", 8, 300), (3, 1), np.uint16),
+    (CIRC_ANGULAR, RasterSpec("circular", 8, 300), (255, 7), np.uint8),
+    (CIRC_ANGULAR, RasterSpec("circular", 8, 4), (300, 2), np.uint16),
+])
+def test_counts_are_held_in_the_narrowest_dtype_of_the_largest_denominator(
+        variant, spec, cycles, dtype):
+    # every sample a hit, so each count is its vector's denominator
+    cycles = np.array(cycles)
+    hits = np.ones(int(cycles.sum()) * spec.samples_per_cycle, dtype=bool)
+    counts = descriptor._grouped(variant, spec, hits, cycles)
+    lengths, dens = descriptor._layout(variant, spec, cycles)
+    assert counts.dtype == dtype
+    assert counts.tolist() == np.repeat(dens, lengths).tolist()
+
+
 def test_values_in_unit_range():
     shape = blob_shape(42, size=96)
     for variant in VARIANTS:

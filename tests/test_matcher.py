@@ -19,8 +19,8 @@ from rastershape.descriptor import (
     SPIRAL_FIXED,
     SPIRAL_FULL,
     ShapeVector,
-    _counted,
-    count_denominator,
+    _layout,
+    _vectors,
 )
 from rastershape.errors import (
     DatabaseFormatError,
@@ -34,6 +34,7 @@ from rastershape.matcher import (
     DescriptorRecord,
     Match,
     _distances,
+    _exact_matches,
     _within_exact,
     distance,
     load_database,
@@ -366,6 +367,21 @@ def test_long_query_memory_bounded():
     assert got == [Match(f"r-{i}", f"c{i}", math.sqrt(16_000.0)) for i in range(3)]
 
 
+def test_float_query_of_counts_holds_one_value_matrix():
+    # counts over 10^6, as a loaded file's, and a query over 24 past the exact
+    # bound: the values made from the counts are the kernel's own to overwrite,
+    # so the scan holds them and nothing else of their size
+    n, width = 64, 16_384
+    counts = np.repeat(np.arange(1, n + 1) * 10_000.0, width)
+    db = DescriptorDatabase(SPEC, CIRC_RADIAL, [f"r-{i}" for i in range(n)],
+                            [f"c{i % 3}" for i in range(n)], [width] * n, counts, 10 ** 6)
+    q = counts_vector([12] * width, CIRC_RADIAL, SPEC, 24)  # every value 0.5
+    assert _exact_matches(db, q, 3, None) is None
+    got, peak = traced_peak(query, db, q, 3)
+    assert got[0] == Match("r-49", "c1", 0.0)
+    assert peak < 1.25 * n * width * 8
+
+
 # --------------------------------------------------------------- exact scan
 
 def exact_topk(rows, dens, q, p, k, exclude=None):
@@ -394,8 +410,7 @@ def counts_db(rows, variant, spec, dens):
 
 def counts_vector(counts, variant, spec, den):
     """An extracted vector's form: its counts over ``den`` and their values."""
-    counts = np.array(counts, dtype=float)
-    return _counted(variant, spec, counts / den, counts, den)
+    return _vectors(variant, spec, np.array(counts, dtype=float), [len(counts)], [den])[0]
 
 
 @contextlib.contextmanager
@@ -424,7 +439,7 @@ def count_cases(draw):
     kind = draw(st.sampled_from(("one", "rows", "loaded")))
     if kind == "one":
         variant, spec = draw(st.sampled_from(ONE_DENOMINATOR))
-        p = count_denominator(variant, spec)
+        _, p = _layout(variant, spec, 1)
         row_den = st.just(p)
     elif kind == "rows":
         variant, spec = CIRC_ANGULAR, RasterSpec("circular", 8, 4)

@@ -463,13 +463,16 @@ def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
 @example(bad=math.nan, at=0)
 @example(bad=math.inf, at=3)
 @example(bad=-math.inf, at=1)
+@example(bad=4.49423283715579e+307, at=0)  # times 4 overflows to inf
 def test_database_refuses_values_its_vectors_did_not_check(bad, at):
     # a vector built by extract_all's private path is never range-checked
-    # itself; the database still checks every count it is given
+    # itself; the database still checks every count it is given, inf too
     spec = RasterSpec("circular", 8, 4)
     values = np.linspace(0, 1, 4)
     values[at] = bad
-    vector = descriptor._counted("circ_radial", spec, values.copy(), values * 4, 4)
+    with np.errstate(over="ignore"):
+        counts = values * 4
+    [vector] = descriptor._vectors("circ_radial", spec, counts, [4], [4])
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
         DescriptorDatabase.from_records(spec, "circ_radial", [DescriptorRecord("a-1", "a", vector)])
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
