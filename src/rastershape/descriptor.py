@@ -23,9 +23,10 @@ checks: the config was checked on the way in, and each value is a count
 of hits over a positive sample count, so it lies in [0, 1] by
 construction. The public ``ShapeVector(...)`` still checks everything it
 is given, and a database range-checks its values once. An extracted
-vector carries its integer counts and its denominator beside its values,
-so it is compared in exact integer arithmetic (see ``matcher``); a vector
-built from values by hand carries none.
+vector carries its integer counts, its denominator and its squared count
+norm beside its values, so it is compared in exact integer arithmetic
+(see ``matcher``) with no norm to take per query; a vector built from
+values by hand carries none.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class ShapeVector:
     Length follows the shape's extent for the per-cycle variants, so two shapes
     may differ in length under one spec; comparisons zero-pad the shorter one.
     An extracted vector also carries ``_counts``, its values times ``_den``
-    as float64 integers; one built from values carries None in both.
+    as float64 integers, and ``_norm``, their squared norm as an int, or
+    2^53 where that is 2^53 or more or not a number; one built from values
+    carries None in all three.
     """
 
     variant: str
@@ -75,6 +78,7 @@ class ShapeVector:
     values: np.ndarray
     _counts: np.ndarray | None = field(default=None, init=False, repr=False)
     _den: int | None = field(default=None, init=False, repr=False)
+    _norm: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         variant_kind(self.variant, self.spec)
@@ -216,17 +220,27 @@ def _vectors(variant: str, spec: RasterSpec, counts: np.ndarray, lengths,
     them over ``dens[j]``, as ``_layout`` gives them: read-only views of one
     array of the counts as float64 and one of their values, each the
     correctly rounded quotient of two exact integers (one array where every
-    denominator is 1)."""
+    denominator is 1), and each vector's squared count norm, summed over its
+    own counts: ``_grouped``'s squared in the narrowest dtype that holds the
+    largest norm, to keep the peak low, others in float64, quietly."""
     lengths, dens = np.asarray(lengths), np.asarray(dens)
+    den_max = int(dens.max(initial=1))
+    wide = float if counts.dtype.kind != "u" else np.min_scalar_type(
+        int(lengths.max(initial=0)) * den_max * den_max)
+    norms, full = np.zeros(lengths.size), lengths > 0  # a vector with no counts keeps 0
+    with np.errstate(over="ignore"):
+        norms[full] = np.add.reduceat(np.square(counts, dtype=wide),
+                                      (np.cumsum(lengths) - lengths)[full])
+    norms = np.fmin(norms, 2.0 ** 53).astype(np.int64).tolist()
     counts = counts.astype(float)
-    values = counts if dens.max(initial=1) == 1 else counts / np.repeat(dens, lengths)
+    values = counts if den_max == 1 else counts / np.repeat(dens, lengths)
     values.flags.writeable = False
     counts.flags.writeable = False
     vectors, at = [], 0
-    for n, den in zip(lengths.tolist(), dens.tolist()):
+    for n, den, norm in zip(lengths.tolist(), dens.tolist(), norms):
         vector = object.__new__(ShapeVector)
         vars(vector).update(variant=variant, spec=spec, values=values[at:at + n],
-                            _counts=counts[at:at + n], _den=den)
+                            _counts=counts[at:at + n], _den=den, _norm=norm)
         vectors.append(vector)
         at += n
     return vectors

@@ -35,7 +35,8 @@ row's key, (P |c|^2 - 2 M c.q) / M^2 = (p^2 d^2 - |q|^2) / P, is monotone
 in the row's distance d. Its numerator is an exact integer in float64,
 whatever the summation order, while P |c|^2 and 2 M |c| |q| are below
 2^53: each query checks that from the largest squared count norm and the
-largest row denominator, both kept at build. Its one matrix-vector
+largest row denominator, both kept at build, and |q|^2, which the query
+vector carries from its extraction. Its one matrix-vector
 product, c.q for every row, runs in the matrix's own dtype, float32 where
 the matrix is, while the largest squared count norm times |q|^2 is below
 2^48: then c.q <= |c| |q| < 2^24, as is every partial sum of its
@@ -51,6 +52,8 @@ order. A match's distance is sqrt(N / (p M)^2) from the exact integer N =
 |P c - M q|^2, P times the numerator plus M^2 |q|^2 in Python integers:
 the correctly rounded root of the correctly rounded squared distance, and
 bit for bit the float kernel's whenever that kernel's sum is exact.
+A match is a Match, a named tuple of (id, category, distance), so it
+also equals the plain tuple of its fields.
 
 A query past that bound or built from values, and any query in a database
 built from values, takes the float kernel, _distances, over every row and
@@ -70,6 +73,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,8 +293,9 @@ def _check_size(n: int, width: int) -> None:
                          f"the cap of {MAX_DATABASE_VALUES} values")
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
+    """One ranked record: a named tuple, so it also equals ``(id, category, distance)``."""
+
     id: str
     category: str
     distance: float
@@ -355,7 +360,8 @@ def _within_exact(big_p: int, big_m: int, c_norm: int, q_norm: int) -> bool:
 
 def query(db: DescriptorDatabase, q: ShapeVector, k: int,
           exclude_id: str | None = None) -> list[Match]:
-    """The k records nearest to ``q``, ascending by distance.
+    """The k records nearest to ``q``, ascending by distance, as Match
+    named tuples.
 
     Ties keep database insertion order: ties at equal exact distance for a
     query that carries its counts in a count database, ties at equal
@@ -404,7 +410,7 @@ def _exact_matches(db: DescriptorDatabase, q: ShapeVector, k: int,
     p, counts = q._den, db._counts
     g = math.gcd(p, db._den_gcd)
     big_p, big_m = p // g, db._den_max // g
-    q_norm = int(q._counts @ q._counts)
+    q_norm = q._norm
     if not _within_exact(big_p, big_m, db._norm_max, q_norm):
         return None
     one = db._den_gcd == db._den_max  # every row's denominator is big_m
@@ -425,7 +431,9 @@ def _exact_matches(db: DescriptorDatabase, q: ShapeVector, k: int,
     if excluded is not None:
         key[excluded] = np.inf
     at = min(k, key.size - (excluded is not None)) - 1
-    rows = (key <= np.partition(key, at)[at]).nonzero()[0]
+    part = key.copy()
+    part.partition(at)
+    rows = (key <= part[at]).nonzero()[0]
     nums, rows = num[rows].tolist(), rows.tolist()
     # N = P (2 num) + M^2 |q|^2 in Python integers: 2 num is exact in
     # float64, but P times it need not be
@@ -674,12 +682,13 @@ def _micro_units(texts: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
 
     A value is a digit, a dot and six digits, so with its comma it is one
     row of 9 bytes, and the file's values are checked and read as one array
-    of such rows. Its seven digit columns are read one at a time into one
-    integer array, and each buffer is dropped once read, so no array is
-    larger than the values. Each value is its integer count of millionths,
-    so ``micro / 1e6`` is float(token) exactly: both are exact doubles and
-    IEEE division rounds correctly. Else the second item is the index and
-    text of the first token of any other form.
+    of such rows, transposed once into nine contiguous columns. Its seven
+    digit columns are read one at a time into one integer array, and each
+    buffer is dropped once read, so no array is larger than the values.
+    Each value is its integer count of millionths, so ``micro / 1e6`` is
+    float(token) exactly: both are exact doubles and IEEE division rounds
+    correctly. Else the second item is the index and text of the first
+    token of any other form.
     """
     data = ",".join(filter(None, texts)).encode()
     if not data:
@@ -689,18 +698,20 @@ def _micro_units(texts: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
     np.subtract(np.frombuffer(data, np.uint8), ord("0"), out=rows[:len(data)])
     rows[len(data)] = _COMMA
     rows[len(data) + 1:] = -ord("0") % 256
-    rows = rows.reshape(-1, 9)
     del data
-    bad = (rows[:, 1] != _DOT) | (rows[:, 8] != _COMMA)
-    if bad.any() or rows[:, 0].max() > 9 or rows[:, 2:8].max() > 9:
+    cols = np.ascontiguousarray(rows.reshape(-1, 9).T)  # nine contiguous columns
+    del rows
+    bad = (cols[1] != _DOT) | (cols[8] != _COMMA)
+    if bad.any() or cols[0].max() > 9 or cols[2:8].max() > 9:
         # the rows before the first bad one are canonical tokens, so it
         # starts the first bad token, 9 bytes per row into the joined text
+        rows = cols.T
         at = int(np.argmax(bad | (rows[:, 0] > 9) | (rows[:, 2:8] > 9).any(axis=1)))
         token = (rows.ravel()[9 * at:] + ord("0")).tobytes().split(b",", 1)[0]
         return np.empty(0), (at, token.decode())
-    micro = rows[:, 0].astype(np.uint32)
-    for col in range(2, 8):
+    micro = cols[0].astype(np.uint32)
+    for col in cols[2:8]:
         micro *= 10
-        micro += rows[:, col]
-    del rows
+        micro += col
+    del cols
     return micro.astype(float), None

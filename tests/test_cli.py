@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -83,6 +84,28 @@ def test_query_self_match_and_format(toy_dir, tmp_path, capsys):
     assert len(lines) == 3
     rank, rec_id, category, dist = lines[0].split("\t")
     assert (rank, rec_id, category, dist) == ("1", "disk-1", "disk", "0.000000")
+
+
+def test_query_stdout_is_pinned(toy_dir, tmp_path, capsys):
+    # every toy image queried at --k 3 in its corpus's database, for each
+    # variant at the default lattice and at 8/24: the exit codes and
+    # stdout, byte for byte, are those the program printed when Match was a
+    # dataclass and each query took its own norm
+    out = str(tmp_path / "toy.rdb")
+    digest = hashlib.sha256()
+    for variant in VARIANTS:
+        for flags in ([], ["--sep", "8", "--samples", "24"]):
+            assert main(["index", str(toy_dir), "--variant", variant, "--out", out, *flags]) == 0
+            capsys.readouterr()
+            for image in sorted(toy_dir.iterdir()):
+                code = main(["query", out, str(image), "--k", "3"])
+                text = capsys.readouterr().out
+                if (variant, flags, image.name) == ("circ_radial", [], "disk-1.pgm"):
+                    assert text == ("1\tdisk-1\tdisk\t0.000000\n2\tdisk-4\tdisk\t0.291667\n"
+                                    "3\tdisk-2\tdisk\t0.333333\n")
+                digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == (
+        "2f43ac9aa565678958a0fa0cd0ccbaa0332d4dd7d8275c032788ca20c0445c4d")
 
 
 def test_workloads_make_no_value_matrix_of_a_count_database(toy_dir, tmp_path, capsys,

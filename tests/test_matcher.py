@@ -107,6 +107,21 @@ def test_query_single_record():
         query(db, vec([0.5, 0.5]), 3, exclude_id="a-1")
 
 
+def test_match_is_a_named_tuple_of_its_three_fields():
+    # fields in this order; equal to another Match or a plain tuple of the
+    # same fields, and to nothing else; read-only, and printed as before
+    match = Match("a-1", "a", 0.5)
+    assert Match._fields == ("id", "category", "distance")
+    assert (match.id, match.category, match.distance) == tuple(match) == ("a-1", "a", 0.5)
+    assert match == Match(id="a-1", category="a", distance=0.5) == ("a-1", "a", 0.5)
+    assert hash(match) == hash(("a-1", "a", 0.5))
+    assert match != Match("a-1", "a", 0.25) and match != ("a-1", "a")
+    assert repr(match) == "Match(id='a-1', category='a', distance=0.5)"
+    for name in Match._fields:
+        with pytest.raises(AttributeError):
+            setattr(match, name, None)
+
+
 def test_query_validation():
     db = DescriptorDatabase.from_records(SPEC, CIRC_RADIAL,
                             (DescriptorRecord("a-1", "a", vec([0.5])),))

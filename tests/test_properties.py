@@ -316,6 +316,54 @@ def test_column_stream_equals_lone_extract_alls(mask_list, cell_list, block, cap
             assert not rec.vector._counts.flags.writeable
 
 
+def _carries_its_norm(vector: ShapeVector) -> None:
+    assert type(vector._norm) is int
+    assert vector._norm == int(vector._counts @ vector._counts)
+
+
+@FIXED
+@given(mask_list=st.lists(geometry_masks, min_size=2, max_size=6),
+       block=st.sampled_from((2, 40, 1 << 16)), d=st.integers(1, 6), s=st.integers(1, 24))
+@example(mask_list=[np.ones((1, 1), dtype=bool), np.ones((9, 9), dtype=bool)] * 2,
+         block=2, d=4, s=24)
+def test_every_vector_carries_its_squared_count_norm(mask_list, block, d, s):
+    # _vectors takes every norm of a block in one pass, each over its own
+    # vector's counts: extract_all's vectors under all four variants, a
+    # stream's records grouped in several blocks or one, and a count
+    # database's records all carry the norm a dot product of their counts gives
+    configs = [(v, RasterSpec(VARIANT_KIND[v], d, s)) for v in VARIANTS]
+    shapes = [BinaryShape(m, id=f"s{i}-1", category="c") for i, m in enumerate(mask_list)]
+    columns = evaluation._Columns(configs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_BLOCK_POINTS", block)
+        for _ in evaluation._extracted(iter(shapes), columns):
+            pass
+    if block == 2:  # each shape is grouped in a block of its own
+        assert len(columns.counts[0]) == len(shapes)
+    for i in range(len(configs)):
+        for rec in [*columns.records(i), *columns.database(i)]:
+            _carries_its_norm(rec.vector)
+    for shape in shapes:
+        for vector in extract_all(shape, configs):
+            _carries_its_norm(vector)
+
+
+def test_vectors_of_no_counts_carry_a_zero_norm():
+    # a vector with no counts, first, between two others or last, keeps 0,
+    # from a stream's narrow counts and from a count database's records
+    spec = RasterSpec("circular", 8, 4)
+    vectors = descriptor._vectors("circ_radial", spec, np.array([1, 2, 3, 4], np.uint8),
+                                  [0, 2, 0, 2, 0], [4] * 5)
+    assert [v._norm for v in vectors] == [0, 5, 0, 25, 0]
+    assert [v._norm for v in descriptor._vectors("circ_radial", spec, np.empty(0, np.uint8),
+                                                  [0, 0], [4, 4])] == [0, 0]
+    db = DescriptorDatabase(spec, "circ_radial", ["a-1", "b-1", "c-1"], ["a", "b", "c"],
+                            [2, 0, 1], np.array([3, 4, 2], np.uint8), 4)
+    assert [rec.vector._norm for rec in db] == [25, 0, 4]
+    for rec in db:
+        _carries_its_norm(rec.vector)
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("scratch")
@@ -464,15 +512,19 @@ def test_extract_all_vectors_equal_publicly_built_ones(mask, cell_list):
 @example(bad=math.inf, at=3)
 @example(bad=-math.inf, at=1)
 @example(bad=4.49423283715579e+307, at=0)  # times 4 overflows to inf
+@example(bad=1e155, at=2)  # its count's square overflows to inf
 def test_database_refuses_values_its_vectors_did_not_check(bad, at):
     # a vector built by extract_all's private path is never range-checked
-    # itself; the database still checks every count it is given, inf too
+    # itself, and its norm is taken without a warning whatever its counts;
+    # the database still checks every count it is given, inf too
     spec = RasterSpec("circular", 8, 4)
     values = np.linspace(0, 1, 4)
     values[at] = bad
     with np.errstate(over="ignore"):
         counts = values * 4
-    [vector] = descriptor._vectors("circ_radial", spec, counts, [4], [4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [vector] = descriptor._vectors("circ_radial", spec, counts, [4], [4])
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
         DescriptorDatabase.from_records(spec, "circ_radial", [DescriptorRecord("a-1", "a", vector)])
     with pytest.raises(ValueError, match=re.escape("lie in [0, 1]")):
